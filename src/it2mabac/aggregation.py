@@ -6,97 +6,29 @@ trapezoidal interval type-2 fuzzy geometric Bonferroni mean, which couples
 every ordered pair of inputs; with the leading 1/(r+s) coefficient it is
 idempotent. A plain endpoint-wise geometric mean is provided alongside for
 comparison (it equals the Bonferroni mean with r=0, s=1).
+
+The averaging functions trust the shapes they are given: a DecisionProblem
+checks them once, where it is built, and PipelineParams checks r and s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import DimensionMismatch, EmptyInput, InvalidParams, TooFewValues
+from .errors import EmptyInput, TooFewValues
 from .fuzzy import GeneralizedTrapezoid, IT2TrFN, _require_nonnegative, mean
 
 
-@dataclass(frozen=True)
-class BonferroniParams:
-    """Exponents (r, s) of the geometric Bonferroni mean; r, s >= 0, r+s > 0."""
-
-    r: float = 1.0
-    s: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.r < 0 or self.s < 0:
-            raise InvalidParams(f"Bonferroni exponents must be non-negative, got r={self.r!r}, s={self.s!r}")
-        if self.r + self.s <= 0:
-            raise InvalidParams("Bonferroni exponents must satisfy r + s > 0")
+def average_weights(vectors: list[list[IT2TrFN]]) -> list[IT2TrFN]:
+    """Component-wise mean of the experts' weight vectors (one per expert)."""
+    return [mean(column) for column in zip(*vectors)]
 
 
-@dataclass(frozen=True)
-class ExpertWeightSet:
-    """One weight vector of length q per expert."""
-
-    experts: list[str]
-    weights: list[list[IT2TrFN]]
-
-    def __post_init__(self) -> None:
-        if not self.experts or len(self.experts) != len(self.weights):
-            raise DimensionMismatch(
-                f"{len(self.experts)} experts but {len(self.weights)} weight vectors"
-            )
-        q = len(self.weights[0])
-        if q < 1:
-            raise DimensionMismatch(f"expert {self.experts[0]!r} has an empty weight vector")
-        for name, vector in zip(self.experts, self.weights):
-            if len(vector) != q:
-                raise DimensionMismatch(
-                    f"expert {name!r} has {len(vector)} weights, expected {q}"
-                )
+def average_ratings(matrices: list[list[list[IT2TrFN]]]) -> list[list[IT2TrFN]]:
+    """Component-wise mean of the experts' p x q rating matrices (one per expert)."""
+    return [[mean(cell) for cell in zip(*rows)] for rows in zip(*matrices)]
 
 
-@dataclass(frozen=True)
-class ExpertRatingSet:
-    """One p x q rating matrix per expert (rows: alternatives, cols: criteria)."""
-
-    experts: list[str]
-    ratings: list[list[list[IT2TrFN]]]
-
-    def __post_init__(self) -> None:
-        if not self.experts or len(self.experts) != len(self.ratings):
-            raise DimensionMismatch(
-                f"{len(self.experts)} experts but {len(self.ratings)} rating matrices"
-            )
-        first = self.ratings[0]
-        p, q = len(first), len(first[0]) if first else 0
-        if p < 1 or q < 1:
-            raise DimensionMismatch(f"expert {self.experts[0]!r} has an empty rating matrix")
-        for name, matrix in zip(self.experts, self.ratings):
-            if len(matrix) != p:
-                raise DimensionMismatch(
-                    f"expert {name!r} rates {len(matrix)} alternatives, expected {p}"
-                )
-            for i, row in enumerate(matrix):
-                if len(row) != q:
-                    raise DimensionMismatch(
-                        f"expert {name!r}, row {i}: {len(row)} entries, expected {q}"
-                    )
-
-
-def average_weights(ws: ExpertWeightSet) -> list[IT2TrFN]:
-    """Component-wise mean of the experts' weight vectors."""
-    q = len(ws.weights[0])
-    return [mean([vector[j] for vector in ws.weights]) for j in range(q)]
-
-
-def average_ratings(rs: ExpertRatingSet) -> list[list[IT2TrFN]]:
-    """Component-wise mean of the experts' rating matrices."""
-    p, q = len(rs.ratings[0]), len(rs.ratings[0][0])
-    return [
-        [mean([matrix[i][j] for matrix in rs.ratings]) for j in range(q)]
-        for i in range(p)
-    ]
-
-
-def tit2fgbm(values: list[IT2TrFN], params: BonferroniParams = BonferroniParams()) -> IT2TrFN:
-    """Geometric Bonferroni mean of n >= 2 non-negative values.
+def tit2fgbm(values: list[IT2TrFN], r: float = 1.0, s: float = 1.0) -> IT2TrFN:
+    """Geometric Bonferroni mean of n >= 2 non-negative values; r, s >= 0, r+s > 0.
 
     Every endpoint position e is aggregated independently:
 
@@ -110,7 +42,6 @@ def tit2fgbm(values: list[IT2TrFN], params: BonferroniParams = BonferroniParams(
         raise TooFewValues(f"the Bonferroni mean needs at least two values, got {n}")
     for v in values:
         _require_nonnegative(v, "the Bonferroni mean")
-    r, s = params.r, params.s
     exponent = 1.0 / (n * (n - 1))
 
     def combine(traps: list[GeneralizedTrapezoid]) -> GeneralizedTrapezoid:

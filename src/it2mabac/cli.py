@@ -7,6 +7,7 @@ Exit codes: 0 on success, 1 when the problem document fails validation,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -27,8 +28,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="rank attitude parameter in [0, 1] (default: from file or 0.5)")
     parser.add_argument("--r", type=float, default=None, help="Bonferroni exponent r")
     parser.add_argument("--s", type=float, default=None, help="Bonferroni exponent s")
-    parser.add_argument("--baa", choices=["bonferroni", "geomean"], default=None,
-                        help="border approximation area operator")
+    parser.add_argument("--baa", dest="baa_operator", choices=["bonferroni", "geomean"],
+                        default=None, help="border approximation area operator")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,18 +59,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(path: str) -> DecisionProblem:
     source = Path(path)
-    text = source.read_text()
+    text = source.read_text(encoding="utf-8")
     return parse_problem(text, base_dir=source.parent)
 
 
 def _merge_params(problem: DecisionProblem, args: argparse.Namespace) -> PipelineParams:
-    base = problem.params
-    return PipelineParams(
-        lam=args.lam if args.lam is not None else base.lam,
-        r=args.r if args.r is not None else base.r,
-        s=args.s if args.s is not None else base.s,
-        baa_operator=args.baa if args.baa is not None else base.baa_operator,
-    )
+    """The problem's params with every flag that was given put in their place."""
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(PipelineParams)}
+    return dataclasses.replace(problem.params, **{k: v for k, v in flags.items() if v is not None})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -82,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         problem = _load(args.problem)
         params = _merge_params(problem, args) if args.command != "validate" else None
-    except (MabacError, OSError) as exc:
+    except (MabacError, OSError, UnicodeDecodeError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,6 +13,7 @@ pipeline ever visits.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -24,6 +25,7 @@ from .errors import (
     HeightOutOfRange,
     NegativeOperand,
     NegativeScalar,
+    ProblemSyntaxError,
 )
 
 #: Absolute tolerance used by validity and classification checks.
@@ -91,9 +93,20 @@ def _as_trapezoid(value: TrapezoidLike, which: str) -> GeneralizedTrapezoid:
             f"{which} trapezoid needs exactly five numbers (a1, a2, a3, a4, h), got {len(items)}"
         )
     try:
-        return GeneralizedTrapezoid(*(float(x) for x in items))
+        return GeneralizedTrapezoid(*(_finite(x, which) for x in items))
     except (EndpointOrderViolation, HeightOutOfRange) as exc:
         raise type(exc)(f"{which} trapezoid: {exc}") from exc
+
+
+def _finite(x, which: str) -> float:
+    """``x`` as a float; booleans, non-numbers, NaN and infinities are rejected."""
+    try:
+        number = float(x)
+    except (TypeError, ValueError):
+        number = math.nan
+    if isinstance(x, bool) or not math.isfinite(number):
+        raise ProblemSyntaxError(f"{which} trapezoid: {x!r} is not a finite number")
+    return number
 
 
 def make(upper: TrapezoidLike, lower: TrapezoidLike, *, check_fou: bool = False) -> IT2TrFN:
@@ -127,16 +140,6 @@ def fou_containment_warnings(value: IT2TrFN) -> list[str]:
         if below > above + EPS:
             warnings.append(f"at x={x:g}: lower membership {below:.6g} > upper {above:.6g}")
     return warnings
-
-
-def umf_at(value: IT2TrFN, x: float) -> float:
-    """Upper membership function of ``value`` evaluated at ``x``."""
-    return value.upper.membership(x)
-
-
-def lmf_at(value: IT2TrFN, x: float) -> float:
-    """Lower membership function of ``value`` evaluated at ``x``."""
-    return value.lower.membership(x)
 
 
 def _combine(a: GeneralizedTrapezoid, b: GeneralizedTrapezoid, op) -> GeneralizedTrapezoid:
@@ -189,9 +192,6 @@ def crisp(c: float) -> IT2TrFN:
 
 #: The crisp unit, the reference point of the rank-based distance.
 CRISP_ONE = crisp(1.0)
-
-#: The additive identity.
-CRISP_ZERO = crisp(0.0)
 
 
 def mean(values: Iterable[IT2TrFN]) -> IT2TrFN:

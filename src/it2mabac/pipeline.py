@@ -9,12 +9,13 @@ downstream stages do not clip.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .aggregation import BonferroniParams, geometric_mean, tit2fgbm
-from .errors import DegenerateRange, DimensionMismatch, InvalidParams, TooFewValues
+from .aggregation import geometric_mean, tit2fgbm
+from .errors import ComputationError, DegenerateRange, DimensionMismatch, InvalidParams, TooFewValues
 from .fuzzy import CRISP_ONE, EPS, GeneralizedTrapezoid, IT2TrFN, add, mul
-from .ranking import RankParams, rank_to_one
+from .ranking import rank_to_one
 
 #: Classification labels: upper, border, and lower approximation areas.
 UAA = "UAA"
@@ -124,26 +125,24 @@ def weight(normalized: Matrix, weights: list[IT2TrFN]) -> Matrix:
 
 
 def baa(
-    weighted: Matrix,
-    params: BonferroniParams = BonferroniParams(),
-    operator: str = "bonferroni",
+    weighted: Matrix, *, r: float = 1.0, s: float = 1.0, operator: str = "bonferroni"
 ) -> list[IT2TrFN]:
-    """Border approximation area per criterion, aggregated down each column."""
-    if operator not in BAA_OPERATORS:
-        raise InvalidParams(f"unknown BAA operator {operator!r}; choose from {BAA_OPERATORS}")
+    """Border approximation area per criterion, aggregated down each column.
+
+    ``operator`` is one of BAA_OPERATORS; any other name is a KeyError.
+    """
+    aggregate = {"bonferroni": lambda col: tit2fgbm(col, r, s), "geomean": geometric_mean}[operator]
     if len(weighted) < 2:
         raise TooFewValues(
             f"the border approximation area needs at least two alternatives, got {len(weighted)}"
         )
     q = len(weighted[0])
     columns = [[row[j] for row in weighted] for j in range(q)]
-    if operator == "geomean":
-        return [geometric_mean(col) for col in columns]
-    return [tit2fgbm(col, params) for col in columns]
+    return [aggregate(col) for col in columns]
 
 
 def crisp_matrices(
-    weighted: Matrix, baa_vector: list[IT2TrFN], params: RankParams = RankParams()
+    weighted: Matrix, baa_vector: list[IT2TrFN], lam: float = 0.5
 ) -> CrispMatrices:
     """Crisp distances of every weighted entry and of the BAA vector."""
     if any(len(row) != len(baa_vector) for row in weighted):
@@ -151,14 +150,18 @@ def crisp_matrices(
         raise DimensionMismatch(
             f"matrix rows have widths {widths}, expected {len(baa_vector)} BAA entries"
         )
-    q_matrix = [[abs(rank_to_one(entry, params)) for entry in row] for row in weighted]
-    g_vector = [abs(rank_to_one(g, params)) for g in baa_vector]
+    q_matrix = [[abs(rank_to_one(entry, lam)) for entry in row] for row in weighted]
+    g_vector = [abs(rank_to_one(g, lam)) for g in baa_vector]
     delta = [[qij - gj for qij, gj in zip(row, g_vector)] for row in q_matrix]
     return CrispMatrices(q=q_matrix, g=g_vector, delta=delta)
 
 
-def classify_and_score(cm: CrispMatrices) -> RankingResult:
-    """Classify each cell by the sign of delta and rank by row sums."""
+def classify_and_score(cm: CrispMatrices, alternatives: list[str] | None = None) -> RankingResult:
+    """Classify each cell by the sign of delta and rank by row sums.
+
+    A score that is not finite (an overflow upstream) is a ComputationError
+    naming the alternative, or its row index when ``alternatives`` is omitted.
+    """
     classification = []
     for row in cm.delta:
         labels = []
@@ -171,6 +174,10 @@ def classify_and_score(cm: CrispMatrices) -> RankingResult:
                 labels.append(LAA)
         classification.append(labels)
     scores = [sum(row) for row in cm.delta]
+    for i, score in enumerate(scores):
+        if not math.isfinite(score):
+            name = alternatives[i] if alternatives is not None else f"row {i}"
+            raise ComputationError(f"alternative {name}: score {score!r} is not a finite number")
     # sorted() is stable, so ties keep the declaration order of alternatives.
     order = sorted(range(len(scores)), key=lambda i: -scores[i])
     return RankingResult(classification=classification, scores=scores, order=order)

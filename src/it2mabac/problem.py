@@ -13,19 +13,14 @@ trace holding every intermediate matrix.
 from __future__ import annotations
 
 import importlib.resources
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
 
-from .aggregation import (
-    BonferroniParams,
-    ExpertRatingSet,
-    ExpertWeightSet,
-    average_ratings,
-    average_weights,
-)
+from .aggregation import average_ratings, average_weights
 from .errors import (
     DimensionMismatch,
     InvalidParams,
@@ -49,12 +44,15 @@ from .pipeline import (
     normalize,
     weight,
 )
-from .ranking import RankParams
 
 
 @dataclass(frozen=True)
 class PipelineParams:
-    """Tuning knobs: rank attitude, Bonferroni exponents, BAA operator."""
+    """Tuning knobs: rank attitude, Bonferroni exponents, BAA operator.
+
+    The only place these values are checked; the stage functions take them
+    as plain keyword arguments.
+    """
 
     lam: float = 0.5
     r: float = 1.0
@@ -62,23 +60,36 @@ class PipelineParams:
     baa_operator: str = "bonferroni"
 
     def __post_init__(self) -> None:
-        RankParams(self.lam)
-        BonferroniParams(self.r, self.s)
+        if not 0.0 <= self.lam <= 1.0:
+            raise InvalidParams(f"lambda must lie in [0, 1], got {self.lam!r}")
+        if not (math.isfinite(self.r) and math.isfinite(self.s)):
+            raise InvalidParams(f"Bonferroni exponents must be finite, got r={self.r!r}, s={self.s!r}")
+        if self.r < 0 or self.s < 0:
+            raise InvalidParams(f"Bonferroni exponents must be non-negative, got r={self.r!r}, s={self.s!r}")
+        if self.r + self.s <= 0:
+            raise InvalidParams("Bonferroni exponents must satisfy r + s > 0")
         if self.baa_operator not in BAA_OPERATORS:
             raise InvalidParams(
                 f"baa operator must be one of {BAA_OPERATORS}, got {self.baa_operator!r}"
             )
 
-    def rank_params(self) -> RankParams:
-        return RankParams(self.lam)
 
-    def bonferroni_params(self) -> BonferroniParams:
-        return BonferroniParams(self.r, self.s)
+def _check_expert_keys(node: dict, experts: list[str], key: str) -> None:
+    missing = set(experts) - set(node)
+    extra = set(node) - set(experts)
+    if missing:
+        raise DimensionMismatch(f"{key!r} is missing experts {sorted(missing)}")
+    if extra:
+        raise DimensionMismatch(f"{key!r} names unknown experts {sorted(extra, key=str)}")
 
 
 @dataclass
 class DecisionProblem:
-    """A fully resolved group decision problem."""
+    """A fully resolved group decision problem.
+
+    Building one checks every expert's weight vector and rating matrix
+    against the alternatives and criteria; the pipeline relies on that.
+    """
 
     alternatives: list[str]
     criteria: list[CriterionSpec]
@@ -89,6 +100,31 @@ class DecisionProblem:
     expert_ratings: dict[str, list[list[IT2TrFN]]]
     params: PipelineParams = field(default_factory=PipelineParams)
     name: str = "unnamed"
+
+    def __post_init__(self) -> None:
+        p, q = len(self.alternatives), len(self.criteria)
+        if not (p and q and self.experts):
+            raise DimensionMismatch("a problem needs at least one alternative, criterion and expert")
+        _check_expert_keys(self.expert_weights, self.experts, "weights")
+        for expert in self.experts:
+            if len(self.expert_weights[expert]) != q:
+                raise DimensionMismatch(
+                    f"weights[{expert}]: expected {q} entries (one per criterion), "
+                    f"got {len(self.expert_weights[expert])}"
+                )
+        _check_expert_keys(self.expert_ratings, self.experts, "ratings")
+        for expert in self.experts:
+            matrix = self.expert_ratings[expert]
+            if len(matrix) != p:
+                raise DimensionMismatch(
+                    f"ratings[{expert}]: expected {p} rows (one per alternative), got {len(matrix)}"
+                )
+            for i, row in enumerate(matrix):
+                if len(row) != q:
+                    raise DimensionMismatch(
+                        f"ratings[{expert}] row {i} ({self.alternatives[i]!r}): "
+                        f"expected {q} entries, got {len(row)}"
+                    )
 
 
 @dataclass
@@ -128,27 +164,19 @@ def run(problem: DecisionProblem, params: PipelineParams | None = None) -> Pipel
     """Execute steps 1-7 on ``problem`` and collect the full trace."""
     p = params if params is not None else problem.params
     with _stage("step 1 (average weights)"):
-        ws = ExpertWeightSet(
-            experts=list(problem.experts),
-            weights=[problem.expert_weights[e] for e in problem.experts],
-        )
-        weights_bar = average_weights(ws)
+        weights_bar = average_weights([problem.expert_weights[e] for e in problem.experts])
     with _stage("step 2 (average decision matrix)"):
-        rs = ExpertRatingSet(
-            experts=list(problem.experts),
-            ratings=[problem.expert_ratings[e] for e in problem.experts],
-        )
-        ratings_bar = average_ratings(rs)
+        ratings_bar = average_ratings([problem.expert_ratings[e] for e in problem.experts])
     with _stage("step 3 (normalization)"):
         normalized = normalize(ratings_bar, problem.criteria)
     with _stage("step 4 (weighting)"):
         weighted = weight(normalized, weights_bar)
     with _stage("step 5 (border approximation area)"):
-        baa_vector = baa(weighted, p.bonferroni_params(), p.baa_operator)
+        baa_vector = baa(weighted, r=p.r, s=p.s, operator=p.baa_operator)
     with _stage("step 6 (distance matrices)"):
-        cm = crisp_matrices(weighted, baa_vector, p.rank_params())
+        cm = crisp_matrices(weighted, baa_vector, lam=p.lam)
     with _stage("step 7 (classification and ranking)"):
-        result = classify_and_score(cm)
+        result = classify_and_score(cm, problem.alternatives)
     return PipelineTrace(
         name=problem.name,
         alternatives=list(problem.alternatives),
@@ -212,9 +240,7 @@ def _parse_criteria(node) -> list[CriterionSpec]:
             raise ProblemSyntaxError(
                 f"criteria[{i}]: expected a name or a {{name, sense}} mapping, got {item!r}"
             )
-    names = [s.name for s in specs]
-    if len(set(names)) != len(names):
-        raise ProblemSyntaxError(f"criterion names must be unique, got {names}")
+    _require_name_list([s.name for s in specs], "criteria")
     return specs
 
 
@@ -255,8 +281,8 @@ def _load_scale(node, role: str, base_dir: Path | None) -> LinguisticScale:
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
         try:
-            text = path.read_text()
-        except OSError as exc:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
             raise ProblemSyntaxError(f"{role}: cannot read scale file {str(path)!r}: {exc}") from exc
         try:
             doc = yaml.safe_load(text)
@@ -291,7 +317,8 @@ def parse_problem(text: str, base_dir: str | Path | None = None) -> DecisionProb
     unknown = set(doc) - _TOP_LEVEL_KEYS
     if unknown:
         raise ProblemSyntaxError(
-            f"unknown top-level keys {sorted(unknown)}; expected a subset of {sorted(_TOP_LEVEL_KEYS)}"
+            f"unknown top-level keys {sorted(unknown, key=str)}; "
+            f"expected a subset of {sorted(_TOP_LEVEL_KEYS)}"
         )
     missing = {"alternatives", "criteria", "experts", "weights", "ratings"} - set(doc)
     if missing:
@@ -305,9 +332,8 @@ def parse_problem(text: str, base_dir: str | Path | None = None) -> DecisionProb
     rating_scale = _load_scale(doc.get("rating_scale"), "rating_scale", base)
     params = _parse_params(doc.get("params"))
 
-    p, q = len(alternatives), len(criteria)
-    expert_weights = _parse_weights(doc["weights"], experts, q, weight_scale)
-    expert_ratings = _parse_ratings(doc["ratings"], experts, alternatives, q, rating_scale)
+    expert_weights = _parse_weights(doc["weights"], weight_scale)
+    expert_ratings = _parse_ratings(doc["ratings"], alternatives, rating_scale)
 
     return DecisionProblem(
         alternatives=alternatives,
@@ -330,10 +356,10 @@ def _parse_params(node) -> PipelineParams:
     unknown = set(node) - _PARAM_KEYS
     if unknown:
         raise ProblemSyntaxError(
-            f"unknown params {sorted(unknown)}; expected a subset of {sorted(_PARAM_KEYS)}"
+            f"unknown params {sorted(unknown, key=str)}; expected a subset of {sorted(_PARAM_KEYS)}"
         )
     for key in ("lambda", "r", "s"):
-        if key in node and not isinstance(node[key], (int, float)):
+        if key in node and (isinstance(node[key], bool) or not isinstance(node[key], (int, float))):
             raise InvalidParams(f"param {key!r} must be a number, got {node[key]!r}")
     return PipelineParams(
         lam=float(node.get("lambda", 0.5)),
@@ -343,62 +369,40 @@ def _parse_params(node) -> PipelineParams:
     )
 
 
-def _parse_weights(node, experts, q, scale) -> dict[str, list[IT2TrFN]]:
+def _as_list(node, where: str) -> list:
+    if not isinstance(node, list):
+        raise ProblemSyntaxError(f"{where}: expected a list, got a {type(node).__name__}")
+    return node
+
+
+def _parse_weights(node, scale) -> dict[str, list[IT2TrFN]]:
     if not isinstance(node, dict):
         raise ProblemSyntaxError("'weights' must map each expert to a list of entries")
-    _check_expert_keys(node, experts, "weights")
-    out: dict[str, list[IT2TrFN]] = {}
-    for expert in experts:
-        row = node[expert]
-        if not isinstance(row, list) or len(row) != q:
-            got = len(row) if isinstance(row, list) else f"a {type(row).__name__}"
-            raise DimensionMismatch(
-                f"weights[{expert}]: expected {q} entries (one per criterion), got {got}"
-            )
-        out[expert] = [
-            _resolve_entry(entry, scale, f"weights[{expert}][{j}]") for j, entry in enumerate(row)
+    return {
+        expert: [
+            _resolve_entry(entry, scale, f"weights[{expert}][{j}]")
+            for j, entry in enumerate(_as_list(row, f"weights[{expert}]"))
         ]
-    return out
+        for expert, row in node.items()
+    }
 
 
-def _parse_ratings(node, experts, alternatives, q, scale) -> dict[str, list[list[IT2TrFN]]]:
+def _parse_ratings(node, alternatives, scale) -> dict[str, list[list[IT2TrFN]]]:
     if not isinstance(node, dict):
         raise ProblemSyntaxError("'ratings' must map each expert to a matrix of entries")
-    _check_expert_keys(node, experts, "ratings")
-    p = len(alternatives)
     out: dict[str, list[list[IT2TrFN]]] = {}
-    for expert in experts:
-        matrix = node[expert]
-        if not isinstance(matrix, list) or len(matrix) != p:
-            got = len(matrix) if isinstance(matrix, list) else f"a {type(matrix).__name__}"
-            raise DimensionMismatch(
-                f"ratings[{expert}]: expected {p} rows (one per alternative), got {got}"
-            )
+    for expert, matrix in node.items():
         rows = []
-        for i, row in enumerate(matrix):
-            if not isinstance(row, list) or len(row) != q:
-                got = len(row) if isinstance(row, list) else f"a {type(row).__name__}"
-                raise DimensionMismatch(
-                    f"ratings[{expert}] row {i} ({alternatives[i]!r}): "
-                    f"expected {q} entries, got {got}"
-                )
+        for i, row in enumerate(_as_list(matrix, f"ratings[{expert}]")):
+            alt = alternatives[i] if i < len(alternatives) else f"row {i}"
             rows.append(
                 [
-                    _resolve_entry(entry, scale, f"ratings[{expert}][{alternatives[i]}][{j}]")
-                    for j, entry in enumerate(row)
+                    _resolve_entry(entry, scale, f"ratings[{expert}][{alt}][{j}]")
+                    for j, entry in enumerate(_as_list(row, f"ratings[{expert}] row {i}"))
                 ]
             )
         out[expert] = rows
     return out
-
-
-def _check_expert_keys(node: dict, experts: list[str], key: str) -> None:
-    missing = set(experts) - set(node)
-    extra = set(node) - set(experts)
-    if missing:
-        raise DimensionMismatch(f"{key!r} is missing experts {sorted(missing)}")
-    if extra:
-        raise DimensionMismatch(f"{key!r} names unknown experts {sorted(extra)}")
 
 
 def example_problem_text() -> str:

@@ -2,8 +2,8 @@
 
 The scalar functional below condenses an IT2TrFN into a signed real number
 measuring how far it sits from the crisp constant 1. The attitude parameter
-``lam`` in [0, 1] balances the left and right spreads; 0.5 is the neutral
-default. The pairwise distance between two values is the absolute difference
+``lam`` in [0, 1] (checked by PipelineParams) balances the left and right
+spreads; 0.5 is the neutral default. The pairwise distance between two values is the absolute difference
 of their functionals, which makes it a pseudometric.
 
 The functional is affine in the eight endpoints for fixed lam and heights,
@@ -12,24 +12,11 @@ vanishes exactly on the crisp unit, and equals 1 - c on any crisp constant c.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import InvalidParams, ZeroHeight
+from .errors import ZeroHeight
 from .fuzzy import IT2TrFN
 
 
-@dataclass(frozen=True)
-class RankParams:
-    """Attitude parameter of the rank functional, lam in [0, 1]."""
-
-    lam: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.lam <= 1.0:
-            raise InvalidParams(f"lambda must lie in [0, 1], got {self.lam!r}")
-
-
-def rank_to_one(value: IT2TrFN, params: RankParams = RankParams()) -> float:
+def rank_to_one(value: IT2TrFN, lam: float = 0.5) -> float:
     """Signed rank-based distance between ``value`` and the crisp unit.
 
     Callers that need the magnitude (as the decision pipeline does) take the
@@ -40,13 +27,12 @@ def rank_to_one(value: IT2TrFN, params: RankParams = RankParams()) -> float:
         raise ZeroHeight(f"membership heights must be positive, got {hu!r} and {hl!r}")
     a1u, a2u, a3u, a4u = value.upper.endpoints
     a1l, a2l, a3l, a4l = value.lower.endpoints
-    lam = params.lam
     bracket = hu * (lam * (a2l - a1l - a2u + a1u) - (a4l - a3l - a2l + a1l)) - hl * (
         a4u - a3u - a4l + a3l
     )
     return 1.0 - a4l - lam * (a1l - a1u + a4u - a4l) - bracket / (2.0 * hu * hl)
 
 
-def distance(a: IT2TrFN, b: IT2TrFN, params: RankParams = RankParams()) -> float:
+def distance(a: IT2TrFN, b: IT2TrFN, lam: float = 0.5) -> float:
     """Distance between two values: |rank_to_one(a) - rank_to_one(b)|."""
-    return abs(rank_to_one(a, params) - rank_to_one(b, params))
+    return abs(rank_to_one(a, lam) - rank_to_one(b, lam))

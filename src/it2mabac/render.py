@@ -56,31 +56,9 @@ def _scores_lines(trace):
     return lines
 
 
-def _section_lines(trace: PipelineTrace, table: str) -> list[str]:
-    if table == "weights":
-        names = [s.name for s in trace.criteria]
-        return _fuzzy_vector_lines(names, trace.aggregated_weights)
-    if table == "ratings":
-        return _fuzzy_matrix_lines(trace, trace.aggregated_ratings)
-    if table == "normalized":
-        return _fuzzy_matrix_lines(trace, trace.normalized)
-    if table == "weighted":
-        return _fuzzy_matrix_lines(trace, trace.weighted)
-    if table == "baa":
-        names = [s.name for s in trace.criteria]
-        return _fuzzy_vector_lines(names, trace.baa)
-    if table == "q":
-        return _crisp_matrix_lines(trace, trace.q)
-    if table == "g":
-        return ["  " + "".join(f"{s.name:>8}" for s in trace.criteria),
-                "  " + "".join(f"{x:8.2f}" for x in trace.g)]
-    if table == "delta":
-        return _crisp_matrix_lines(trace, trace.delta)
-    if table == "classification":
-        return _crisp_matrix_lines(trace, trace.classification, fmt="{:>8}")
-    if table == "scores":
-        return _scores_lines(trace)
-    raise ProblemSyntaxError(f"unknown table {table!r}; choose from {', '.join(TABLES)}")
+def _g_lines(trace):
+    return ["  " + "".join(f"{s.name:>8}" for s in trace.criteria),
+            "  " + "".join(f"{x:8.2f}" for x in trace.g)]
 
 
 SECTION_HEADERS = {
@@ -96,12 +74,26 @@ SECTION_HEADERS = {
     "scores": "Scores and ranking (cf. Table 11)",
 }
 
+#: The body lines of each section, keyed like SECTION_HEADERS.
+_SECTION_LINES = {
+    "weights": lambda t: _fuzzy_vector_lines([s.name for s in t.criteria], t.aggregated_weights),
+    "ratings": lambda t: _fuzzy_matrix_lines(t, t.aggregated_ratings),
+    "normalized": lambda t: _fuzzy_matrix_lines(t, t.normalized),
+    "weighted": lambda t: _fuzzy_matrix_lines(t, t.weighted),
+    "baa": lambda t: _fuzzy_vector_lines([s.name for s in t.criteria], t.baa),
+    "q": lambda t: _crisp_matrix_lines(t, t.q),
+    "g": _g_lines,
+    "delta": lambda t: _crisp_matrix_lines(t, t.delta),
+    "classification": lambda t: _crisp_matrix_lines(t, t.classification, fmt="{:>8}"),
+    "scores": _scores_lines,
+}
+
 TABLES = tuple(SECTION_HEADERS)
 
 
 def render_section(trace: PipelineTrace, table: str) -> str:
     lines = [f"== {SECTION_HEADERS[table]} =="]
-    lines.extend(_section_lines(trace, table))
+    lines.extend(_SECTION_LINES[table](trace))
     return "\n".join(lines) + "\n"
 
 
@@ -121,8 +113,8 @@ def _fuzzy_lists(v: IT2TrFN) -> dict:
     }
 
 
-def render_machine(trace: PipelineTrace) -> str:
-    doc = {
+def _machine_doc(trace: PipelineTrace) -> dict:
+    return {
         "name": trace.name,
         "alternatives": trace.alternatives,
         "criteria": [{"name": s.name, "sense": s.sense} for s in trace.criteria],
@@ -145,7 +137,15 @@ def render_machine(trace: PipelineTrace) -> str:
         "order": trace.order,
         "ranking": trace.ranking(),
     }
-    return json.dumps(doc, indent=2) + "\n"
+
+
+def _dumps(doc: dict) -> str:
+    # NaN and infinities are not JSON; refuse them rather than emit them bare.
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def render_machine(trace: PipelineTrace) -> str:
+    return _dumps(_machine_doc(trace))
 
 
 def render(trace: PipelineTrace, fmt: str = "text") -> str:
@@ -156,14 +156,18 @@ def render(trace: PipelineTrace, fmt: str = "text") -> str:
     raise ProblemSyntaxError(f"unknown format {fmt!r}; choose from {FORMATS}")
 
 
+#: Machine-document keys of the sections whose key is not the table name.
+_MACHINE_KEYS = {
+    "weights": ("aggregated_weights",),
+    "ratings": ("aggregated_ratings",),
+    "scores": ("scores", "order", "ranking"),
+}
+
+
 def render_section_machine(trace: PipelineTrace, table: str) -> str:
     """JSON for a single table of the trace, keyed by its name."""
-    doc = json.loads(render_machine(trace))
-    key = {"weights": "aggregated_weights", "ratings": "aggregated_ratings"}.get(table, table)
-    if table == "scores":
-        return json.dumps({"scores": doc["scores"], "order": doc["order"],
-                           "ranking": doc["ranking"]}, indent=2) + "\n"
-    return json.dumps({key: doc[key]}, indent=2) + "\n"
+    doc = _machine_doc(trace)
+    return _dumps({key: doc[key] for key in _MACHINE_KEYS.get(table, (table,))})
 
 
 def _fuzzy_from_lists(node) -> IT2TrFN:

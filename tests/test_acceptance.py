@@ -19,15 +19,12 @@ from hypothesis import strategies as st
 from conftest import finite, it2trfns
 from it2mabac import (
     CRISP_ONE,
-    BonferroniParams,
     CriterionSpec,
     CrispMatrices,
     DecisionProblem,
-    ExpertWeightSet,
     GeneralizedTrapezoid,
     IT2TrFN,
     PipelineParams,
-    RankParams,
     add,
     average_weights,
     builtin_rating_scale,
@@ -81,12 +78,9 @@ def _table7_column(j):
 
 def test_criterion_1_aggregated_weights(example_problem):
     with criterion(1, "aggregated weights match Table 4 upper rows within 0.01"):
-        ws = ExpertWeightSet(
-            experts=list(example_problem.experts),
-            weights=[example_problem.expert_weights[e] for e in example_problem.experts],
-        )
+        vectors = [example_problem.expert_weights[e] for e in example_problem.experts]
         started = time.perf_counter()
-        weights = average_weights(ws)
+        weights = average_weights(vectors)
         elapsed = time.perf_counter() - started
         for j, name in enumerate(CRITERIA):
             expected = TABLE4_UPPER[name]
@@ -244,18 +238,17 @@ def prop_arithmetic_closure_and_commutativity(a, b, k):
     shuffler=st.randoms(),
 )
 def prop_bonferroni_family(values, r, s, bump, shuffler):
-    params = BonferroniParams(r, s)
-    base = tit2fgbm(values, params)
+    base = tit2fgbm(values, r=r, s=s)
 
     # idempotency
-    same = tit2fgbm([values[0]] * len(values), params)
+    same = tit2fgbm([values[0]] * len(values), r=r, s=s)
     for got, want in zip(same.upper.endpoints, values[0].upper.endpoints):
         assert got == pytest.approx(want, abs=1e-9)
 
     # symmetry
     shuffled = list(values)
     shuffler.shuffle(shuffled)
-    permuted = tit2fgbm(shuffled, params)
+    permuted = tit2fgbm(shuffled, r=r, s=s)
     for got, want in zip(
         permuted.upper.endpoints + permuted.lower.endpoints,
         base.upper.endpoints + base.lower.endpoints,
@@ -277,19 +270,18 @@ def prop_bonferroni_family(values, r, s, bump, shuffler):
         ),
         first.lower,
     )
-    out = tit2fgbm([raised] + values[1:], params)
+    out = tit2fgbm([raised] + values[1:], r=r, s=s)
     assert out.upper.a4 >= base.upper.a4 - 1e-9
 
 
 @ACCEPTANCE_SETTINGS
 @given(a=it2trfns(), b=it2trfns(), c=it2trfns(), lam=finite(0.0, 1.0))
 def prop_distance_pseudometric(a, b, c, lam):
-    params = RankParams(lam)
-    assert distance(a, a, params) == 0.0
-    dab = distance(a, b, params)
+    assert distance(a, a, lam=lam) == 0.0
+    dab = distance(a, b, lam=lam)
     assert dab >= 0.0
-    assert dab == distance(b, a, params)
-    assert distance(a, c, params) <= dab + distance(b, c, params) + 1e-9
+    assert dab == distance(b, a, lam=lam)
+    assert distance(a, c, lam=lam) <= dab + distance(b, c, lam=lam) + 1e-9
 
 
 _ANCHOR = [
@@ -421,7 +413,7 @@ def test_criterion_7_oracle_equivalence():
             n = rng.randint(3, 5)
             values = [_random_value(rng) for _ in range(n)]
             for r, s in ((1.0, 1.0), (rng.uniform(0.0, 3.0), rng.uniform(0.05, 3.0))):
-                got = tit2fgbm(values, BonferroniParams(r, s))
+                got = tit2fgbm(values, r=r, s=s)
                 for level in ("upper", "lower"):
                     for e in range(4):
                         xs = [getattr(v, level).endpoints[e] for v in values]

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 
 from conftest import finite, it2trfns
 from it2mabac import (
-    BonferroniParams,
-    ExpertRatingSet,
-    ExpertWeightSet,
+    CriterionSpec,
+    DecisionProblem,
     GeneralizedTrapezoid,
     IT2TrFN,
+    PipelineParams,
     average_ratings,
     average_weights,
     builtin_rating_scale,
@@ -40,39 +40,44 @@ def _ratings(*terms):
     return [resolve(scale, t) for t in terms]
 
 
+def _problem(weights, ratings):
+    return DecisionProblem(
+        alternatives=["A1", "A2"],
+        criteria=[CriterionSpec("C1"), CriterionSpec("C2")],
+        experts=["DM1", "DM2"],
+        weight_scale=builtin_weight_scale(),
+        rating_scale=builtin_rating_scale(),
+        expert_weights=weights,
+        expert_ratings=ratings,
+    )
+
+
 class TestAveraging:
     def test_average_weights_c1(self):
-        ws = ExpertWeightSet(["DM1", "DM2", "DM3"], [_weights("H"), _weights("VH"), _weights("MH")])
-        (avg,) = average_weights(ws)
+        (avg,) = average_weights([_weights("H"), _weights("VH"), _weights("MH")])
         assert avg.upper.endpoints == pytest.approx(TABLE4_UPPER["C1"][:4], abs=0.01)
 
     def test_average_weights_c2_all_vh(self):
-        ws = ExpertWeightSet(["a", "b", "c"], [_weights("VH")] * 3)
-        (avg,) = average_weights(ws)
+        (avg,) = average_weights([_weights("VH")] * 3)
         assert avg.upper.endpoints == pytest.approx((0.90, 1.0, 1.0, 1.0))
 
     def test_single_expert_identity(self):
         vector = _weights("H", "M", "VL")
-        ws = ExpertWeightSet(["only"], [vector])
-        assert average_weights(ws) == vector
+        assert average_weights([vector]) == vector
 
     def test_weight_dimension_mismatch_names_expert(self):
         with pytest.raises(DimensionMismatch, match="DM2"):
-            ExpertWeightSet(["DM1", "DM2"], [_weights("H", "M"), _weights("H")])
+            _problem({"DM1": _weights("H", "M"), "DM2": _weights("H")},
+                     {"DM1": [_ratings("G", "F")] * 2, "DM2": [_ratings("G", "F")] * 2})
 
     def test_average_ratings_cell(self):
-        rs = ExpertRatingSet(
-            ["DM1", "DM2", "DM3"],
-            [[_ratings("MG")], [_ratings("G")], [_ratings("MG")]],
-        )
-        [[avg]] = average_ratings(rs)
+        [[avg]] = average_ratings([[_ratings("MG")], [_ratings("G")], [_ratings("MG")]])
         assert avg.upper.endpoints == pytest.approx((5.67, 7.67, 7.67, 9.33), abs=0.01)
         assert avg.lower.endpoints == pytest.approx((6.67, 7.67, 7.67, 8.50), abs=0.01)
 
     def test_average_ratings_all_vg_idempotent(self):
         vg = _ratings("VG")[0]
-        rs = ExpertRatingSet(["a", "b", "c"], [[[vg]]] * 3)
-        [[avg]] = average_ratings(rs)
+        [[avg]] = average_ratings([[[vg]]] * 3)
         assert avg.upper.endpoints == pytest.approx(vg.upper.endpoints)
         assert avg.lower.endpoints == pytest.approx(vg.lower.endpoints)
 
@@ -80,7 +85,8 @@ class TestAveraging:
         good_matrix = [_ratings("G", "F"), _ratings("MG", "P")]
         bad_matrix = [_ratings("G", "F"), _ratings("MG")]
         with pytest.raises(DimensionMismatch, match="DM2.*row 1"):
-            ExpertRatingSet(["DM1", "DM2"], [good_matrix, bad_matrix])
+            _problem({"DM1": _weights("H", "M"), "DM2": _weights("H", "M")},
+                     {"DM1": good_matrix, "DM2": bad_matrix})
 
 
 def _flat(v):
@@ -102,7 +108,7 @@ class TestBonferroni:
 
     def test_idempotency(self):
         value = make((1, 2, 3, 4, 1.0), (1.5, 2, 3, 3.5, 0.8))
-        out = tit2fgbm([value, value, value], BonferroniParams(2.0, 0.5))
+        out = tit2fgbm([value, value, value], r=2.0, s=0.5)
         for got, want in zip(out.upper.endpoints, value.upper.endpoints):
             assert got == pytest.approx(want, abs=1e-9)
         assert out.lower.h == value.lower.h
@@ -125,9 +131,9 @@ class TestBonferroni:
 
     def test_param_validation(self):
         with pytest.raises(InvalidParams):
-            BonferroniParams(-1.0, 2.0)
+            PipelineParams(r=-1.0, s=2.0)
         with pytest.raises(InvalidParams):
-            BonferroniParams(0.0, 0.0)
+            PipelineParams(r=0.0, s=0.0)
 
 
 class TestGeometricMean:
@@ -172,7 +178,7 @@ def test_bonferroni_vs_geomean_on_worked_columns():
 
 @given(values=st.lists(it2trfns(), min_size=2, max_size=5))
 def test_bonferroni_with_r0_s1_is_geometric_mean(values):
-    bonf = tit2fgbm(values, BonferroniParams(0.0, 1.0))
+    bonf = tit2fgbm(values, r=0.0, s=1.0)
     geo = geometric_mean(values)
     for a, b in zip(
         bonf.upper.endpoints + bonf.lower.endpoints,
@@ -187,8 +193,7 @@ def test_bonferroni_with_r0_s1_is_geometric_mean(values):
     s=finite(0.1, 3.0),
 )
 def test_bonferroni_matches_bruteforce_oracle(values, r, s):
-    params = BonferroniParams(r, s)
-    got = tit2fgbm(values, params)
+    got = tit2fgbm(values, r=r, s=s)
     n = len(values)
     for level in ("upper", "lower"):
         for e in range(4):

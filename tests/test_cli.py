@@ -93,3 +93,73 @@ def test_computation_failure_exits_two(tmp_path, capsys):
     assert main(["solve", str(flat)]) == 2
     err = capsys.readouterr().err
     assert "computation error" in err and "step 3" in err
+
+
+def _edited(old, new):
+    text = example_problem_text()
+    assert old in text
+    return text.replace(old, new)
+
+
+def _weight_upper(upper):
+    entry = f"[{upper}, [0.4, 0.5, 0.5, 0.6, 0.9]]"
+    return _edited("DM1: [H, VH, VH, VH, M]", f"DM1: [H, VH, VH, VH, {entry}]").encode()
+
+
+# name -> (document bytes, text the error message must contain)
+REPRODUCERS = {
+    "nan_endpoint": (_weight_upper("[.nan, 0.5, 0.5, 0.7, 1]"), "weights[DM1][4]"),
+    "inf_endpoint": (_weight_upper("[0.3, 0.5, 0.5, .inf, 1]"), "weights[DM1][4]"),
+    "bool_height": (_weight_upper("[0.3, 0.5, 0.5, 0.7, true]"), "weights[DM1][4]"),
+    "abc_endpoint": (_weight_upper("[abc, 0.5, 0.5, 0.7, 1]"), "weights[DM1][4]"),
+    "nested_list": (_weight_upper("[[0.3], 0.5, 0.5, 0.7, 1]"), "weights[DM1][4]"),
+    "r_inf": (_edited("  r: 1.0", "  r: .inf").encode(), "finite"),
+    "lambda_bool": (_edited("  lambda: 0.5", "  lambda: true").encode(), "lambda"),
+    "nan_criterion_name": (_edited("{name: C5,", "{name: .nan,").encode(), "criteria"),
+    "list_criterion_name": (_edited("{name: C5,", "{name: [C5],").encode(), "criteria"),
+    "nul_in_scale_path": (
+        _edited("rating_scale: builtin", 'rating_scale: "a\\0b"').encode(),
+        "scale file",
+    ),
+    "mixed_top_level_keys": ((example_problem_text() + "1: one\nfoo: two\n").encode(), "foo"),
+    "mixed_param_keys": (_edited("  s: 1.0", "  s: 1.0\n  1: one\n  foo: two").encode(), "foo"),
+    "mixed_expert_keys": (
+        _edited("  DM1: [H, VH, VH, VH, M]", "  DM1: [H, VH, VH, VH, M]\n  5: [H]\n  x: [H]").encode(),
+        "unknown experts",
+    ),
+    "non_utf8": (
+        _edited("name: system-analyst", "name: syst\xe9m").encode("latin-1"),
+        "utf-8",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(REPRODUCERS))
+def test_malformed_input_is_validation_failure(name, tmp_path, capsys):
+    data, named = REPRODUCERS[name]
+    path = tmp_path / "bad.problem"
+    path.write_bytes(data)
+    assert main(["solve", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("validation error: ")
+    assert named in captured.err and "Traceback" not in captured.err
+
+
+def test_non_finite_flag_is_validation_failure(problem_file, capsys):
+    assert main(["solve", problem_file, "--r", "inf"]) == 1
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_overflowing_average_exits_two_naming_the_alternative(fmt, tmp_path, capsys):
+    doc = yaml.safe_load(example_problem_text())
+    for expert in doc["ratings"]:
+        doc["ratings"][expert][0][0] = [[-1.7e308, 0, 0, 1.7e308, 1.0], [0, 0, 0, 1, 0.9]]
+    path = tmp_path / "huge.problem"
+    path.write_text(yaml.safe_dump(doc))
+    assert main(["solve", str(path), "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("computation error: step 7")
+    assert "alternative A1" in captured.err

@@ -6,18 +6,15 @@ from hypothesis import given
 from conftest import finite, it2trfns
 from it2mabac import (
     CRISP_ONE,
-    CRISP_ZERO,
     GeneralizedTrapezoid,
     IT2TrFN,
     add,
     crisp,
     fou_containment_warnings,
-    lmf_at,
     make,
     mean,
     mul,
     scale,
-    umf_at,
 )
 from it2mabac.errors import (
     EndpointOrderViolation,
@@ -76,29 +73,29 @@ class TestConstruction:
 
 class TestMembership:
     def test_umf_plateau(self):
-        assert umf_at(GOOD, 9) == 1.0
+        assert GOOD.upper.membership(9) == 1.0
 
     def test_umf_rising_edge_midpoint(self):
-        assert umf_at(GOOD, 8) == pytest.approx(0.5)
+        assert GOOD.upper.membership(8) == pytest.approx(0.5)
 
     def test_umf_outside_support(self):
-        assert umf_at(GOOD, 11) == 0.0
-        assert umf_at(GOOD, 6.999) == 0.0
+        assert GOOD.upper.membership(11) == 0.0
+        assert GOOD.upper.membership(6.999) == 0.0
 
     def test_lmf_plateau(self):
-        assert lmf_at(GOOD, 9) == pytest.approx(0.9)
+        assert GOOD.lower.membership(9) == pytest.approx(0.9)
 
     def test_lmf_rising_edge(self):
-        assert lmf_at(GOOD, 8.5) == pytest.approx(0.45)
+        assert GOOD.lower.membership(8.5) == pytest.approx(0.45)
 
     def test_lmf_outside_lower_support(self):
-        assert lmf_at(GOOD, 7.5) == 0.0
+        assert GOOD.lower.membership(7.5) == 0.0
 
     def test_degenerate_edges(self):
         spike = make((2, 2, 2, 2, 1.0), (2, 2, 2, 2, 0.5))
-        assert umf_at(spike, 2) == 1.0
-        assert lmf_at(spike, 2) == 0.5
-        assert umf_at(spike, 2.0001) == 0.0
+        assert spike.upper.membership(2) == 1.0
+        assert spike.lower.membership(2) == 0.5
+        assert spike.upper.membership(2.0001) == 0.0
 
 
 class TestArithmetic:
@@ -106,7 +103,7 @@ class TestArithmetic:
         assert add(H, VH).upper.a1 == pytest.approx(1.6)
 
     def test_add_zero_identity(self):
-        assert add(GOOD, CRISP_ZERO) == GOOD
+        assert add(GOOD, crisp(0.0)) == GOOD
 
     def test_three_way_average(self):
         avg = mean([MG, GOOD, MG])
@@ -177,16 +174,16 @@ def test_scale_composition(a, k1, k2):
 
 @given(v=it2trfns(), x=finite(-2.0, 12.0))
 def test_membership_bounds(v, x):
-    assert 0.0 <= lmf_at(v, x) <= v.lower.h + 1e-12
-    assert 0.0 <= umf_at(v, x) <= v.upper.h + 1e-12
+    assert 0.0 <= v.lower.membership(x) <= v.lower.h + 1e-12
+    assert 0.0 <= v.upper.membership(x) <= v.upper.h + 1e-12
     # maxima are attained on the plateau
     mid_u = (v.upper.a2 + v.upper.a3) / 2
     mid_l = (v.lower.a2 + v.lower.a3) / 2
-    assert umf_at(v, mid_u) == v.upper.h
-    assert lmf_at(v, mid_l) == v.lower.h
+    assert v.upper.membership(mid_u) == v.upper.h
+    assert v.lower.membership(mid_l) == v.lower.h
     # zero outside the support
-    assert umf_at(v, v.upper.a4 + 1.0) == 0.0
-    assert lmf_at(v, v.lower.a1 - 1.0) == 0.0
+    assert v.upper.membership(v.upper.a4 + 1.0) == 0.0
+    assert v.lower.membership(v.lower.a1 - 1.0) == 0.0
 
 
 def test_crisp_helper():

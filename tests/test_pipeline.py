@@ -9,13 +9,11 @@ from it2mabac import (
     BAA,
     LAA,
     UAA,
-    BonferroniParams,
     CriterionSpec,
     CrispMatrices,
-    RankParams,
+    PipelineParams,
     baa,
     classify_and_score,
-    column_range,
     crisp,
     crisp_matrices,
     make,
@@ -25,11 +23,13 @@ from it2mabac import (
     weight,
 )
 from it2mabac.errors import (
+    ComputationError,
     DegenerateRange,
     DimensionMismatch,
     InvalidParams,
     TooFewValues,
 )
+from it2mabac.pipeline import column_range
 from worked_example import CRITERIA, TABLE11_A2_DELTAS, table6_matrix
 
 BENEFIT = [CriterionSpec(name) for name in CRITERIA]
@@ -107,7 +107,7 @@ class TestWeight:
 class TestBaa:
     def test_column_aggregation_matches_operator(self, aggregated):
         normalized = normalize(aggregated, BENEFIT)
-        vector = baa(normalized, BonferroniParams(), "bonferroni")
+        vector = baa(normalized, operator="bonferroni")
         assert len(vector) == 5
 
     def test_identical_column_is_idempotent(self):
@@ -121,7 +121,7 @@ class TestBaa:
 
     def test_operator_validation(self):
         with pytest.raises(InvalidParams):
-            baa([[crisp(1.0)], [crisp(2.0)]], operator="median")
+            PipelineParams(baa_operator="median")
 
 
 class TestCrispMatrices:
@@ -139,8 +139,8 @@ class TestCrispMatrices:
 
     def test_rank_params_propagate(self):
         cell = make((0.5, 1, 1, 1.5, 1.0), (0.75, 1, 1, 1.25, 0.9))
-        low = crisp_matrices([[cell], [cell]], [cell], RankParams(0.0))
-        high = crisp_matrices([[cell], [cell]], [cell], RankParams(1.0))
+        low = crisp_matrices([[cell], [cell]], [cell], lam=0.0)
+        high = crisp_matrices([[cell], [cell]], [cell], lam=1.0)
         assert low.q != high.q
 
 
@@ -168,6 +168,13 @@ class TestClassifyAndScore:
         cm = CrispMatrices(q=[], g=[], delta=[[0.5], [0.7], [0.5]])
         result = classify_and_score(cm)
         assert result.order == [1, 0, 2]
+
+    def test_non_finite_score_names_the_alternative(self):
+        cm = CrispMatrices(q=[], g=[], delta=[[0.5], [float("inf")]])
+        with pytest.raises(ComputationError, match="alternative A2"):
+            classify_and_score(cm, ["A1", "A2"])
+        with pytest.raises(ComputationError, match="row 1"):
+            classify_and_score(cm)
 
 
 def _sign(x, tol=1e-9):

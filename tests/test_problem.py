@@ -1,5 +1,7 @@
 """Tests for problem parsing, validation, and pipeline orchestration."""
 
+import dataclasses
+
 import pytest
 import yaml
 
@@ -52,6 +54,20 @@ class TestParse:
         del doc["weights"]["DM3"]
         with pytest.raises(DimensionMismatch, match="DM3"):
             parse_problem(_dump(doc))
+
+    @pytest.mark.parametrize("key", ["lambda", "r", "s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True])
+    def test_params_must_be_finite_numbers(self, key, value):
+        doc = _doc()
+        doc["params"][key] = value
+        with pytest.raises(InvalidParams, match=rf"\b{key}\b"):
+            parse_problem(_dump(doc))
+
+    def test_directly_built_problem_is_checked(self, example_problem):
+        ratings = dict(example_problem.expert_ratings)
+        del ratings["DM3"]
+        with pytest.raises(DimensionMismatch, match="'ratings' is missing experts"):
+            dataclasses.replace(example_problem, expert_ratings=ratings)
 
     def test_lambda_out_of_range(self):
         doc = _doc()

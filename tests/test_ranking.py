@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 
 from conftest import finite, it2trfns
-from it2mabac import CRISP_ONE, RankParams, crisp, distance, make, rank_to_one
+from it2mabac import CRISP_ONE, PipelineParams, crisp, distance, make, rank_to_one
 from it2mabac.errors import InvalidParams, ZeroHeight
 
 
@@ -17,8 +17,8 @@ def test_crisp_one_ranks_to_zero_exactly():
 @pytest.mark.parametrize("c", [0.0, 0.25, 0.5, 1.0, 1.5, 3.0])
 def test_crisp_constant_ranks_to_one_minus_c(c):
     assert rank_to_one(crisp(c)) == pytest.approx(1.0 - c)
-    assert rank_to_one(crisp(c), RankParams(0.0)) == pytest.approx(1.0 - c)
-    assert rank_to_one(crisp(c), RankParams(1.0)) == pytest.approx(1.0 - c)
+    assert rank_to_one(crisp(c), lam=0.0) == pytest.approx(1.0 - c)
+    assert rank_to_one(crisp(c), lam=1.0) == pytest.approx(1.0 - c)
 
 
 def test_rank_is_strictly_decreasing_in_crisp_constants():
@@ -35,9 +35,9 @@ def test_weighted_cell_fixture_value():
 
 def test_lambda_validation():
     with pytest.raises(InvalidParams):
-        RankParams(1.5)
+        PipelineParams(lam=1.5)
     with pytest.raises(InvalidParams):
-        RankParams(-0.1)
+        PipelineParams(lam=-0.1)
 
 
 def test_zero_height_guard():
@@ -57,23 +57,21 @@ def test_distance_of_crisp_pair():
 
 @given(a=it2trfns(), lam=finite(0.0, 1.0))
 def test_distance_to_self_is_zero(a, lam):
-    assert distance(a, a, RankParams(lam)) == 0.0
+    assert distance(a, a, lam=lam) == 0.0
 
 
 @given(a=it2trfns(), b=it2trfns(), c=it2trfns(), lam=finite(0.0, 1.0))
 def test_pseudometric_axioms(a, b, c, lam):
-    params = RankParams(lam)
-    dab = distance(a, b, params)
+    dab = distance(a, b, lam=lam)
     assert dab >= 0.0
-    assert dab == distance(b, a, params)
-    assert distance(a, c, params) <= dab + distance(b, c, params) + 1e-9
+    assert dab == distance(b, a, lam=lam)
+    assert distance(a, c, lam=lam) <= dab + distance(b, c, lam=lam) + 1e-9
 
 
 @given(v=it2trfns(lo=1.0, hi=9.0), lam=finite(0.0, 1.0))
 def test_rank_is_affine_in_each_endpoint(v, lam):
     # second differences of an affine map vanish; perturb the upper a4 and
     # the lower a1, the two endpoints free to move without breaking order
-    params = RankParams(lam)
     step = 0.25
 
     def with_upper_a4(delta):
@@ -85,7 +83,7 @@ def test_rank_is_affine_in_each_endpoint(v, lam):
         return make(v.upper, (lo.a1 - delta, lo.a2, lo.a3, lo.a4, lo.h))
 
     for variant in (with_upper_a4, with_lower_a1):
-        f0 = rank_to_one(variant(0.0), params)
-        f1 = rank_to_one(variant(step), params)
-        f2 = rank_to_one(variant(2 * step), params)
+        f0 = rank_to_one(variant(0.0), lam=lam)
+        f1 = rank_to_one(variant(step), lam=lam)
+        f2 = rank_to_one(variant(2 * step), lam=lam)
         assert f2 - 2 * f1 + f0 == pytest.approx(0.0, abs=1e-9)

@@ -1,5 +1,6 @@
 """Tests for text and machine rendering of traces."""
 
+import dataclasses
 import json
 
 import pytest
@@ -82,3 +83,11 @@ def test_trace_from_json_rejects_garbage():
         trace_from_json("{not json")
     with pytest.raises(ProblemSyntaxError, match="missing"):
         trace_from_json("{}")
+
+
+def test_machine_rendering_refuses_non_finite_numbers(example_trace):
+    broken = dataclasses.replace(example_trace, scores=[float("nan")] * 3)
+    with pytest.raises(ValueError):
+        render_machine(broken)
+    with pytest.raises(ValueError):
+        render_section_machine(broken, "scores")
