@@ -5,7 +5,8 @@ into a single group matrix. The border approximation area later uses the
 trapezoidal interval type-2 fuzzy geometric Bonferroni mean, which couples
 every ordered pair of inputs; with the leading 1/(r+s) coefficient it is
 idempotent. A plain endpoint-wise geometric mean is provided alongside for
-comparison (it equals the Bonferroni mean with r=0, s=1).
+comparison (it equals the Bonferroni mean with r=0, s=1). Both are scalar
+functions of one endpoint column, lifted by the ``fuzzy.endpointwise`` kernel.
 
 The averaging functions trust the shapes they are given: a DecisionProblem
 checks them once, where it is built, and PipelineParams checks r and s.
@@ -14,7 +15,7 @@ checks them once, where it is built, and PipelineParams checks r and s.
 from __future__ import annotations
 
 from .errors import EmptyInput, TooFewValues
-from .fuzzy import GeneralizedTrapezoid, IT2TrFN, _require_nonnegative, mean
+from .fuzzy import IT2TrFN, _require_nonnegative, endpointwise, mean
 
 
 def average_weights(vectors: list[list[IT2TrFN]]) -> list[IT2TrFN]:
@@ -44,19 +45,16 @@ def tit2fgbm(values: list[IT2TrFN], r: float = 1.0, s: float = 1.0) -> IT2TrFN:
         _require_nonnegative(v, "the Bonferroni mean")
     exponent = 1.0 / (n * (n - 1))
 
-    def combine(traps: list[GeneralizedTrapezoid]) -> GeneralizedTrapezoid:
-        components = []
-        for e in range(4):
-            acc = 1.0
-            for i in range(n):
-                for j in range(n):
-                    if i != j:
-                        pair = r * traps[i].endpoints[e] + s * traps[j].endpoints[e]
-                        acc *= max(pair, 0.0) ** exponent
-            components.append(acc / (r + s))
-        return GeneralizedTrapezoid(*components, min(t.h for t in traps))
+    def column(*x: float) -> float:
+        sx = [s * xj for xj in x]
+        acc = 1.0
+        for i, xi in enumerate(x):
+            rxi = r * xi
+            for sxj in sx[:i] + sx[i + 1:]:
+                acc *= max(rxi + sxj, 0.0) ** exponent
+        return acc / (r + s)
 
-    return IT2TrFN(combine([v.upper for v in values]), combine([v.lower for v in values]))
+    return endpointwise(column, *values)
 
 
 def geometric_mean(values: list[IT2TrFN]) -> IT2TrFN:
@@ -66,14 +64,12 @@ def geometric_mean(values: list[IT2TrFN]) -> IT2TrFN:
         raise EmptyInput("the geometric mean needs at least one value")
     for v in values:
         _require_nonnegative(v, "the geometric mean")
+    power = 1.0 / n
 
-    def combine(traps: list[GeneralizedTrapezoid]) -> GeneralizedTrapezoid:
-        components = []
-        for e in range(4):
-            acc = 1.0
-            for t in traps:
-                acc *= max(t.endpoints[e], 0.0)
-            components.append(acc ** (1.0 / n))
-        return GeneralizedTrapezoid(*components, min(t.h for t in traps))
+    def column(*x: float) -> float:
+        acc = 1.0
+        for xi in x:
+            acc *= max(xi, 0.0)
+        return acc ** power
 
-    return IT2TrFN(combine([v.upper for v in values]), combine([v.lower for v in values]))
+    return endpointwise(column, *values)

@@ -4,11 +4,12 @@ A value is a pair of generalized trapezoids: the upper and lower membership
 functions, each written (a1, a2, a3, a4; h). Instances are immutable and all
 operations are pure functions, so values can be shared across threads freely.
 
-Arithmetic follows the usual convention for this number type: addition and
-multiplication act endpoint-wise on both trapezoids and combine heights with
-min; scalar multiplication leaves heights untouched. Multiplication is only
-defined on the non-negative cone, which is the only region the decision
-pipeline ever visits.
+Arithmetic follows the usual convention for this number type: operations act
+endpoint by endpoint on both trapezoids and combine heights with min. The
+private kernel :func:`endpointwise` is the only code that does this lifting,
+here and in the aggregation and pipeline stages; it builds only the result.
+Multiplication is only defined on the non-negative cone, which is the only
+region the decision pipeline ever visits.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -109,21 +111,14 @@ def _finite(x, which: str) -> float:
     return number
 
 
-def make(upper: TrapezoidLike, lower: TrapezoidLike, *, check_fou: bool = False) -> IT2TrFN:
+def make(upper: TrapezoidLike, lower: TrapezoidLike) -> IT2TrFN:
     """Build a validated IT2TrFN from two trapezoids or two 5-sequences.
 
-    With ``check_fou`` the footprint-of-uncertainty containment (lower
-    membership never above the upper one) is enforced as well; by default it
-    is only available as a lint, see :func:`fou_containment_warnings`.
+    Footprint-of-uncertainty containment (lower membership never above the
+    upper one) is not enforced; it is available as a lint, see
+    :func:`fou_containment_warnings`.
     """
-    value = IT2TrFN(_as_trapezoid(upper, "upper"), _as_trapezoid(lower, "lower"))
-    if check_fou:
-        problems = fou_containment_warnings(value)
-        if problems:
-            raise EndpointOrderViolation(
-                "lower membership function escapes the upper one: " + "; ".join(problems)
-            )
-    return value
+    return IT2TrFN(_as_trapezoid(upper, "upper"), _as_trapezoid(lower, "lower"))
 
 
 def fou_containment_warnings(value: IT2TrFN) -> list[str]:
@@ -142,36 +137,42 @@ def fou_containment_warnings(value: IT2TrFN) -> list[str]:
     return warnings
 
 
-def _combine(a: GeneralizedTrapezoid, b: GeneralizedTrapezoid, op) -> GeneralizedTrapezoid:
-    return GeneralizedTrapezoid(
-        op(a.a1, b.a1), op(a.a2, b.a2), op(a.a3, b.a3), op(a.a4, b.a4), min(a.h, b.h)
+def endpointwise(fn, *values: IT2TrFN) -> IT2TrFN:
+    """Lift the scalar ``fn`` to IT2TrFNs, endpoint by endpoint.
+
+    ``fn`` receives one endpoint position of every value (a1 of each, then a2,
+    ...), first over the upper trapezoids, then over the lower ones; heights
+    combine with min. Only the result is built and validated.
+    """
+    return IT2TrFN(
+        GeneralizedTrapezoid(
+            *map(fn, *[v.upper.endpoints for v in values]), min([v.upper.h for v in values])
+        ),
+        GeneralizedTrapezoid(
+            *map(fn, *[v.lower.endpoints for v in values]), min([v.lower.h for v in values])
+        ),
     )
 
 
 def add(a: IT2TrFN, b: IT2TrFN) -> IT2TrFN:
     """Endpoint-wise sum on both trapezoids; heights combine with min."""
-    return IT2TrFN(
-        _combine(a.upper, b.upper, operator.add), _combine(a.lower, b.lower, operator.add)
-    )
+    return endpointwise(operator.add, a, b)
 
 
 def scale(a: IT2TrFN, k: float) -> IT2TrFN:
     """Multiply all eight endpoints by ``k >= 0``; heights are unchanged."""
     if k < 0:
         raise NegativeScalar(f"scale factor must be non-negative, got {k!r}")
-
-    def stretch(t: GeneralizedTrapezoid) -> GeneralizedTrapezoid:
-        return GeneralizedTrapezoid(t.a1 * k, t.a2 * k, t.a3 * k, t.a4 * k, t.h)
-
-    return IT2TrFN(stretch(a.upper), stretch(a.lower))
+    return endpointwise(lambda x: x * k, a)
 
 
-def _require_nonnegative(value: IT2TrFN, context: str) -> None:
+def _require_nonnegative(value: IT2TrFN, context: str, shift: float = 0.0) -> None:
+    """Reject ``value + shift`` (shift added to every endpoint) below -EPS."""
     # a1 is the smallest endpoint of a valid trapezoid, so checking it suffices.
-    if value.upper.a1 < -EPS or value.lower.a1 < -EPS:
+    lowest = min(value.upper.a1, value.lower.a1) + shift
+    if lowest < -EPS:
         raise NegativeOperand(
-            f"{context} is only defined for non-negative values, "
-            f"got endpoints down to {min(value.upper.a1, value.lower.a1)!r}"
+            f"{context} is only defined for non-negative values, got endpoints down to {lowest!r}"
         )
 
 
@@ -179,9 +180,7 @@ def mul(a: IT2TrFN, b: IT2TrFN) -> IT2TrFN:
     """Endpoint-wise product on the non-negative cone; heights combine with min."""
     _require_nonnegative(a, "multiplication")
     _require_nonnegative(b, "multiplication")
-    return IT2TrFN(
-        _combine(a.upper, b.upper, operator.mul), _combine(a.lower, b.lower, operator.mul)
-    )
+    return endpointwise(operator.mul, a, b)
 
 
 def crisp(c: float) -> IT2TrFN:
@@ -199,7 +198,6 @@ def mean(values: Iterable[IT2TrFN]) -> IT2TrFN:
     items = list(values)
     if not items:
         raise EmptyInput("cannot average zero values")
-    total = items[0]
-    for v in items[1:]:
-        total = add(total, v)
-    return scale(total, 1.0 / len(items))
+    factor = 1.0 / len(items)
+    # A left fold of floats: a partial sum is never validated as a value.
+    return endpointwise(lambda *column: reduce(operator.add, column) * factor, *items)

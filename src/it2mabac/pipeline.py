@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .aggregation import geometric_mean, tit2fgbm
 from .errors import ComputationError, DegenerateRange, DimensionMismatch, InvalidParams, TooFewValues
-from .fuzzy import CRISP_ONE, EPS, GeneralizedTrapezoid, IT2TrFN, add, mul
+from .fuzzy import EPS, GeneralizedTrapezoid, IT2TrFN, _require_nonnegative, endpointwise
 from .ranking import rank_to_one
 
 #: Classification labels: upper, border, and lower approximation areas.
@@ -38,6 +38,8 @@ class CriterionSpec:
     sense: str = "benefit"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str) or not self.name:
+            raise InvalidParams(f"'criteria' entries must be non-empty strings, got {self.name!r}")
         if self.sense not in ("benefit", "cost"):
             raise InvalidParams(
                 f"criterion {self.name!r}: sense must be 'benefit' or 'cost', got {self.sense!r}"
@@ -75,11 +77,6 @@ def column_range(matrix: Matrix, j: int, name: str | None = None) -> tuple[float
     return a_minus, a_plus
 
 
-def _shift_scale(t: GeneralizedTrapezoid, a_minus: float, rng: float) -> GeneralizedTrapezoid:
-    e = t.endpoints
-    return GeneralizedTrapezoid(*((x - a_minus) / rng for x in e), t.h)
-
-
 def _reflect_scale(t: GeneralizedTrapezoid, a_plus: float, rng: float) -> GeneralizedTrapezoid:
     e = t.endpoints
     # Reversed differences: the largest endpoint maps to the smallest result.
@@ -100,9 +97,7 @@ def normalize(matrix: Matrix, specs: list[CriterionSpec]) -> Matrix:
         for i, row in enumerate(matrix):
             v = row[j]
             if spec.sense == "benefit":
-                entry = IT2TrFN(
-                    _shift_scale(v.upper, a_minus, rng), _shift_scale(v.lower, a_minus, rng)
-                )
+                entry = endpointwise(lambda x: (x - a_minus) / rng, v)
             else:
                 entry = IT2TrFN(
                     _reflect_scale(v.upper, a_plus, rng), _reflect_scale(v.lower, a_plus, rng)
@@ -118,10 +113,14 @@ def weight(normalized: Matrix, weights: list[IT2TrFN]) -> Matrix:
         raise DimensionMismatch(
             f"matrix rows have widths {widths}, expected {len(weights)} weights"
         )
-    return [
-        [mul(weights[j], add(entry, CRISP_ONE)) for j, entry in enumerate(row)]
-        for row in normalized
-    ]
+    return [[_weighted(w, entry) for w, entry in zip(weights, row)] for row in normalized]
+
+
+def _weighted(w: IT2TrFN, n: IT2TrFN) -> IT2TrFN:
+    # Both factors of w * (n + 1) must lie on the non-negative cone.
+    _require_nonnegative(w, "multiplication")
+    _require_nonnegative(n, "multiplication", shift=1.0)
+    return endpointwise(lambda we, ne: we * (ne + 1.0), w, n)
 
 
 def baa(

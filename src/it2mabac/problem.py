@@ -217,14 +217,16 @@ _PARAM_KEYS = {"lambda", "r", "s", "baa"}
 def _require_name_list(node, key: str) -> list[str]:
     if not isinstance(node, list) or not node:
         raise ProblemSyntaxError(f"{key!r} must be a non-empty list of names")
-    names = []
     for item in node:
         if not isinstance(item, str) or not item:
             raise ProblemSyntaxError(f"{key!r} entries must be non-empty strings, got {item!r}")
-        names.append(item)
+    _require_unique(node, key)
+    return list(node)
+
+
+def _require_unique(names: list[str], key: str) -> None:
     if len(set(names)) != len(names):
         raise ProblemSyntaxError(f"{key!r} entries must be unique, got {names}")
-    return names
 
 
 def _parse_criteria(node) -> list[CriterionSpec]:
@@ -240,7 +242,7 @@ def _parse_criteria(node) -> list[CriterionSpec]:
             raise ProblemSyntaxError(
                 f"criteria[{i}]: expected a name or a {{name, sense}} mapping, got {item!r}"
             )
-    _require_name_list([s.name for s in specs], "criteria")
+    _require_unique([s.name for s in specs], "criteria")
     return specs
 
 

@@ -5,7 +5,7 @@ import json
 import pytest
 import yaml
 
-from it2mabac import example_problem_text
+from it2mabac import builtin_weight_scale, example_problem_text
 from it2mabac.cli import main
 
 
@@ -93,6 +93,50 @@ def test_computation_failure_exits_two(tmp_path, capsys):
     assert main(["solve", str(flat)]) == 2
     err = capsys.readouterr().err
     assert "computation error" in err and "step 3" in err
+
+
+def _solve_edited_doc(edit, tmp_path):
+    """Write the example with ``edit(doc)`` applied and solve it; return the exit code."""
+    doc = yaml.safe_load(example_problem_text())
+    edit(doc)
+    path = tmp_path / "edited.problem"
+    path.write_text(yaml.safe_dump(doc))
+    return main(["solve", str(path)])
+
+
+def test_negative_weight_term_fails_at_weighting(tmp_path, capsys):
+    def edit(doc):
+        terms = {t: [[*v.upper.endpoints, v.upper.h], [*v.lower.endpoints, v.lower.h]]
+                 for t, v in builtin_weight_scale().entries.items()}
+        terms["NEG"] = [[-0.5, 0.5, 0.5, 0.7, 1.0], [0.4, 0.5, 0.5, 0.6, 0.9]]
+        doc["weight_scale"] = {"name": "with-negative", "terms": terms}
+        for row in doc["weights"].values():
+            row[0] = "NEG"
+
+    assert _solve_edited_doc(edit, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("computation error: step 4 (weighting)")
+    assert "-0.5" in err
+
+
+def test_rating_normalized_below_minus_one_fails_at_weighting(tmp_path, capsys):
+    def edit(doc):
+        for matrix in doc["ratings"].values():
+            matrix[0][0] = [[5, 7, 7, 9, 1.0], [-100, 7, 7, 8, 0.9]]
+
+    assert _solve_edited_doc(edit, tmp_path) == 2
+    assert capsys.readouterr().err.startswith("computation error: step 4 (weighting)")
+
+
+def test_experts_sharing_a_tolerated_value_average_cleanly(tmp_path, capsys):
+    # a1 exceeds a2 by 8e-10 (inside EPS); the sum of two copies exceeds it
+    # by 1.6e-9, which must not be validated on its way to the mean.
+    def edit(doc):
+        for expert in ("DM1", "DM2"):
+            doc["ratings"][expert][0][0] = [[1 + 8e-10, 1, 2, 3, 1.0], [1.2 + 8e-10, 1.2, 2, 2.5, 0.9]]
+
+    assert _solve_edited_doc(edit, tmp_path) == 0
+    assert "ranking:" in capsys.readouterr().out
 
 
 def _edited(old, new):

@@ -85,6 +85,11 @@ class TestNormalize:
         with pytest.raises(InvalidParams):
             CriterionSpec("bad", "maximize")
 
+    @pytest.mark.parametrize("name", [1.5, "", None, ["C1"]])
+    def test_name_must_be_a_non_empty_string(self, name):
+        with pytest.raises(InvalidParams, match="criteria"):
+            CriterionSpec(name)
+
 
 class TestWeight:
     def test_a2_c2_weighted_cell(self, aggregated):
@@ -239,6 +244,22 @@ def test_cost_benefit_duality(rows):
     for (got,), (want,) in zip(as_cost, as_benefit):
         assert got.upper.endpoints == pytest.approx(want.upper.endpoints, abs=1e-9)
         assert got.lower.endpoints == pytest.approx(want.lower.endpoints, abs=1e-9)
+
+
+@given(
+    rows=st.lists(st.lists(it2trfns(lo=0.0, hi=2.0), min_size=3, max_size=3), min_size=1, max_size=3),
+    weights=st.lists(it2trfns(lo=0.0, hi=1.0), min_size=3, max_size=3),
+)
+def test_weight_is_w_times_n_plus_one_per_endpoint(rows, weights):
+    weighted = weight(rows, weights)
+    for row, out in zip(rows, weighted):
+        for w, n, v in zip(weights, row, out):
+            for level in ("upper", "lower"):
+                wt, nt, vt = getattr(w, level), getattr(n, level), getattr(v, level)
+                assert vt.endpoints == tuple(
+                    we * (ne + 1.0) for we, ne in zip(wt.endpoints, nt.endpoints)
+                )
+                assert vt.h == min(wt.h, nt.h)
 
 
 @st.composite
