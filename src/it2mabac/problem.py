@@ -213,6 +213,44 @@ _TOP_LEVEL_KEYS = {
 
 _PARAM_KEYS = {"lambda", "r", "s", "baa"}
 
+if yaml.__with_libyaml__:
+    from yaml.composer import Composer
+    from yaml.constructor import SafeConstructor
+    from yaml.cyaml import CParser
+    from yaml.resolver import Resolver
+
+    class _Loader(Composer, CParser, SafeConstructor, Resolver):
+        """libyaml's C scanner and parser under PyYAML's Python safe loader.
+
+        PyYAML's all-C safe loader is not used: its compiled composer
+        recurses on the C stack, so a deeply nested document kills the
+        interpreter. The Python ``Composer``, first in the MRO, raises
+        ``RecursionError`` instead.
+        """
+
+        def __init__(self, stream):
+            CParser.__init__(self, stream)
+            Composer.__init__(self)
+            SafeConstructor.__init__(self)
+            Resolver.__init__(self)
+
+else:
+    _Loader = yaml.SafeLoader
+
+
+def _load_yaml(text: str, what: str):
+    """Load one YAML document; every failure is a ``ProblemSyntaxError``.
+
+    ``UnicodeEncodeError``: libyaml encodes ``text`` to UTF-8 first, so a
+    lone surrogate fails there.
+    """
+    try:
+        return yaml.load(text, Loader=_Loader)
+    except (yaml.YAMLError, UnicodeEncodeError) as exc:
+        raise ProblemSyntaxError(f"{what}: {exc}") from exc
+    except RecursionError as exc:
+        raise ProblemSyntaxError(f"{what}: nested too deeply") from exc
+
 
 def _require_name_list(node, key: str) -> list[str]:
     if not isinstance(node, list) or not node:
@@ -286,10 +324,7 @@ def _load_scale(node, role: str, base_dir: Path | None) -> LinguisticScale:
             text = path.read_text(encoding="utf-8")
         except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
             raise ProblemSyntaxError(f"{role}: cannot read scale file {str(path)!r}: {exc}") from exc
-        try:
-            doc = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            raise ProblemSyntaxError(f"{role}: scale file {str(path)!r}: {exc}") from exc
+        doc = _load_yaml(text, f"{role}: scale file {str(path)!r}")
         with _stage(f"{role} ({path.name})"):
             return parse_scale(doc, default_name=path.stem)
     raise ProblemSyntaxError(
@@ -304,16 +339,27 @@ def _resolve_entry(node, scale: LinguisticScale, where: str) -> IT2TrFN:
         return _parse_inline_value(node)
 
 
+def _resolve_row(row: list, scale: LinguisticScale, where: str) -> list[IT2TrFN]:
+    """Resolve one row; cell ``j`` is labelled ``{where}[{j}]`` in errors.
+
+    A known term is one dict lookup; only inline values and unknown terms
+    pay for ``_resolve_entry`` and its label.
+    """
+    known = scale.entries
+    return [
+        known[entry] if isinstance(entry, str) and entry in known
+        else _resolve_entry(entry, scale, f"{where}[{j}]")
+        for j, entry in enumerate(row)
+    ]
+
+
 def parse_problem(text: str, base_dir: str | Path | None = None) -> DecisionProblem:
     """Parse and fully validate a problem document.
 
     ``base_dir`` anchors relative scale-file paths (the CLI passes the
     directory of the problem file).
     """
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ProblemSyntaxError(f"not a valid problem document: {exc}") from exc
+    doc = _load_yaml(text, "not a valid problem document")
     if not isinstance(doc, dict):
         raise ProblemSyntaxError("the problem document must be a mapping at the top level")
     unknown = set(doc) - _TOP_LEVEL_KEYS
@@ -381,10 +427,7 @@ def _parse_weights(node, scale) -> dict[str, list[IT2TrFN]]:
     if not isinstance(node, dict):
         raise ProblemSyntaxError("'weights' must map each expert to a list of entries")
     return {
-        expert: [
-            _resolve_entry(entry, scale, f"weights[{expert}][{j}]")
-            for j, entry in enumerate(_as_list(row, f"weights[{expert}]"))
-        ]
+        expert: _resolve_row(_as_list(row, f"weights[{expert}]"), scale, f"weights[{expert}]")
         for expert, row in node.items()
     }
 
@@ -397,12 +440,8 @@ def _parse_ratings(node, alternatives, scale) -> dict[str, list[list[IT2TrFN]]]:
         rows = []
         for i, row in enumerate(_as_list(matrix, f"ratings[{expert}]")):
             alt = alternatives[i] if i < len(alternatives) else f"row {i}"
-            rows.append(
-                [
-                    _resolve_entry(entry, scale, f"ratings[{expert}][{alt}][{j}]")
-                    for j, entry in enumerate(_as_list(row, f"ratings[{expert}] row {i}"))
-                ]
-            )
+            row = _as_list(row, f"ratings[{expert}] row {i}")
+            rows.append(_resolve_row(row, scale, f"ratings[{expert}][{alt}]"))
         out[expert] = rows
     return out
 

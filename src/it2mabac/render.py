@@ -205,3 +205,5 @@ def trace_from_json(text: str) -> PipelineTrace:
         )
     except KeyError as exc:
         raise ProblemSyntaxError(f"machine trace is missing key {exc}") from exc
+    except TypeError as exc:  # a list, number or null where a mapping or list belongs
+        raise ProblemSyntaxError(f"machine trace has the wrong shape: {exc}") from exc

@@ -1,6 +1,8 @@
 import pytest
+import yaml
 from hypothesis import strategies as st
 
+import it2mabac.problem
 from it2mabac import GeneralizedTrapezoid, IT2TrFN, load_example_problem, run
 
 
@@ -29,3 +31,14 @@ def example_problem():
 @pytest.fixture(scope="session")
 def example_trace(example_problem):
     return run(example_problem)
+
+
+@pytest.fixture(params=["libyaml", "pure-python"])
+def yaml_loader(request, monkeypatch):
+    """Parse with the module's loader, or with PyYAML's pure-Python ``SafeLoader``.
+
+    Without libyaml the module's loader is ``SafeLoader`` and both runs are alike.
+    """
+    if request.param == "pure-python":
+        monkeypatch.setattr(it2mabac.problem, "_Loader", yaml.SafeLoader)
+    return request.param

@@ -4,9 +4,13 @@ import json
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from it2mabac import builtin_weight_scale, example_problem_text
+import it2mabac.problem
+from it2mabac import builtin_weight_scale, example_problem_text, parse_problem
 from it2mabac.cli import main
+from it2mabac.errors import MabacError
 
 
 @pytest.fixture()
@@ -188,6 +192,64 @@ def test_malformed_input_is_validation_failure(name, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("validation error: ")
     assert named in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("name", ["nan_endpoint", "r_inf", "abc_endpoint", "lambda_bool", "non_utf8"])
+def test_reproducers_raise_the_same_error_under_both_loaders(name, monkeypatch):
+    # surrogateescape carries the non-UTF-8 bytes into the text as lone surrogates
+    text = REPRODUCERS[name][0].decode("utf-8", errors="surrogateescape")
+
+    def error_class():
+        with pytest.raises(MabacError) as info:
+            parse_problem(text)
+        return type(info.value)
+
+    libyaml = error_class()
+    monkeypatch.setattr(it2mabac.problem, "_Loader", yaml.SafeLoader)
+    assert error_class() is libyaml
+
+
+# Deep enough to exhaust the Python composer's recursion; a parser that
+# recursed on the C stack instead would crash the test process.
+DEEP_DOCUMENTS = {
+    "flow": "name: " + "[" * 3000 + "]" * 3000 + "\n",
+    "block": "name:\n" + "- " * 100_000 + "x\n",
+}
+
+
+@pytest.mark.parametrize("shape", list(DEEP_DOCUMENTS))
+def test_deeply_nested_document_is_validation_failure(shape, yaml_loader, tmp_path, capsys):
+    path = tmp_path / "deep.problem"
+    path.write_text(DEEP_DOCUMENTS[shape])
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("validation error: not a valid problem document")
+
+
+EXAMPLE_BYTES = example_problem_text().encode()
+FUZZ_TOKENS = [b"[", b"{", b"- ", b":", b"\t", b"\0", b"\xff", b"\xc3", b"\xed\xa0\x80"]
+
+
+@st.composite
+def mutated_examples(draw):
+    """The bundled example with a few insertions, deletions and replacements."""
+    data = EXAMPLE_BYTES
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["insert", "delete", "replace"]))
+        start = draw(st.integers(0, len(data)))
+        end = start if kind == "insert" else min(len(data), start + draw(st.integers(1, 8)))
+        token = b"" if kind == "delete" else draw(st.sampled_from(FUZZ_TOKENS))
+        data = data[:start] + token + data[end:]
+    return data
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=mutated_examples())
+def test_mutated_example_exits_cleanly(data, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "fuzz.problem"
+    path.write_bytes(data)
+    assert main(["solve", str(path)]) in (0, 1, 2)
 
 
 def test_non_finite_flag_is_validation_failure(problem_file, capsys):

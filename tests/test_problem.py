@@ -1,12 +1,16 @@
 """Tests for problem parsing, validation, and pipeline orchestration."""
 
 import dataclasses
+import random
 
 import pytest
 import yaml
 
+import it2mabac.problem
 from it2mabac import (
     PipelineParams,
+    builtin_rating_scale,
+    builtin_weight_scale,
     example_problem_text,
     parse_problem,
     resolve,
@@ -128,6 +132,11 @@ class TestParse:
         with pytest.raises(ProblemSyntaxError):
             parse_problem("alternatives: [A1\ncriteria")
 
+    def test_lone_surrogate_is_syntax_error(self, yaml_loader):
+        # libyaml fails encoding the text to UTF-8, SafeLoader in its reader
+        with pytest.raises(ProblemSyntaxError, match="not a valid problem document"):
+            parse_problem("name: \ud800 x")
+
     def test_non_mapping_document(self):
         with pytest.raises(ProblemSyntaxError, match="mapping"):
             parse_problem("- just\n- a\n- list\n")
@@ -143,6 +152,41 @@ class TestParse:
         doc["alternatives"] = ["A1", "A1", "A3"]
         with pytest.raises(ProblemSyntaxError, match="unique"):
             parse_problem(_dump(doc))
+
+
+def _generated_document(seed: int) -> str:
+    """A random document in the benchmark generator's style, with a few variations."""
+    rng = random.Random(seed)
+    p, q, k = rng.randint(3, 12), rng.randint(3, 8), rng.randint(2, 5)
+    weights, ratings = builtin_weight_scale().terms(), builtin_rating_scale().terms()
+    criteria = [f"{{name: 'C{j}', sense: {rng.choice(['benefit', 'cost'])}}}" for j in range(q)]
+    lines = [
+        f"name: \"generated {seed}\"  # a comment",
+        f"alternatives: [{', '.join(f'A{i}' for i in range(p))}]",
+        f"criteria: [{', '.join(criteria)}]",
+        "experts:",
+        *(f"  - E{e}" for e in range(k)),
+        "weights:",
+        *(f"  E{e}: [{', '.join(rng.choice(weights) for _ in range(q))}]" for e in range(k)),
+        "ratings:",
+    ]
+    for e in range(k):
+        lines.append(f"  E{e}:")
+        for _ in range(p):
+            row = [rng.choice(ratings) for _ in range(q)]
+            row[0] = f"'{row[0]}'"
+            row[-1] = "[[5, 6, 7.5, 9, 1.0], [6, 6.5, 7, 8, .9]]"
+            lines.append(f"    - [{', '.join(row)}]")
+    lines += ["params:", f"  lambda: {rng.random()!r}", "  r: 2", "  s: 1.0e+0", "  baa: geomean"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5])
+def test_both_loaders_parse_to_equal_problems(seed, monkeypatch):
+    text = example_problem_text() if seed is None else _generated_document(seed)
+    problem = parse_problem(text)
+    monkeypatch.setattr(it2mabac.problem, "_Loader", yaml.SafeLoader)
+    assert parse_problem(text) == problem
 
 
 class TestRun:

@@ -85,6 +85,14 @@ def test_trace_from_json_rejects_garbage():
         trace_from_json("{}")
 
 
+def test_trace_from_json_rejects_wrong_shapes(example_trace):
+    doc = json.loads(render_machine(example_trace))
+    doc["normalized"][0] = 5
+    for text in ["[]", "3", "null", json.dumps(doc)]:
+        with pytest.raises(ProblemSyntaxError, match="^machine trace"):
+            trace_from_json(text)
+
+
 def test_machine_rendering_refuses_non_finite_numbers(example_trace):
     broken = dataclasses.replace(example_trace, scores=[float("nan")] * 3)
     with pytest.raises(ValueError):
