@@ -406,15 +406,31 @@ def _parse_params(node) -> PipelineParams:
         raise ProblemSyntaxError(
             f"unknown params {sorted(unknown, key=str)}; expected a subset of {sorted(_PARAM_KEYS)}"
         )
-    for key in ("lambda", "r", "s"):
-        if key in node and (isinstance(node[key], bool) or not isinstance(node[key], (int, float))):
-            raise InvalidParams(f"param {key!r} must be a number, got {node[key]!r}")
     return PipelineParams(
-        lam=float(node.get("lambda", 0.5)),
-        r=float(node.get("r", 1.0)),
-        s=float(node.get("s", 1.0)),
+        lam=_param_number(node, "lambda", 0.5),
+        r=_param_number(node, "r", 1.0),
+        s=_param_number(node, "s", 1.0),
         baa_operator=str(node.get("baa", "bonferroni")),
     )
+
+
+def _param_number(node: dict, key: str, default: float) -> float:
+    """``node[key]`` as a float: a YAML number, or a string such as ``1e3``.
+
+    YAML 1.1 resolves ``1e3`` and ``1.0e0`` to strings, while ``--r 1e3`` and
+    inline endpoints read them with ``float()``; a string is accepted when
+    ``float()`` reads it as a finite number. Non-finite YAML numbers are left
+    to ``PipelineParams``.
+    """
+    value = node.get(key, default)
+    try:
+        if isinstance(value, str) and math.isfinite(float(value)):
+            return float(value)
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+    except (ValueError, OverflowError):
+        pass
+    raise InvalidParams(f"param {key!r} must be a number, got {value!r}")
 
 
 def _as_list(node, where: str) -> list:

@@ -1,7 +1,7 @@
 """Tests for expert averaging and the geometric Bonferroni mean."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import finite, it2trfns
@@ -27,6 +27,7 @@ from it2mabac.errors import (
     NegativeOperand,
     TooFewValues,
 )
+from it2mabac.fuzzy import EPS, endpointwise
 from worked_example import TABLE4_UPPER
 
 
@@ -87,6 +88,15 @@ class TestAveraging:
         with pytest.raises(DimensionMismatch, match="DM2.*row 1"):
             _problem({"DM1": _weights("H", "M"), "DM2": _weights("H", "M")},
                      {"DM1": good_matrix, "DM2": bad_matrix})
+
+
+def _endpoints(v):
+    return v.upper.endpoints + v.lower.endpoints
+
+
+def _bits(v):
+    """Every endpoint and height of ``v``, bit for bit (the sign of zero included)."""
+    return [float(x).hex() for x in _endpoints(v) + (v.upper.h, v.lower.h)]
 
 
 def _flat(v):
@@ -153,6 +163,25 @@ class TestGeometricMean:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             geometric_mean([])
+
+    @pytest.mark.parametrize("copies", [500, 1000])
+    def test_product_underflow_keeps_the_mean(self, copies):
+        value = make((0.2, 0.3, 0.3, 0.4, 1.0), (0.25, 0.3, 0.3, 0.35, 0.9))
+        out = geometric_mean([value] * copies)
+        for got, want in zip(_endpoints(out), _endpoints(value)):
+            assert got == pytest.approx(want, rel=1e-14)
+
+    def test_product_overflow_keeps_the_mean(self):
+        value = make((1.0, 1.5, 1.5, 1.9, 1.0), (1.2, 1.5, 1.5, 1.7, 0.9))
+        out = geometric_mean([value] * 1200)
+        for got, want in zip(_endpoints(out), _endpoints(value)):
+            assert got == pytest.approx(want, rel=1e-14)
+
+    def test_zero_input_after_overflow_is_zero(self):
+        big = make((1.9, 1.9, 1.9, 1.9, 1.0), (1.9, 1.9, 1.9, 1.9, 1.0))
+        zero = make((0.0, 1.9, 1.9, 1.9, 1.0), (0.0, 1.9, 1.9, 1.9, 1.0))
+        out = geometric_mean([big] * 1200 + [zero])
+        assert out.upper.a1 == out.lower.a1 == 0.0
 
 
 # The operators disagree once a column has spread: on the worked example's
@@ -239,3 +268,83 @@ def test_bonferroni_monotonicity_and_boundedness(values, bump):
     assert out.upper.a4 >= base.upper.a4 - 1e-9
     # untouched positions are unchanged
     assert out.upper.a1 == pytest.approx(base.upper.a1, abs=1e-12)
+
+
+def _loop_tit2fgbm(values, r=1.0, s=1.0):
+    """``tit2fgbm`` as the plain double loop over ordered pairs, kept as the reference."""
+    n = len(values)
+    exponent = 1.0 / (n * (n - 1))
+
+    def column(*x):
+        sx = [s * xj for xj in x]
+        acc = 1.0
+        for i, xi in enumerate(x):
+            rxi = r * xi
+            for sxj in sx[:i] + sx[i + 1:]:
+                acc *= max(rxi + sxj, 0.0) ** exponent
+        return acc / (r + s)
+
+    return endpointwise(column, *values)
+
+
+# Zeros of both signs, values in [-EPS, 0) (they take the max(., 0) clip) and
+# positive floats.
+def _signed_zero_endpoints(positive):
+    return st.one_of(
+        st.just(0.0), st.just(-0.0), st.floats(-EPS, 0.0, exclude_max=True), positive
+    )
+
+
+@st.composite
+def _columns(draw, endpoint, min_size, max_size):
+    """Values drawn from a small pool, so endpoint columns repeat entries."""
+
+    @st.composite
+    def value(draw):
+        v = sorted(draw(st.lists(endpoint, min_size=5, max_size=5)))
+        if draw(st.booleans()):  # a builtin term's shape: a2 = a3, shared by both levels
+            upper, lower = (v[0], v[2], v[2], v[4]), (v[1], v[2], v[2], v[3])
+        else:
+            upper, lower = v[:4], sorted(draw(st.lists(endpoint, min_size=4, max_size=4)))
+        return IT2TrFN(GeneralizedTrapezoid(*upper, 1), GeneralizedTrapezoid(*lower, 0.5))
+
+    n = draw(st.integers(min_size, max_size))
+    pool = draw(st.lists(value(), min_size=1, max_size=n))
+    return draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+
+
+@st.composite
+def _bonferroni_inputs(draw):
+    # int endpoints and exponents, alone or mixed with floats: int + float must still add
+    floats = _signed_zero_endpoints(finite(0.0, 10.0))
+    endpoint = draw(st.sampled_from([floats, st.integers(0, 10), floats | st.integers(0, 10)]))
+    r = draw(st.sampled_from([0, 1, 2, 0.0, 1.0, 2.0]) | finite(0.0, 3.0))
+    s = draw(st.sampled_from([1, 3, 1.0, 1.5]) | finite(0.1, 3.0))
+    return draw(_columns(endpoint, 2, 20)), r, s
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=_bonferroni_inputs())
+def test_bonferroni_is_bit_identical_to_the_pair_loop(inputs):
+    values, r, s = inputs
+    assert _bits(tit2fgbm(values, r=r, s=s)) == _bits(_loop_tit2fgbm(values, r=r, s=s))
+
+
+def test_bonferroni_with_a_negative_exponent_is_the_pair_loop():
+    # Outside the r, s >= 0 contract the clip still keeps pow away from negative floats.
+    values = [make((1, 2, 3, 4, 1.0), (1, 2, 3, 4, 1.0)), make((2, 3, 4, 5, 1.0), (2, 3, 4, 5, 1.0))]
+    assert _bits(tit2fgbm(values, r=-1.0, s=0.5)) == _bits(_loop_tit2fgbm(values, r=-1.0, s=0.5))
+
+
+# 0.01 ** 30 and 2 ** 30 stay normal floats, so the product never leaves the range.
+@given(values=_columns(_signed_zero_endpoints(finite(0.01, 2.0)), 1, 30))
+def test_geometric_mean_in_range_gives_the_loop_bits(values):
+    power = 1.0 / len(values)
+
+    def column(*x):
+        acc = 1.0
+        for xi in x:
+            acc *= max(xi, 0.0)
+        return acc ** power
+
+    assert _bits(geometric_mean(values)) == _bits(endpointwise(column, *values))

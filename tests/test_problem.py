@@ -67,6 +67,34 @@ class TestParse:
         with pytest.raises(InvalidParams, match=rf"\b{key}\b"):
             parse_problem(_dump(doc))
 
+    @pytest.mark.parametrize("spelling, number", [("1e-1", 0.1), ("1.0e0", 1.0), ("5E-1", 0.5)])
+    def test_params_read_exponent_spellings(self, yaml_loader, spelling, number):
+        # YAML 1.1 leaves these as strings; inline endpoints and --r read them.
+        text = example_problem_text()
+        for key in ("lambda", "r", "s"):
+            text = text.replace(f"  {key}: ", f"  {key}: {spelling} #")
+        assert parse_problem(text).params == PipelineParams(lam=number, r=number, s=number)
+
+    def test_params_read_large_exponent(self):
+        text = example_problem_text().replace("  r: 1.0", "  r: 1e3")
+        assert parse_problem(text).params.r == 1000.0
+
+    @pytest.mark.parametrize(
+        "spelling, message",
+        [
+            (".inf", "Bonferroni exponents must be finite, got r=inf"),
+            ("inf", "param 'r' must be a number, got 'inf'"),
+            ("abc", "param 'r' must be a number, got 'abc'"),
+            ("true", "param 'r' must be a number, got True"),
+            ("1" + "0" * 400, "param 'r' must be a number, got 1000"),
+        ],
+        ids=[".inf", "inf", "abc", "true", "int-beyond-float"],
+    )
+    def test_params_reject_what_is_not_a_finite_number(self, yaml_loader, spelling, message):
+        text = example_problem_text().replace("  r: 1.0", f"  r: {spelling}")
+        with pytest.raises(InvalidParams, match=message):
+            parse_problem(text)
+
     def test_directly_built_problem_is_checked(self, example_problem):
         ratings = dict(example_problem.expert_ratings)
         del ratings["DM3"]
