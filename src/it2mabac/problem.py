@@ -7,16 +7,20 @@ weights may be linguistic terms or inline values written as two 5-tuples
 (four endpoints and a height per trapezoid).
 
 ``run`` executes the seven pipeline steps on a parsed problem and returns a
-trace holding every intermediate matrix.
+trace holding every intermediate matrix. A problem is read-only, so steps
+1-2, which depend on it alone, are computed once and shared by every run.
 """
 
 from __future__ import annotations
 
 import importlib.resources
 import math
+from collections.abc import Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 
 import yaml
 
@@ -74,7 +78,7 @@ class PipelineParams:
             )
 
 
-def _check_expert_keys(node: dict, experts: list[str], key: str) -> None:
+def _check_expert_keys(node: Mapping, experts: Sequence[str], key: str) -> None:
     missing = set(experts) - set(node)
     extra = set(node) - set(experts)
     if missing:
@@ -83,21 +87,24 @@ def _check_expert_keys(node: dict, experts: list[str], key: str) -> None:
         raise DimensionMismatch(f"{key!r} names unknown experts {sorted(extra, key=str)}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecisionProblem:
-    """A fully resolved group decision problem.
+    """A fully resolved group decision problem; read-only once built.
 
     Building one checks every expert's weight vector and rating matrix
     against the alternatives and criteria; the pipeline relies on that.
+    The names are then held as tuples and the expert entries as read-only
+    mappings of tuples, so the expert averages of steps 1-2 are computed on
+    the first ``run`` and reused by every later one.
     """
 
-    alternatives: list[str]
-    criteria: list[CriterionSpec]
-    experts: list[str]
+    alternatives: tuple[str, ...]
+    criteria: tuple[CriterionSpec, ...]
+    experts: tuple[str, ...]
     weight_scale: LinguisticScale
     rating_scale: LinguisticScale
-    expert_weights: dict[str, list[IT2TrFN]]
-    expert_ratings: dict[str, list[list[IT2TrFN]]]
+    expert_weights: Mapping[str, tuple[IT2TrFN, ...]]
+    expert_ratings: Mapping[str, tuple[tuple[IT2TrFN, ...], ...]]
     params: PipelineParams = field(default_factory=PipelineParams)
     name: str = "unnamed"
 
@@ -125,6 +132,29 @@ class DecisionProblem:
                         f"ratings[{expert}] row {i} ({self.alternatives[i]!r}): "
                         f"expected {q} entries, got {len(row)}"
                     )
+        freeze = object.__setattr__
+        freeze(self, "alternatives", tuple(self.alternatives))
+        freeze(self, "criteria", tuple(self.criteria))
+        freeze(self, "experts", tuple(self.experts))
+        freeze(self, "expert_weights", MappingProxyType(
+            {e: tuple(row) for e, row in self.expert_weights.items()}
+        ))
+        freeze(self, "expert_ratings", MappingProxyType(
+            {e: tuple(map(tuple, matrix)) for e, matrix in self.expert_ratings.items()}
+        ))
+
+    @cached_property
+    def _averages(self) -> tuple[tuple[IT2TrFN, ...], tuple[tuple[IT2TrFN, ...], ...]]:
+        """Steps 1-2: the group weight vector and the group decision matrix.
+
+        An error is not cached; it is raised, with its step label, by every
+        ``run``.
+        """
+        with _stage("step 1 (average weights)"):
+            weights_bar = average_weights([self.expert_weights[e] for e in self.experts])
+        with _stage("step 2 (average decision matrix)"):
+            ratings_bar = average_ratings([self.expert_ratings[e] for e in self.experts])
+        return tuple(weights_bar), tuple(map(tuple, ratings_bar))
 
 
 @dataclass
@@ -161,12 +191,16 @@ def _stage(label: str):
 
 
 def run(problem: DecisionProblem, params: PipelineParams | None = None) -> PipelineTrace:
-    """Execute steps 1-7 on ``problem`` and collect the full trace."""
+    """Execute steps 1-7 on ``problem`` and collect the full trace.
+
+    Steps 1-2 come from the problem's cached averages; steps 3-7 run on
+    every call. The trace holds lists of its own, so mutating one reaches
+    neither the problem nor a later trace.
+    """
     p = params if params is not None else problem.params
-    with _stage("step 1 (average weights)"):
-        weights_bar = average_weights([problem.expert_weights[e] for e in problem.experts])
-    with _stage("step 2 (average decision matrix)"):
-        ratings_bar = average_ratings([problem.expert_ratings[e] for e in problem.experts])
+    cached_weights, cached_ratings = problem._averages
+    weights_bar = list(cached_weights)
+    ratings_bar = [list(row) for row in cached_ratings]
     with _stage("step 3 (normalization)"):
         normalized = normalize(ratings_bar, problem.criteria)
     with _stage("step 4 (weighting)"):
@@ -241,11 +275,15 @@ else:
 def _load_yaml(text: str, what: str):
     """Load one YAML document; every failure is a ``ProblemSyntaxError``.
 
+    Text with a tab goes through ``yaml.SafeLoader``: libyaml accepts a tab
+    as a separator in places where PyYAML's own scanner rejects it, and the
+    outcome must not depend on how PyYAML was built.
+
     ``UnicodeEncodeError``: libyaml encodes ``text`` to UTF-8 first, so a
     lone surrogate fails there.
     """
     try:
-        return yaml.load(text, Loader=_Loader)
+        return yaml.load(text, Loader=yaml.SafeLoader if "\t" in text else _Loader)
     except (yaml.YAMLError, UnicodeEncodeError) as exc:
         raise ProblemSyntaxError(f"{what}: {exc}") from exc
     except RecursionError as exc:

@@ -12,7 +12,9 @@ from it2mabac import (
     builtin_rating_scale,
     builtin_weight_scale,
     example_problem_text,
+    load_example_problem,
     parse_problem,
+    render_machine,
     resolve,
     run,
 )
@@ -20,6 +22,7 @@ from it2mabac.errors import (
     DegenerateRange,
     DimensionMismatch,
     InvalidParams,
+    MabacError,
     ProblemSyntaxError,
     UnknownTerm,
 )
@@ -37,10 +40,10 @@ def _dump(doc):
 class TestParse:
     def test_bundled_example_shape(self, example_problem):
         assert example_problem.name == "system-analyst"
-        assert example_problem.alternatives == ["A1", "A2", "A3"]
+        assert list(example_problem.alternatives) == ["A1", "A2", "A3"]
         assert [c.name for c in example_problem.criteria] == ["C1", "C2", "C3", "C4", "C5"]
         assert all(c.sense == "benefit" for c in example_problem.criteria)
-        assert example_problem.experts == ["DM1", "DM2", "DM3"]
+        assert list(example_problem.experts) == ["DM1", "DM2", "DM3"]
         assert example_problem.params == PipelineParams()
 
     def test_terms_resolved_against_scales(self, example_problem):
@@ -217,6 +220,31 @@ def test_both_loaders_parse_to_equal_problems(seed, monkeypatch):
     assert parse_problem(text) == problem
 
 
+def _parse_outcome(text: str):
+    """The parsed problem, or the class name of the package error it raised."""
+    try:
+        return parse_problem(text)
+    except MabacError as exc:
+        return type(exc).__name__
+
+
+def test_tabs_parse_alike_under_both_loaders(monkeypatch):
+    # libyaml alone accepts a tab after `name:` or a flow-sequence comma;
+    # each mutation turns one space outside the comment lines into a tab
+    lines = example_problem_text().splitlines(keepends=True)
+    mutated = [
+        "".join(lines[:n]) + line[:i] + "\t" + line[i + 1:] + "".join(lines[n + 1:])
+        for n, line in enumerate(lines) if not line.lstrip().startswith("#")
+        for i, c in enumerate(line) if c == " "
+    ]
+    module_loader = [_parse_outcome(t) for t in mutated]
+    monkeypatch.setattr(it2mabac.problem, "_Loader", yaml.SafeLoader)
+    safe_loader = [_parse_outcome(t) for t in mutated]
+    differ = [t for t, a, b in zip(mutated, module_loader, safe_loader) if a != b]
+    assert differ == []
+    assert "ProblemSyntaxError" in module_loader
+
+
 class TestRun:
     def test_bundled_example_ranking(self, example_trace):
         assert example_trace.ranking() == EXPECTED_RANKING
@@ -237,8 +265,8 @@ class TestRun:
         doc["ratings"] = {"DM1": doc["ratings"]["DM1"]}
         problem = parse_problem(_dump(doc))
         trace = run(problem)
-        assert trace.aggregated_weights == problem.expert_weights["DM1"]
-        assert trace.aggregated_ratings == problem.expert_ratings["DM1"]
+        assert trace.aggregated_weights == list(problem.expert_weights["DM1"])
+        assert trace.aggregated_ratings == list(map(list, problem.expert_ratings["DM1"]))
 
     def test_identical_alternatives_tie_stably(self):
         doc = _doc()
@@ -264,3 +292,72 @@ class TestRun:
         base = run(example_problem)
         other = run(example_problem, PipelineParams(lam=0.0))
         assert base.q != other.q
+
+
+# lambda = 0, 0.1, ..., 1 under each (operator, r, s); r and s do not enter geomean
+SWEEP_PARAMS = [
+    PipelineParams(lam=i / 10, r=r, s=s, baa_operator=operator)
+    for i in range(11)
+    for operator, r, s in [
+        ("geomean", 1.0, 1.0),
+        ("bonferroni", 1.0, 1.0),
+        ("bonferroni", 2.0, 1.0),
+        ("bonferroni", 0.0, 1.5),
+    ]
+]
+
+
+@pytest.mark.parametrize("seed", [None, 1, 3, 5])
+def test_a_sweep_over_one_problem_matches_fresh_parses(seed):
+    text = example_problem_text() if seed is None else _generated_document(seed)
+    shared = parse_problem(text)
+    for params in SWEEP_PARAMS:
+        fresh = render_machine(run(parse_problem(text), params))
+        assert render_machine(run(shared, params)) == fresh, params
+
+
+class TestFrozenProblem:
+    def test_fields_cannot_be_assigned(self):
+        problem = load_example_problem()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            problem.name = "other"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            problem.alternatives = ["A1"]
+
+    def test_expert_entries_are_read_only(self):
+        problem = load_example_problem()
+        with pytest.raises(TypeError):
+            problem.expert_ratings["DM1"] = problem.expert_ratings["DM2"]
+        with pytest.raises(TypeError):
+            problem.expert_weights["DM1"][0] = problem.expert_weights["DM2"][0]
+
+    def test_mutating_a_trace_leaves_the_next_run_unchanged(self):
+        problem = load_example_problem()
+        trace = run(problem)
+        before = render_machine(trace)
+        trace.aggregated_ratings[0][0] = trace.aggregated_ratings[1][1]
+        trace.aggregated_weights[0] = trace.aggregated_weights[1]
+        assert render_machine(run(problem)) == before
+
+    def test_replaced_ratings_get_new_averages(self):
+        problem = load_example_problem()
+        run(problem)
+        copies = {e: problem.expert_ratings["DM1"] for e in problem.experts}
+        replaced = dataclasses.replace(problem, expert_ratings=copies)
+        expected = list(map(list, problem.expert_ratings["DM1"]))
+        assert run(replaced).aggregated_ratings == expected
+        assert run(problem).aggregated_ratings != expected
+
+    def test_a_step_3_failure_is_labelled_on_every_run(self):
+        doc = _doc()
+        for expert in doc["ratings"]:
+            for row in doc["ratings"][expert]:
+                row[2] = [[5, 5, 5, 5, 1.0], [5, 5, 5, 5, 1.0]]
+        problem = parse_problem(_dump(doc))
+        messages = []
+        for _ in range(2):
+            with pytest.raises(DegenerateRange) as info:
+                run(problem)
+            messages.append(str(info.value))
+        assert "step 3 (normalization)" in messages[0]
+        assert messages[1] == messages[0]
