@@ -109,6 +109,26 @@ class TestWeight:
             weight(aggregated, [crisp(1.0)] * 4)
 
 
+@pytest.mark.parametrize(
+    "stage, message",
+    [
+        ("normalize", "matrix rows have widths [4, 5], expected 5 criteria"),
+        ("weight", "matrix rows have widths [4, 5], expected 5 weights"),
+        ("crisp_matrices", "matrix rows have widths [4, 5], expected 5 BAA entries"),
+    ],
+)
+def test_row_width_messages(aggregated, stage, message):
+    ragged = [row[:4] if i == 1 else row for i, row in enumerate(aggregated)]
+    calls = {
+        "normalize": lambda: normalize(ragged, BENEFIT),
+        "weight": lambda: weight(ragged, [crisp(1.0)] * 5),
+        "crisp_matrices": lambda: crisp_matrices(ragged, [crisp(1.0)] * 5),
+    }
+    with pytest.raises(DimensionMismatch) as info:
+        calls[stage]()
+    assert str(info.value) == message
+
+
 class TestBaa:
     def test_column_aggregation_matches_operator(self, aggregated):
         normalized = normalize(aggregated, BENEFIT)

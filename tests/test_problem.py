@@ -185,6 +185,115 @@ class TestParse:
             parse_problem(_dump(doc))
 
 
+_DELETE = object()
+
+# id -> (keys down to the replaced node, new node or _DELETE, error class, message);
+# each edit of the bundled example breaks one rule of the input boundary
+BOUNDARY_FAULTS = {
+    "alternatives-not-a-list": (
+        ["alternatives"], "A1", ProblemSyntaxError,
+        "'alternatives' must be a non-empty list of names",
+    ),
+    "experts-empty": (
+        ["experts"], [], ProblemSyntaxError, "'experts' must be a non-empty list of names",
+    ),
+    "criteria-not-a-list": (
+        ["criteria"], {"C1": "benefit"}, ProblemSyntaxError, "'criteria' must be a non-empty list",
+    ),
+    "criteria-entry": (
+        ["criteria", 4], {"name": "C5", "weight": 1}, ProblemSyntaxError,
+        "criteria[4]: expected a name or a {name, sense} mapping, got {'name': 'C5', 'weight': 1}",
+    ),
+    "alternative-name": (
+        ["alternatives", 1], 5, ProblemSyntaxError,
+        "'alternatives' entries must be non-empty strings, got 5",
+    ),
+    "expert-name": (
+        ["experts", 2], "", ProblemSyntaxError, "'experts' entries must be non-empty strings, got ''",
+    ),
+    "duplicate-experts": (
+        ["experts", 2], "DM1", ProblemSyntaxError,
+        "'experts' entries must be unique, got ['DM1', 'DM2', 'DM1']",
+    ),
+    "duplicate-criteria": (
+        ["criteria", 4], "C1", ProblemSyntaxError,
+        "'criteria' entries must be unique, got ['C1', 'C2', 'C3', 'C4', 'C1']",
+    ),
+    "scale-file-not-a-mapping": (
+        ["rating_scale"], "list.scale", ProblemSyntaxError,
+        "rating_scale (list.scale): a scale must be a mapping with a 'terms' entry",
+    ),
+    "scale-without-terms": (
+        ["rating_scale"], {"name": "x"}, ProblemSyntaxError,
+        "rating_scale: a scale must be a mapping with a 'terms' entry",
+    ),
+    "scale-empty-terms": (
+        ["weight_scale"], {"terms": {}}, ProblemSyntaxError,
+        "weight_scale: 'terms' must be a non-empty mapping of term -> two 5-tuples",
+    ),
+    "scale-node": (
+        ["rating_scale"], 5, ProblemSyntaxError,
+        "rating_scale: expected 'builtin', an inline scale mapping, or a file path, got 5",
+    ),
+    "inline-value": (
+        ["weights", "DM1", 4], [1, 2], ProblemSyntaxError,
+        "weights[DM1][4]: an inline value must be two 5-tuples "
+        "[[a1,a2,a3,a4,h],[a1,a2,a3,a4,h]], got [1, 2]",
+    ),
+    "inline-value-of-a-scale-term": (
+        ["rating_scale"], {"terms": {"OK": [[4, 5, 5, 6, 1.0]]}}, ProblemSyntaxError,
+        "rating_scale: scale term 'OK': an inline value must be two 5-tuples "
+        "[[a1,a2,a3,a4,h],[a1,a2,a3,a4,h]], got [[4, 5, 5, 6, 1.0]]",
+    ),
+    "missing-keys": (
+        ["ratings"], _DELETE, ProblemSyntaxError, "missing required keys: ['ratings']",
+    ),
+    "params-not-a-mapping": (
+        ["params"], [0.5], ProblemSyntaxError, "'params' must be a mapping, got [0.5]",
+    ),
+    "unknown-param": (
+        ["params", "t"], 1, ProblemSyntaxError,
+        "unknown params ['t']; expected a subset of ['baa', 'lambda', 'r', 's']",
+    ),
+    "weights-not-a-mapping": (
+        ["weights"], ["H"], ProblemSyntaxError,
+        "'weights' must map each expert to a list of entries",
+    ),
+    "ratings-not-a-mapping": (
+        ["ratings"], "MG", ProblemSyntaxError,
+        "'ratings' must map each expert to a matrix of entries",
+    ),
+    "weights-row-not-a-list": (
+        ["weights", "DM2"], "VH", ProblemSyntaxError, "weights[DM2]: expected a list, got a str",
+    ),
+    "ratings-matrix-not-a-list": (
+        ["ratings", "DM2"], 5, ProblemSyntaxError, "ratings[DM2]: expected a list, got a int",
+    ),
+    "ratings-row-not-a-list": (
+        ["ratings", "DM2", 1], "G", ProblemSyntaxError,
+        "ratings[DM2] row 1: expected a list, got a str",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(BOUNDARY_FAULTS))
+def test_boundary_messages(fault, tmp_path):
+    keys, node, error, message = BOUNDARY_FAULTS[fault]
+    doc = _doc()
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    if node is _DELETE:
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = node
+    (tmp_path / "list.scale").write_text("- a\n- b\n")
+    with pytest.raises(error) as info:
+        parse_problem(_dump(doc), base_dir=tmp_path)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 def _generated_document(seed: int) -> str:
     """A random document in the benchmark generator's style, with a few variations."""
     rng = random.Random(seed)
