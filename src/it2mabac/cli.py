@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from .errors import MabacError
+from .pipeline import BAA_OPERATORS
 from .problem import (
     DecisionProblem,
     PipelineParams,
@@ -28,7 +29,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="rank attitude parameter in [0, 1] (default: from file or 0.5)")
     parser.add_argument("--r", type=float, default=None, help="Bonferroni exponent r")
     parser.add_argument("--s", type=float, default=None, help="Bonferroni exponent s")
-    parser.add_argument("--baa", dest="baa_operator", choices=["bonferroni", "geomean"],
+    parser.add_argument("--baa", dest="baa_operator", choices=BAA_OPERATORS,
                         default=None, help="border approximation area operator")
 
 

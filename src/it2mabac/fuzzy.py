@@ -101,10 +101,10 @@ def _as_trapezoid(value: TrapezoidLike, which: str) -> GeneralizedTrapezoid:
 
 
 def _finite(x, which: str) -> float:
-    """``x`` as a float; booleans, non-numbers, NaN and infinities are rejected."""
+    """``x`` as a float; booleans, non-numbers, NaN, infinities and huge ints are rejected."""
     try:
         number = float(x)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         number = math.nan
     if isinstance(x, bool) or not math.isfinite(number):
         raise ProblemSyntaxError(f"{which} trapezoid: {x!r} is not a finite number")

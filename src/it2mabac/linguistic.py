@@ -24,9 +24,6 @@ class LinguisticScale:
     def terms(self) -> list[str]:
         return list(self.entries)
 
-    def __contains__(self, term: str) -> bool:
-        return term in self.entries
-
 
 def resolve(scale: LinguisticScale, term: str) -> IT2TrFN:
     """Look up ``term`` in ``scale``; unknown terms list what is available."""

@@ -64,6 +64,13 @@ class RankingResult:
     order: list[int]
 
 
+def _check_widths(matrix: Matrix, width: int, what: str) -> None:
+    """Reject a matrix with a row that is not ``width`` entries wide."""
+    if any(len(row) != width for row in matrix):
+        widths = sorted({len(row) for row in matrix})
+        raise DimensionMismatch(f"matrix rows have widths {widths}, expected {width} {what}")
+
+
 def column_range(matrix: Matrix, j: int, name: str | None = None) -> tuple[float, float]:
     """Reference endpoints of column ``j``: (min upper a1, max upper a4)."""
     a_minus = min(row[j].upper.a1 for row in matrix)
@@ -85,11 +92,7 @@ def _reflect_scale(t: GeneralizedTrapezoid, a_plus: float, rng: float) -> Genera
 
 def normalize(matrix: Matrix, specs: list[CriterionSpec]) -> Matrix:
     """Scale every column into the unit range, respecting its sense."""
-    if any(len(row) != len(specs) for row in matrix):
-        widths = sorted({len(row) for row in matrix})
-        raise DimensionMismatch(
-            f"matrix rows have widths {widths}, expected {len(specs)} criteria"
-        )
+    _check_widths(matrix, len(specs), "criteria")
     result: Matrix = [[] for _ in matrix]
     for j, spec in enumerate(specs):
         a_minus, a_plus = column_range(matrix, j, spec.name)
@@ -108,11 +111,7 @@ def normalize(matrix: Matrix, specs: list[CriterionSpec]) -> Matrix:
 
 def weight(normalized: Matrix, weights: list[IT2TrFN]) -> Matrix:
     """Weighted matrix: v_ij = w_j * (n_ij + 1)."""
-    if any(len(row) != len(weights) for row in normalized):
-        widths = sorted({len(row) for row in normalized})
-        raise DimensionMismatch(
-            f"matrix rows have widths {widths}, expected {len(weights)} weights"
-        )
+    _check_widths(normalized, len(weights), "weights")
     return [[_weighted(w, entry) for w, entry in zip(weights, row)] for row in normalized]
 
 
@@ -144,11 +143,7 @@ def crisp_matrices(
     weighted: Matrix, baa_vector: list[IT2TrFN], lam: float = 0.5
 ) -> CrispMatrices:
     """Crisp distances of every weighted entry and of the BAA vector."""
-    if any(len(row) != len(baa_vector) for row in weighted):
-        widths = sorted({len(row) for row in weighted})
-        raise DimensionMismatch(
-            f"matrix rows have widths {widths}, expected {len(baa_vector)} BAA entries"
-        )
+    _check_widths(weighted, len(baa_vector), "BAA entries")
     q_matrix = [[abs(rank_to_one(entry, lam)) for entry in row] for row in weighted]
     g_vector = [abs(rank_to_one(g, lam)) for g in baa_vector]
     delta = [[qij - gj for qij, gj in zip(row, g_vector)] for row in q_matrix]

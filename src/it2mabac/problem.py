@@ -78,6 +78,19 @@ class PipelineParams:
             )
 
 
+#: The ``params`` keys of a problem document and of the machine trace, each
+#: with the ``PipelineParams`` field it sets.
+PARAM_KEYS = {"lambda": "lam", "r": "r", "s": "s", "baa": "baa_operator"}
+
+
+def _check_names(names: Sequence[str], key: str) -> None:
+    for name in names:
+        if not isinstance(name, str) or not name:
+            raise ProblemSyntaxError(f"{key!r} entries must be non-empty strings, got {name!r}")
+    if len(set(names)) != len(names):
+        raise ProblemSyntaxError(f"{key!r} entries must be unique, got {list(names)}")
+
+
 def _check_expert_keys(node: Mapping, experts: Sequence[str], key: str) -> None:
     missing = set(experts) - set(node)
     extra = set(node) - set(experts)
@@ -91,8 +104,9 @@ def _check_expert_keys(node: Mapping, experts: Sequence[str], key: str) -> None:
 class DecisionProblem:
     """A fully resolved group decision problem; read-only once built.
 
-    Building one checks every expert's weight vector and rating matrix
-    against the alternatives and criteria; the pipeline relies on that.
+    Building one checks that the alternative, criterion and expert names
+    are non-empty, unique strings, and every expert's weight vector and
+    rating matrix against them; the pipeline relies on that.
     The names are then held as tuples and the expert entries as read-only
     mappings of tuples, so the expert averages of steps 1-2 are computed on
     the first ``run`` and reused by every later one.
@@ -109,6 +123,9 @@ class DecisionProblem:
     name: str = "unnamed"
 
     def __post_init__(self) -> None:
+        _check_names(self.alternatives, "alternatives")
+        _check_names([c.name for c in self.criteria], "criteria")
+        _check_names(self.experts, "experts")
         p, q = len(self.alternatives), len(self.criteria)
         if not (p and q and self.experts):
             raise DimensionMismatch("a problem needs at least one alternative, criterion and expert")
@@ -245,8 +262,6 @@ _TOP_LEVEL_KEYS = {
     "params",
 }
 
-_PARAM_KEYS = {"lambda", "r", "s", "baa"}
-
 if yaml.__with_libyaml__:
     from yaml.composer import Composer
     from yaml.constructor import SafeConstructor
@@ -290,19 +305,11 @@ def _load_yaml(text: str, what: str):
         raise ProblemSyntaxError(f"{what}: nested too deeply") from exc
 
 
-def _require_name_list(node, key: str) -> list[str]:
+def _require_name_list(node, key: str) -> list:
+    """``node`` if it is a non-empty list; ``DecisionProblem`` checks the names."""
     if not isinstance(node, list) or not node:
         raise ProblemSyntaxError(f"{key!r} must be a non-empty list of names")
-    for item in node:
-        if not isinstance(item, str) or not item:
-            raise ProblemSyntaxError(f"{key!r} entries must be non-empty strings, got {item!r}")
-    _require_unique(node, key)
-    return list(node)
-
-
-def _require_unique(names: list[str], key: str) -> None:
-    if len(set(names)) != len(names):
-        raise ProblemSyntaxError(f"{key!r} entries must be unique, got {names}")
+    return node
 
 
 def _parse_criteria(node) -> list[CriterionSpec]:
@@ -313,12 +320,11 @@ def _parse_criteria(node) -> list[CriterionSpec]:
         if isinstance(item, str):
             specs.append(CriterionSpec(item))
         elif isinstance(item, dict) and set(item) <= {"name", "sense"} and "name" in item:
-            specs.append(CriterionSpec(item["name"], item.get("sense", "benefit")))
+            specs.append(CriterionSpec(**item))
         else:
             raise ProblemSyntaxError(
                 f"criteria[{i}]: expected a name or a {{name, sense}} mapping, got {item!r}"
             )
-    _require_unique([s.name for s in specs], "criteria")
     return specs
 
 
@@ -439,28 +445,25 @@ def _parse_params(node) -> PipelineParams:
         return PipelineParams()
     if not isinstance(node, dict):
         raise ProblemSyntaxError(f"'params' must be a mapping, got {node!r}")
-    unknown = set(node) - _PARAM_KEYS
+    unknown = set(node) - PARAM_KEYS.keys()
     if unknown:
         raise ProblemSyntaxError(
-            f"unknown params {sorted(unknown, key=str)}; expected a subset of {sorted(_PARAM_KEYS)}"
+            f"unknown params {sorted(unknown, key=str)}; expected a subset of {sorted(PARAM_KEYS)}"
         )
-    return PipelineParams(
-        lam=_param_number(node, "lambda", 0.5),
-        r=_param_number(node, "r", 1.0),
-        s=_param_number(node, "s", 1.0),
-        baa_operator=str(node.get("baa", "bonferroni")),
-    )
+    return PipelineParams(**{
+        name: str(node[key]) if name == "baa_operator" else _param_number(key, node[key])
+        for key, name in PARAM_KEYS.items() if key in node
+    })
 
 
-def _param_number(node: dict, key: str, default: float) -> float:
-    """``node[key]`` as a float: a YAML number, or a string such as ``1e3``.
+def _param_number(key: str, value) -> float:
+    """A param's ``value`` as a float: a YAML number, or a string such as ``1e3``.
 
     YAML 1.1 resolves ``1e3`` and ``1.0e0`` to strings, while ``--r 1e3`` and
     inline endpoints read them with ``float()``; a string is accepted when
     ``float()`` reads it as a finite number. Non-finite YAML numbers are left
     to ``PipelineParams``.
     """
-    value = node.get(key, default)
     try:
         if isinstance(value, str) and math.isfinite(float(value)):
             return float(value)

@@ -7,12 +7,14 @@ full precision and round-trips bit-exactly through ``trace_from_json``.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import typing
 
 from .errors import ProblemSyntaxError
 from .fuzzy import IT2TrFN, make
-from .pipeline import CriterionSpec
-from .problem import PipelineParams, PipelineTrace
+from .pipeline import CriterionSpec, Matrix
+from .problem import PARAM_KEYS, PipelineParams, PipelineTrace
 
 FORMATS = ("text", "machine")
 
@@ -113,30 +115,46 @@ def _fuzzy_lists(v: IT2TrFN) -> dict:
     }
 
 
+def _fuzzy_from_lists(node) -> IT2TrFN:
+    return make(node["upper"], node["lower"])
+
+
+#: (to JSON, from JSON) for each trace field type that JSON does not carry
+#: as it is.
+_CONVERSIONS = {
+    list[IT2TrFN]: (
+        lambda vector: [_fuzzy_lists(v) for v in vector],
+        lambda node: [_fuzzy_from_lists(v) for v in node],
+    ),
+    Matrix: (
+        lambda matrix: [[_fuzzy_lists(v) for v in row] for row in matrix],
+        lambda node: [[_fuzzy_from_lists(v) for v in row] for row in node],
+    ),
+    list[CriterionSpec]: (
+        lambda specs: [{"name": s.name, "sense": s.sense} for s in specs],
+        lambda node: [CriterionSpec(c["name"], c["sense"]) for c in node],
+    ),
+    PipelineParams: (
+        lambda params: {key: getattr(params, name) for key, name in PARAM_KEYS.items()},
+        lambda node: PipelineParams(**{name: node[key] for key, name in PARAM_KEYS.items()}),
+    ),
+}
+_AS_IS = (lambda value: value,) * 2
+
+_TRACE_TYPES = typing.get_type_hints(PipelineTrace)
+
+#: (name, to JSON, from JSON) of every ``PipelineTrace`` field, in declaration order.
+_TRACE_FIELDS = [
+    (f.name, *_CONVERSIONS.get(_TRACE_TYPES[f.name], _AS_IS))
+    for f in dataclasses.fields(PipelineTrace)
+]
+
+
 def _machine_doc(trace: PipelineTrace) -> dict:
-    return {
-        "name": trace.name,
-        "alternatives": trace.alternatives,
-        "criteria": [{"name": s.name, "sense": s.sense} for s in trace.criteria],
-        "params": {
-            "lambda": trace.params.lam,
-            "r": trace.params.r,
-            "s": trace.params.s,
-            "baa": trace.params.baa_operator,
-        },
-        "aggregated_weights": [_fuzzy_lists(v) for v in trace.aggregated_weights],
-        "aggregated_ratings": [[_fuzzy_lists(v) for v in row] for row in trace.aggregated_ratings],
-        "normalized": [[_fuzzy_lists(v) for v in row] for row in trace.normalized],
-        "weighted": [[_fuzzy_lists(v) for v in row] for row in trace.weighted],
-        "baa": [_fuzzy_lists(v) for v in trace.baa],
-        "q": trace.q,
-        "g": trace.g,
-        "delta": trace.delta,
-        "classification": trace.classification,
-        "scores": trace.scores,
-        "order": trace.order,
-        "ranking": trace.ranking(),
-    }
+    """Every trace field in declaration order, then the ranking."""
+    doc = {name: to_json(getattr(trace, name)) for name, to_json, _ in _TRACE_FIELDS}
+    doc["ranking"] = trace.ranking()
+    return doc
 
 
 def _dumps(doc: dict) -> str:
@@ -170,10 +188,6 @@ def render_section_machine(trace: PipelineTrace, table: str) -> str:
     return _dumps({key: doc[key] for key in _MACHINE_KEYS.get(table, (table,))})
 
 
-def _fuzzy_from_lists(node) -> IT2TrFN:
-    return make(node["upper"], node["lower"])
-
-
 def trace_from_json(text: str) -> PipelineTrace:
     """Rebuild a trace from ``render_machine`` output (bit-exact floats)."""
     try:
@@ -181,28 +195,7 @@ def trace_from_json(text: str) -> PipelineTrace:
     except json.JSONDecodeError as exc:
         raise ProblemSyntaxError(f"not a valid machine trace: {exc}") from exc
     try:
-        return PipelineTrace(
-            name=doc["name"],
-            alternatives=doc["alternatives"],
-            criteria=[CriterionSpec(c["name"], c["sense"]) for c in doc["criteria"]],
-            params=PipelineParams(
-                lam=doc["params"]["lambda"],
-                r=doc["params"]["r"],
-                s=doc["params"]["s"],
-                baa_operator=doc["params"]["baa"],
-            ),
-            aggregated_weights=[_fuzzy_from_lists(v) for v in doc["aggregated_weights"]],
-            aggregated_ratings=[[_fuzzy_from_lists(v) for v in row] for row in doc["aggregated_ratings"]],
-            normalized=[[_fuzzy_from_lists(v) for v in row] for row in doc["normalized"]],
-            weighted=[[_fuzzy_from_lists(v) for v in row] for row in doc["weighted"]],
-            baa=[_fuzzy_from_lists(v) for v in doc["baa"]],
-            q=doc["q"],
-            g=doc["g"],
-            delta=doc["delta"],
-            classification=doc["classification"],
-            scores=doc["scores"],
-            order=doc["order"],
-        )
+        return PipelineTrace(**{name: from_json(doc[name]) for name, _, from_json in _TRACE_FIELDS})
     except KeyError as exc:
         raise ProblemSyntaxError(f"machine trace is missing key {exc}") from exc
     except TypeError as exc:  # a list, number or null where a mapping or list belongs

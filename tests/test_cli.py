@@ -269,3 +269,23 @@ def test_overflowing_average_exits_two_naming_the_alternative(fmt, tmp_path, cap
     assert captured.out == ""
     assert captured.err.startswith("computation error: step 7")
     assert "alternative A1" in captured.err
+
+
+BEYOND_FLOAT = "1" + "0" * 400  # a YAML integer that float() cannot hold
+
+
+@pytest.mark.parametrize(
+    "upper",
+    [f"[0, 0.1, 0.1, {BEYOND_FLOAT}, 1.0]", f"[0, 0.1, 0.1, 0.3, {BEYOND_FLOAT}]"],
+    ids=["endpoint", "height"],
+)
+def test_integer_beyond_float_range_is_validation_failure(upper, yaml_loader, tmp_path, capsys):
+    entry = f"[{upper}, [0.05, 0.1, 0.1, 0.2, 0.9]]"
+    path = tmp_path / "huge.problem"
+    path.write_text(_edited("DM1: [H, VH, VH, VH, M]", f"DM1: [{entry}, VH, VH, VH, M]"))
+    assert main(["solve", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"validation error: weights[DM1][0]: upper trapezoid: {BEYOND_FLOAT} is not a finite number\n"
+    )

@@ -8,6 +8,7 @@ import yaml
 
 import it2mabac.problem
 from it2mabac import (
+    CriterionSpec,
     PipelineParams,
     builtin_rating_scale,
     builtin_weight_scale,
@@ -103,6 +104,26 @@ class TestParse:
         del ratings["DM3"]
         with pytest.raises(DimensionMismatch, match="'ratings' is missing experts"):
             dataclasses.replace(example_problem, expert_ratings=ratings)
+
+    @pytest.mark.parametrize(
+        "field, names, message",
+        [
+            ("alternatives", [1, 2, 3], "'alternatives' entries must be non-empty strings, got 1"),
+            ("alternatives", ["A1", "A1", "A3"],
+             "'alternatives' entries must be unique, got ['A1', 'A1', 'A3']"),
+            ("experts", ("DM1", "DM2", "DM1"),
+             "'experts' entries must be unique, got ['DM1', 'DM2', 'DM1']"),
+            ("criteria", ["C1", "C2", "C3", "C2", "C5"],
+             "'criteria' entries must be unique, got ['C1', 'C2', 'C3', 'C2', 'C5']"),
+        ],
+        ids=["int-alternatives", "duplicate-alternatives", "duplicate-experts", "duplicate-criteria"],
+    )
+    def test_directly_built_problem_checks_names(self, example_problem, field, names, message):
+        if field == "criteria":
+            names = [CriterionSpec(name) for name in names]
+        with pytest.raises(ProblemSyntaxError) as info:
+            dataclasses.replace(example_problem, **{field: names})
+        assert str(info.value) == message
 
     def test_lambda_out_of_range(self):
         doc = _doc()

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from it2mabac import (
+    PipelineParams,
     example_problem_text,
     parse_problem,
     render,
@@ -17,6 +18,7 @@ from it2mabac import (
 )
 from it2mabac.errors import ProblemSyntaxError
 from it2mabac.render import TABLES, render_section_machine
+from test_problem import _generated_document
 
 
 def test_text_report_has_expected_section_headers(example_trace):
@@ -41,13 +43,25 @@ def test_every_table_renders(example_trace):
         assert len(section.splitlines()) > 1
 
 
+# the document's own params (geomean, r=2), then bonferroni and geomean with other lambdas
+ROUNDTRIP_PARAMS = [None, PipelineParams(lam=0.9, r=2.0, s=0.5),
+                    PipelineParams(lam=0.2, baa_operator="geomean")]
+
+
 def test_machine_roundtrip_reproduces_scores_bit_exactly(example_trace):
-    text = render_machine(example_trace)
-    back = trace_from_json(text)
-    assert back.scores == example_trace.scores
-    assert back.q == example_trace.q
-    assert back.order == example_trace.order
-    assert back == example_trace
+    # generated problems add cost criteria and inline values
+    traces = [example_trace] + [
+        run(parse_problem(_generated_document(seed)), params)
+        for seed in (1, 3, 5) for params in ROUNDTRIP_PARAMS
+    ]
+    for trace in traces:
+        text = render_machine(trace)
+        back = trace_from_json(text)
+        assert back.scores == trace.scores
+        assert back.q == trace.q
+        assert back.order == trace.order
+        assert back == trace
+        assert render_machine(back) == text
 
 
 def test_machine_rendering_is_deterministic():
@@ -83,6 +97,13 @@ def test_trace_from_json_rejects_garbage():
         trace_from_json("{not json")
     with pytest.raises(ProblemSyntaxError, match="missing"):
         trace_from_json("{}")
+
+
+def test_trace_from_json_rejects_an_integer_beyond_float_range(example_trace):
+    doc = json.loads(render_machine(example_trace))
+    doc["baa"][0]["lower"][3] = 10**400
+    with pytest.raises(ProblemSyntaxError, match="lower trapezoid: 10{400} is not a finite number"):
+        trace_from_json(json.dumps(doc))
 
 
 def test_trace_from_json_rejects_wrong_shapes(example_trace):
