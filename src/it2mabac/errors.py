@@ -1,7 +1,11 @@
 """Exception hierarchy shared by all modules.
 
-Two broad groups exist so callers (notably the CLI) can distinguish bad
-input from failures that occur while computing on accepted input.
+Two broad groups name the kind of fault: ``ValidationError`` for malformed
+input, ``ComputationError`` for a stage that cannot compute on its data.
+The CLI's exit code follows the phase, not the group: any error while the
+document is loaded exits 1, and any error while the pipeline runs exits 2,
+even a ``ValidationError`` such as an endpoint-order violation that a
+normalized entry can raise.
 """
 
 

@@ -46,24 +46,6 @@ class CriterionSpec:
             )
 
 
-@dataclass
-class CrispMatrices:
-    """Crisp distance matrix Q, BAA distances G, and their difference."""
-
-    q: list[list[float]]
-    g: list[float]
-    delta: list[list[float]]
-
-
-@dataclass
-class RankingResult:
-    """Per-cell area classification, per-alternative scores, and the order."""
-
-    classification: list[list[str]]
-    scores: list[float]
-    order: list[int]
-
-
 def _check_widths(matrix: Matrix, width: int, what: str) -> None:
     """Reject a matrix with a row that is not ``width`` entries wide."""
     if any(len(row) != width for row in matrix):
@@ -141,23 +123,28 @@ def baa(
 
 def crisp_matrices(
     weighted: Matrix, baa_vector: list[IT2TrFN], lam: float = 0.5
-) -> CrispMatrices:
-    """Crisp distances of every weighted entry and of the BAA vector."""
+) -> tuple[list[list[float]], list[float], list[list[float]]]:
+    """Step 6: the crisp distance matrix Q, the BAA distances G, and Q - G."""
     _check_widths(weighted, len(baa_vector), "BAA entries")
     q_matrix = [[abs(rank_to_one(entry, lam)) for entry in row] for row in weighted]
     g_vector = [abs(rank_to_one(g, lam)) for g in baa_vector]
     delta = [[qij - gj for qij, gj in zip(row, g_vector)] for row in q_matrix]
-    return CrispMatrices(q=q_matrix, g=g_vector, delta=delta)
+    return q_matrix, g_vector, delta
 
 
-def classify_and_score(cm: CrispMatrices, alternatives: list[str] | None = None) -> RankingResult:
-    """Classify each cell by the sign of delta and rank by row sums.
+def classify_and_score(
+    delta: list[list[float]], alternatives: list[str] | None = None
+) -> tuple[list[list[str]], list[float], list[int]]:
+    """Step 7: classify each cell by the sign of ``delta`` and rank by row sums.
+
+    Returns the per-cell area labels, the per-alternative scores, and the
+    order of alternatives from best to worst.
 
     A score that is not finite (an overflow upstream) is a ComputationError
     naming the alternative, or its row index when ``alternatives`` is omitted.
     """
     classification = []
-    for row in cm.delta:
+    for row in delta:
         labels = []
         for d in row:
             if abs(d) < CLASSIFICATION_TOLERANCE:
@@ -167,11 +154,11 @@ def classify_and_score(cm: CrispMatrices, alternatives: list[str] | None = None)
             else:
                 labels.append(LAA)
         classification.append(labels)
-    scores = [sum(row) for row in cm.delta]
+    scores = [sum(row) for row in delta]
     for i, score in enumerate(scores):
         if not math.isfinite(score):
             name = alternatives[i] if alternatives is not None else f"row {i}"
             raise ComputationError(f"alternative {name}: score {score!r} is not a finite number")
     # sorted() is stable, so ties keep the declaration order of alternatives.
     order = sorted(range(len(scores)), key=lambda i: -scores[i])
-    return RankingResult(classification=classification, scores=scores, order=order)
+    return classification, scores, order

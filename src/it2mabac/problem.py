@@ -87,6 +87,10 @@ def _check_names(names: Sequence[str], key: str) -> None:
     for name in names:
         if not isinstance(name, str) or not name:
             raise ProblemSyntaxError(f"{key!r} entries must be non-empty strings, got {name!r}")
+    _check_unique(names, key)
+
+
+def _check_unique(names: Sequence[str], key: str) -> None:
     if len(set(names)) != len(names):
         raise ProblemSyntaxError(f"{key!r} entries must be unique, got {list(names)}")
 
@@ -104,9 +108,10 @@ def _check_expert_keys(node: Mapping, experts: Sequence[str], key: str) -> None:
 class DecisionProblem:
     """A fully resolved group decision problem; read-only once built.
 
-    Building one checks that the alternative, criterion and expert names
-    are non-empty, unique strings, and every expert's weight vector and
-    rating matrix against them; the pipeline relies on that.
+    Building one checks that the alternative and expert names are
+    non-empty, unique strings, that the criteria are ``CriterionSpec``
+    values with unique names, and every expert's weight vector and rating
+    matrix against them; the pipeline relies on that.
     The names are then held as tuples and the expert entries as read-only
     mappings of tuples, so the expert averages of steps 1-2 are computed on
     the first ``run`` and reused by every later one.
@@ -124,7 +129,10 @@ class DecisionProblem:
 
     def __post_init__(self) -> None:
         _check_names(self.alternatives, "alternatives")
-        _check_names([c.name for c in self.criteria], "criteria")
+        for c in self.criteria:  # a CriterionSpec has checked its own name
+            if not isinstance(c, CriterionSpec):
+                raise ProblemSyntaxError(f"'criteria' entries must be CriterionSpec values, got {c!r}")
+        _check_unique([c.name for c in self.criteria], "criteria")
         _check_names(self.experts, "experts")
         p, q = len(self.alternatives), len(self.criteria)
         if not (p and q and self.experts):
@@ -225,9 +233,9 @@ def run(problem: DecisionProblem, params: PipelineParams | None = None) -> Pipel
     with _stage("step 5 (border approximation area)"):
         baa_vector = baa(weighted, r=p.r, s=p.s, operator=p.baa_operator)
     with _stage("step 6 (distance matrices)"):
-        cm = crisp_matrices(weighted, baa_vector, lam=p.lam)
+        q, g, delta = crisp_matrices(weighted, baa_vector, lam=p.lam)
     with _stage("step 7 (classification and ranking)"):
-        result = classify_and_score(cm, problem.alternatives)
+        classification, scores, order = classify_and_score(delta, problem.alternatives)
     return PipelineTrace(
         name=problem.name,
         alternatives=list(problem.alternatives),
@@ -238,12 +246,12 @@ def run(problem: DecisionProblem, params: PipelineParams | None = None) -> Pipel
         normalized=normalized,
         weighted=weighted,
         baa=baa_vector,
-        q=cm.q,
-        g=cm.g,
-        delta=cm.delta,
-        classification=result.classification,
-        scores=result.scores,
-        order=result.order,
+        q=q,
+        g=g,
+        delta=delta,
+        classification=classification,
+        scores=scores,
+        order=order,
     )
 
 
@@ -294,12 +302,14 @@ def _load_yaml(text: str, what: str):
     as a separator in places where PyYAML's own scanner rejects it, and the
     outcome must not depend on how PyYAML was built.
 
-    ``UnicodeEncodeError``: libyaml encodes ``text`` to UTF-8 first, so a
-    lone surrogate fails there.
+    ``ValueError``: PyYAML's safe constructor raises it for a timestamp that
+    is not a date and for an integer too long to convert; it also covers the
+    ``UnicodeEncodeError`` of libyaml, which encodes ``text`` to UTF-8 first,
+    so a lone surrogate fails there.
     """
     try:
         return yaml.load(text, Loader=yaml.SafeLoader if "\t" in text else _Loader)
-    except (yaml.YAMLError, UnicodeEncodeError) as exc:
+    except (yaml.YAMLError, ValueError) as exc:
         raise ProblemSyntaxError(f"{what}: {exc}") from exc
     except RecursionError as exc:
         raise ProblemSyntaxError(f"{what}: nested too deeply") from exc

@@ -8,6 +8,7 @@ full precision and round-trips bit-exactly through ``trace_from_json``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import typing
 
@@ -27,9 +28,13 @@ def _fuzzy_text(v: IT2TrFN) -> str:
     )
 
 
-def _fuzzy_vector_lines(names, values, indent="  "):
+def _fuzzy_lines(names, values, indent="  "):
     width = max(len(n) for n in names)
     return [f"{indent}{n:<{width}}  {_fuzzy_text(v)}" for n, v in zip(names, values)]
+
+
+def _fuzzy_vector_lines(trace, vector):
+    return _fuzzy_lines([s.name for s in trace.criteria], vector)
 
 
 def _fuzzy_matrix_lines(trace, matrix):
@@ -37,7 +42,7 @@ def _fuzzy_matrix_lines(trace, matrix):
     for j, spec in enumerate(trace.criteria):
         lines.append(f"  {spec.name}:")
         column = [row[j] for row in matrix]
-        lines.extend(_fuzzy_vector_lines(trace.alternatives, column, indent="    "))
+        lines.extend(_fuzzy_lines(trace.alternatives, column, indent="    "))
     return lines
 
 
@@ -50,52 +55,46 @@ def _crisp_matrix_lines(trace, matrix, fmt="{:8.2f}"):
     return lines
 
 
-def _scores_lines(trace):
-    lines = []
-    for rank, idx in enumerate(trace.order, start=1):
-        lines.append(f"  {rank}. {trace.alternatives[idx]}  S = {trace.scores[idx]:.2f}")
-    lines.append("  ranking: " + " > ".join(trace.ranking()))
+def _g_lines(trace, g):
+    return ["  " + "".join(f"{s.name:>8}" for s in trace.criteria),
+            "  " + "".join(f"{x:8.2f}" for x in g)]
+
+
+def _scores_lines(trace, scores):
+    # The ranking is by descending score, so the scores sorted best first line up with it.
+    ranking = trace.ranking()
+    best_first = sorted(scores, reverse=True)
+    lines = [f"  {rank}. {name}  S = {score:.2f}"
+             for rank, (name, score) in enumerate(zip(ranking, best_first), start=1)]
+    lines.append("  ranking: " + " > ".join(ranking))
     return lines
 
 
-def _g_lines(trace):
-    return ["  " + "".join(f"{s.name:>8}" for s in trace.criteria),
-            "  " + "".join(f"{x:8.2f}" for x in trace.g)]
-
-
-SECTION_HEADERS = {
-    "weights": "Aggregated weights (cf. Table 4)",
-    "ratings": "Aggregated decision matrix (cf. Table 6)",
-    "normalized": "Normalized decision matrix",
-    "weighted": "Weighted decision matrix (cf. Table 7)",
-    "baa": "Border approximation areas (cf. Table 8)",
-    "q": "Rank-based distance matrix Q (cf. Table 9)",
-    "g": "Rank-based BAA distances G (cf. Table 10)",
-    "delta": "Differences Q - G (cf. Table 11)",
-    "classification": "Approximation-area classification",
-    "scores": "Scores and ranking (cf. Table 11)",
+#: Each report table: its header, the keys of its machine section (the first
+#: is the trace field that its text body shows), and the text body, a
+#: function of the trace and that field's value.
+_TABLES = {
+    "weights": ("Aggregated weights (cf. Table 4)", ("aggregated_weights",), _fuzzy_vector_lines),
+    "ratings": ("Aggregated decision matrix (cf. Table 6)", ("aggregated_ratings",),
+                _fuzzy_matrix_lines),
+    "normalized": ("Normalized decision matrix", ("normalized",), _fuzzy_matrix_lines),
+    "weighted": ("Weighted decision matrix (cf. Table 7)", ("weighted",), _fuzzy_matrix_lines),
+    "baa": ("Border approximation areas (cf. Table 8)", ("baa",), _fuzzy_vector_lines),
+    "q": ("Rank-based distance matrix Q (cf. Table 9)", ("q",), _crisp_matrix_lines),
+    "g": ("Rank-based BAA distances G (cf. Table 10)", ("g",), _g_lines),
+    "delta": ("Differences Q - G (cf. Table 11)", ("delta",), _crisp_matrix_lines),
+    "classification": ("Approximation-area classification", ("classification",),
+                       functools.partial(_crisp_matrix_lines, fmt="{:>8}")),
+    "scores": ("Scores and ranking (cf. Table 11)", ("scores", "order", "ranking"), _scores_lines),
 }
 
-#: The body lines of each section, keyed like SECTION_HEADERS.
-_SECTION_LINES = {
-    "weights": lambda t: _fuzzy_vector_lines([s.name for s in t.criteria], t.aggregated_weights),
-    "ratings": lambda t: _fuzzy_matrix_lines(t, t.aggregated_ratings),
-    "normalized": lambda t: _fuzzy_matrix_lines(t, t.normalized),
-    "weighted": lambda t: _fuzzy_matrix_lines(t, t.weighted),
-    "baa": lambda t: _fuzzy_vector_lines([s.name for s in t.criteria], t.baa),
-    "q": lambda t: _crisp_matrix_lines(t, t.q),
-    "g": _g_lines,
-    "delta": lambda t: _crisp_matrix_lines(t, t.delta),
-    "classification": lambda t: _crisp_matrix_lines(t, t.classification, fmt="{:>8}"),
-    "scores": _scores_lines,
-}
-
-TABLES = tuple(SECTION_HEADERS)
+SECTION_HEADERS = {table: header for table, (header, _, _) in _TABLES.items()}
+TABLES = tuple(_TABLES)
 
 
 def render_section(trace: PipelineTrace, table: str) -> str:
-    lines = [f"== {SECTION_HEADERS[table]} =="]
-    lines.extend(_SECTION_LINES[table](trace))
+    header, keys, body = _TABLES[table]
+    lines = [f"== {header} ==", *body(trace, getattr(trace, keys[0]))]
     return "\n".join(lines) + "\n"
 
 
@@ -174,26 +173,20 @@ def render(trace: PipelineTrace, fmt: str = "text") -> str:
     raise ProblemSyntaxError(f"unknown format {fmt!r}; choose from {FORMATS}")
 
 
-#: Machine-document keys of the sections whose key is not the table name.
-_MACHINE_KEYS = {
-    "weights": ("aggregated_weights",),
-    "ratings": ("aggregated_ratings",),
-    "scores": ("scores", "order", "ranking"),
-}
-
-
 def render_section_machine(trace: PipelineTrace, table: str) -> str:
-    """JSON for a single table of the trace, keyed by its name."""
+    """JSON for a single table of the trace: its machine keys and their values."""
     doc = _machine_doc(trace)
-    return _dumps({key: doc[key] for key in _MACHINE_KEYS.get(table, (table,))})
+    return _dumps({key: doc[key] for key in _TABLES[table][1]})
 
 
 def trace_from_json(text: str) -> PipelineTrace:
     """Rebuild a trace from ``render_machine`` output (bit-exact floats)."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise ProblemSyntaxError(f"not a valid machine trace: {exc}") from exc
+    except RecursionError as exc:
+        raise ProblemSyntaxError("not a valid machine trace: nested too deeply") from exc
     try:
         return PipelineTrace(**{name: from_json(doc[name]) for name, _, from_json in _TRACE_FIELDS})
     except KeyError as exc:

@@ -20,7 +20,6 @@ from conftest import finite, it2trfns
 from it2mabac import (
     CRISP_ONE,
     CriterionSpec,
-    CrispMatrices,
     DecisionProblem,
     GeneralizedTrapezoid,
     IT2TrFN,
@@ -317,9 +316,8 @@ def _delta_matrices(draw):
 @ACCEPTANCE_SETTINGS
 @given(delta=_delta_matrices())
 def prop_ranking_is_permutation(delta):
-    cm = CrispMatrices(q=delta, g=[0.0] * len(delta[0]), delta=delta)
-    result = classify_and_score(cm)
-    assert sorted(result.order) == list(range(len(delta)))
+    _, _, order = classify_and_score(delta)
+    assert sorted(order) == list(range(len(delta)))
 
 
 @st.composite

@@ -1,6 +1,10 @@
 """Tests for the command-line interface and its exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -225,6 +229,54 @@ def test_deeply_nested_document_is_validation_failure(shape, yaml_loader, tmp_pa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("validation error: not a valid problem document")
+
+
+# PyYAML's safe constructor raises a bare ValueError for these scalars.
+CONSTRUCTOR_VALUE_ERRORS = {
+    "timestamp_not_a_date": ("name: system-analyst", "name: 2001-02-30"),
+    "integer_too_long": ("  r: 1.0", "  r: 1" + "0" * 5000),
+}
+
+
+@pytest.mark.parametrize("name", list(CONSTRUCTOR_VALUE_ERRORS))
+def test_scalar_the_constructor_refuses_is_validation_failure(name, yaml_loader, tmp_path, capsys):
+    path = tmp_path / "bad.problem"
+    path.write_text(_edited(*CONSTRUCTOR_VALUE_ERRORS[name]))
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("validation error: not a valid problem document:")
+
+
+def test_validation_error_raised_while_computing_exits_two(tmp_path, capsys):
+    # a1 exceeds a2 by 9e-10, inside the tolerance of the parser but not
+    # once normalization divides the column by its 2e-9 range.
+    path = tmp_path / "order.problem"
+    path.write_text(
+        "alternatives: [A1, A2]\n"
+        "criteria: [C1]\n"
+        "experts: [E1]\n"
+        "weights: {E1: [VH]}\n"
+        "ratings:\n"
+        "  E1:\n"
+        "    - [[[9e-10, 0, 1e-9, 2e-9, 1], [9e-10, 0, 1e-9, 2e-9, 0.9]]]\n"
+        "    - [[[0, 0, 1e-9, 2e-9, 1], [0, 0, 1e-9, 2e-9, 0.9]]]\n"
+    )
+    assert main(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "computation error: step 3 (normalization): a1=0.44999999999999996 exceeds a2=0.0; "
+    )
+
+
+def test_cli_import_leaves_numpy_and_hypothesis_unloaded():
+    src = str(Path(it2mabac.problem.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, it2mabac.cli; print(sorted({'numpy', 'hypothesis'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
 
 
 EXAMPLE_BYTES = example_problem_text().encode()

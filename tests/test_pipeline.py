@@ -10,7 +10,6 @@ from it2mabac import (
     LAA,
     UAA,
     CriterionSpec,
-    CrispMatrices,
     PipelineParams,
     baa,
     classify_and_score,
@@ -152,54 +151,48 @@ class TestBaa:
 class TestCrispMatrices:
     def test_entry_equal_to_baa_gives_zero_delta(self):
         cell = make((1, 2, 2, 3, 1.0), (1.5, 2, 2, 2.5, 0.9))
-        cm = crisp_matrices([[cell], [cell]], [cell])
-        assert cm.delta[0][0] == 0.0
-        assert cm.delta[1][0] == 0.0
+        _, _, delta = crisp_matrices([[cell], [cell]], [cell])
+        assert delta[0][0] == 0.0
+        assert delta[1][0] == 0.0
 
     def test_crisp_one_entry_gives_zero_q(self):
         from it2mabac import CRISP_ONE
 
-        cm = crisp_matrices([[CRISP_ONE], [crisp(2.0)]], [crisp(1.5)])
-        assert cm.q[0][0] == 0.0
+        q, _, _ = crisp_matrices([[CRISP_ONE], [crisp(2.0)]], [crisp(1.5)])
+        assert q[0][0] == 0.0
 
     def test_rank_params_propagate(self):
         cell = make((0.5, 1, 1, 1.5, 1.0), (0.75, 1, 1, 1.25, 0.9))
-        low = crisp_matrices([[cell], [cell]], [cell], lam=0.0)
-        high = crisp_matrices([[cell], [cell]], [cell], lam=1.0)
-        assert low.q != high.q
+        low_q, _, _ = crisp_matrices([[cell], [cell]], [cell], lam=0.0)
+        high_q, _, _ = crisp_matrices([[cell], [cell]], [cell], lam=1.0)
+        assert low_q != high_q
 
 
 class TestClassifyAndScore:
     def test_published_row_sums_to_its_parts(self):
-        cm = CrispMatrices(q=[list(TABLE11_A2_DELTAS)], g=[0.0] * 5,
-                           delta=[list(TABLE11_A2_DELTAS)])
-        result = classify_and_score(cm)
-        assert result.scores[0] == pytest.approx(1.38, abs=1e-12)
+        _, scores, _ = classify_and_score([list(TABLE11_A2_DELTAS)])
+        assert scores[0] == pytest.approx(1.38, abs=1e-12)
 
     def test_all_zero_delta_is_border_everywhere(self):
-        cm = CrispMatrices(q=[[1.0, 1.0]] * 3, g=[1.0, 1.0],
-                           delta=[[0.0, 0.0]] * 3)
-        result = classify_and_score(cm)
-        assert result.classification == [[BAA, BAA]] * 3
-        assert result.scores == [0.0, 0.0, 0.0]
-        assert result.order == [0, 1, 2]
+        classification, scores, order = classify_and_score([[0.0, 0.0]] * 3)
+        assert classification == [[BAA, BAA]] * 3
+        assert scores == [0.0, 0.0, 0.0]
+        assert order == [0, 1, 2]
 
     def test_sign_classification(self):
-        cm = CrispMatrices(q=[[0.0]], g=[0.0], delta=[[0.2, -0.2, 0.0]])
-        result = classify_and_score(cm)
-        assert result.classification == [[UAA, LAA, BAA]]
+        classification, _, _ = classify_and_score([[0.2, -0.2, 0.0]])
+        assert classification == [[UAA, LAA, BAA]]
 
     def test_stable_tie_break(self):
-        cm = CrispMatrices(q=[], g=[], delta=[[0.5], [0.7], [0.5]])
-        result = classify_and_score(cm)
-        assert result.order == [1, 0, 2]
+        _, _, order = classify_and_score([[0.5], [0.7], [0.5]])
+        assert order == [1, 0, 2]
 
     def test_non_finite_score_names_the_alternative(self):
-        cm = CrispMatrices(q=[], g=[], delta=[[0.5], [float("inf")]])
+        delta = [[0.5], [float("inf")]]
         with pytest.raises(ComputationError, match="alternative A2"):
-            classify_and_score(cm, ["A1", "A2"])
+            classify_and_score(delta, ["A1", "A2"])
         with pytest.raises(ComputationError, match="row 1"):
-            classify_and_score(cm)
+            classify_and_score(delta)
 
 
 def _sign(x, tol=1e-9):
@@ -296,8 +289,7 @@ def delta_matrices(draw, max_rows=6, max_cols=4):
 
 @given(delta=delta_matrices())
 def test_ranking_is_permutation_with_descending_scores(delta):
-    cm = CrispMatrices(q=delta, g=[0.0] * len(delta[0]), delta=delta)
-    result = classify_and_score(cm)
-    assert sorted(result.order) == list(range(len(delta)))
-    ordered = [result.scores[i] for i in result.order]
+    _, scores, order = classify_and_score(delta)
+    assert sorted(order) == list(range(len(delta)))
+    ordered = [scores[i] for i in order]
     assert all(a >= b for a, b in zip(ordered, ordered[1:]))

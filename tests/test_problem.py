@@ -113,14 +113,15 @@ class TestParse:
              "'alternatives' entries must be unique, got ['A1', 'A1', 'A3']"),
             ("experts", ("DM1", "DM2", "DM1"),
              "'experts' entries must be unique, got ['DM1', 'DM2', 'DM1']"),
-            ("criteria", ["C1", "C2", "C3", "C2", "C5"],
+            ("criteria", [CriterionSpec(name) for name in ["C1", "C2", "C3", "C2", "C5"]],
              "'criteria' entries must be unique, got ['C1', 'C2', 'C3', 'C2', 'C5']"),
+            ("criteria", ["C1", "C2", "C3", "C4", "C5"],
+             "'criteria' entries must be CriterionSpec values, got 'C1'"),
         ],
-        ids=["int-alternatives", "duplicate-alternatives", "duplicate-experts", "duplicate-criteria"],
+        ids=["int-alternatives", "duplicate-alternatives", "duplicate-experts", "duplicate-criteria",
+             "str-criteria"],
     )
     def test_directly_built_problem_checks_names(self, example_problem, field, names, message):
-        if field == "criteria":
-            names = [CriterionSpec(name) for name in names]
         with pytest.raises(ProblemSyntaxError) as info:
             dataclasses.replace(example_problem, **{field: names})
         assert str(info.value) == message

@@ -106,6 +106,18 @@ def test_trace_from_json_rejects_an_integer_beyond_float_range(example_trace):
         trace_from_json(json.dumps(doc))
 
 
+def test_trace_from_json_rejects_an_integer_too_long_to_convert(example_trace):
+    text = render_machine(example_trace).replace('"scores": [', '"scores": [' + "1" * 5000 + ", ", 1)
+    with pytest.raises(ProblemSyntaxError, match="^not a valid machine trace: Exceeds the limit"):
+        trace_from_json(text)
+
+
+def test_trace_from_json_rejects_deep_nesting():
+    with pytest.raises(ProblemSyntaxError) as info:
+        trace_from_json("[" * 100_000)
+    assert str(info.value) == "not a valid machine trace: nested too deeply"
+
+
 def test_trace_from_json_rejects_wrong_shapes(example_trace):
     doc = json.loads(render_machine(example_trace))
     doc["normalized"][0] = 5
