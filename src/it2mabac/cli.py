@@ -1,7 +1,7 @@
 """Command-line interface: solve, trace, validate, example.
 
-Exit codes: 0 on success, 1 when the problem document fails validation,
-2 when the pipeline cannot compute on an accepted document.
+Exit codes: 0 on success, 1 when the command line or the problem document
+fails validation, 2 when the pipeline cannot compute on an accepted document.
 """
 
 from __future__ import annotations
@@ -23,6 +23,14 @@ from .problem import (
 from .render import FORMATS, TABLES, render, render_section, render_section_machine
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, as invalid input; argparse exits 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("problem", help="path to a problem document")
     parser.add_argument("--lambda", dest="lam", type=float, default=None,
@@ -34,7 +42,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="it2mabac",
         description="Group decision making with MABAC over interval type-2 "
                     "trapezoidal fuzzy numbers.",

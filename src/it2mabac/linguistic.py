@@ -8,7 +8,9 @@ pipeline derives its reference points from the data itself.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import UnknownTerm
 from .fuzzy import IT2TrFN, make
@@ -16,10 +18,13 @@ from .fuzzy import IT2TrFN, make
 
 @dataclass(frozen=True)
 class LinguisticScale:
-    """An ordered term -> IT2TrFN mapping. Insertion order is the scale order."""
+    """An ordered, read-only term -> IT2TrFN mapping. Insertion order is the scale order."""
 
     name: str
-    entries: dict[str, IT2TrFN] = field(default_factory=dict)
+    entries: Mapping[str, IT2TrFN] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
 
     def terms(self) -> list[str]:
         return list(self.entries)

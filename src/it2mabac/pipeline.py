@@ -94,12 +94,12 @@ def normalize(matrix: Matrix, specs: list[CriterionSpec]) -> Matrix:
 def weight(normalized: Matrix, weights: list[IT2TrFN]) -> Matrix:
     """Weighted matrix: v_ij = w_j * (n_ij + 1)."""
     _check_widths(normalized, len(weights), "weights")
+    for w in weights:  # both factors of w * (n + 1) must lie on the non-negative cone
+        _require_nonnegative(w, "multiplication")
     return [[_weighted(w, entry) for w, entry in zip(weights, row)] for row in normalized]
 
 
 def _weighted(w: IT2TrFN, n: IT2TrFN) -> IT2TrFN:
-    # Both factors of w * (n + 1) must lie on the non-negative cone.
-    _require_nonnegative(w, "multiplication")
     _require_nonnegative(n, "multiplication", shift=1.0)
     return endpointwise(lambda we, ne: we * (ne + 1.0), w, n)
 

@@ -64,6 +64,9 @@ class PipelineParams:
     baa_operator: str = "bonferroni"
 
     def __post_init__(self) -> None:
+        for key, name in PARAM_KEYS.items():
+            if name != "baa_operator":  # lam, r and s are stored as the floats they read as
+                object.__setattr__(self, name, _param_number(key, getattr(self, name)))
         if not 0.0 <= self.lam <= 1.0:
             raise InvalidParams(f"lambda must lie in [0, 1], got {self.lam!r}")
         if not (math.isfinite(self.r) and math.isfinite(self.s)):
@@ -258,17 +261,8 @@ def run(problem: DecisionProblem, params: PipelineParams | None = None) -> Pipel
 # --------------------------------------------------------------------------
 # parsing
 
-_TOP_LEVEL_KEYS = {
-    "name",
-    "alternatives",
-    "criteria",
-    "experts",
-    "weight_scale",
-    "rating_scale",
-    "weights",
-    "ratings",
-    "params",
-}
+_REQUIRED_KEYS = {"alternatives", "criteria", "experts", "weights", "ratings"}
+_TOP_LEVEL_KEYS = _REQUIRED_KEYS | {"name", "weight_scale", "rating_scale", "params"}
 
 if yaml.__with_libyaml__:
     from yaml.composer import Composer
@@ -422,7 +416,7 @@ def parse_problem(text: str, base_dir: str | Path | None = None) -> DecisionProb
             f"unknown top-level keys {sorted(unknown, key=str)}; "
             f"expected a subset of {sorted(_TOP_LEVEL_KEYS)}"
         )
-    missing = {"alternatives", "criteria", "experts", "weights", "ratings"} - set(doc)
+    missing = _REQUIRED_KEYS - set(doc)
     if missing:
         raise ProblemSyntaxError(f"missing required keys: {sorted(missing)}")
 
@@ -461,18 +455,18 @@ def _parse_params(node) -> PipelineParams:
             f"unknown params {sorted(unknown, key=str)}; expected a subset of {sorted(PARAM_KEYS)}"
         )
     return PipelineParams(**{
-        name: str(node[key]) if name == "baa_operator" else _param_number(key, node[key])
+        name: str(node[key]) if name == "baa_operator" else node[key]
         for key, name in PARAM_KEYS.items() if key in node
     })
 
 
 def _param_number(key: str, value) -> float:
-    """A param's ``value`` as a float: a YAML number, or a string such as ``1e3``.
+    """A param's ``value`` as a float: a number, or a string such as ``1e3``.
 
     YAML 1.1 resolves ``1e3`` and ``1.0e0`` to strings, while ``--r 1e3`` and
     inline endpoints read them with ``float()``; a string is accepted when
-    ``float()`` reads it as a finite number. Non-finite YAML numbers are left
-    to ``PipelineParams``.
+    ``float()`` reads it as a finite number. A non-finite number is left to
+    the range checks of ``PipelineParams``, its only caller.
     """
     try:
         if isinstance(value, str) and math.isfinite(float(value)):

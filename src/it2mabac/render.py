@@ -149,11 +149,13 @@ _TRACE_FIELDS = [
 ]
 
 
-def _machine_doc(trace: PipelineTrace) -> dict:
-    """Every trace field in declaration order, then the ranking."""
-    doc = {name: to_json(getattr(trace, name)) for name, to_json, _ in _TRACE_FIELDS}
-    doc["ranking"] = trace.ranking()
-    return doc
+_TO_JSON = {name: to_json for name, to_json, _ in _TRACE_FIELDS}
+
+
+def _machine_doc(trace: PipelineTrace, keys=(*_TO_JSON, "ranking")) -> dict:
+    """The values of ``keys``; by default every trace field in order, then the ranking."""
+    return {key: trace.ranking() if key == "ranking" else _TO_JSON[key](getattr(trace, key))
+            for key in keys}
 
 
 def _dumps(doc: dict) -> str:
@@ -175,8 +177,7 @@ def render(trace: PipelineTrace, fmt: str = "text") -> str:
 
 def render_section_machine(trace: PipelineTrace, table: str) -> str:
     """JSON for a single table of the trace: its machine keys and their values."""
-    doc = _machine_doc(trace)
-    return _dumps({key: doc[key] for key in _TABLES[table][1]})
+    return _dumps(_machine_doc(trace, _TABLES[table][1]))
 
 
 def trace_from_json(text: str) -> PipelineTrace:

@@ -15,6 +15,7 @@ import it2mabac.problem
 from it2mabac import builtin_weight_scale, example_problem_text, parse_problem
 from it2mabac.cli import main
 from it2mabac.errors import MabacError
+from it2mabac.problem import PARAM_KEYS
 
 
 @pytest.fixture()
@@ -70,6 +71,28 @@ def test_flag_overrides_change_the_result(problem_file, capsys):
     lam0 = json.loads(capsys.readouterr().out)
     assert lam0["params"]["lambda"] == 0.0
     assert lam0["q"] != base["q"]
+
+
+def test_flags_set_the_params_they_name(problem_file, capsys):
+    argv = ["--lambda", "0.3", "--r", "2", "--s", "0.5", "--baa", "geomean", "--format", "machine"]
+    assert main(["solve", problem_file, *argv]) == 0
+    params = json.loads(capsys.readouterr().out)["params"]
+    assert params == {"lambda": 0.3, "r": 2.0, "s": 0.5, "baa": "geomean"}
+    assert list(params) == list(PARAM_KEYS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "PATH", "--r", "abc"], ["solve", "PATH", "--baa", "foo"], ["solve"],
+     ["trace", "PATH", "nope"], []],
+    ids=["word-flag", "unknown-operator", "no-path", "unknown-table", "no-command"],
+)
+def test_usage_error_is_validation_failure(argv, problem_file, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([problem_file if arg == "PATH" else arg for arg in argv])
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: it2mabac") and "error: " in err
 
 
 def test_missing_file_is_validation_failure(capsys):

@@ -35,6 +35,14 @@ RATING_SCALE_VALUES = {
 }
 
 
+def test_scale_holds_a_copy_of_its_entries():
+    entries = {"LO": make((0, 1, 1, 2, 1.0), (0.5, 1, 1, 1.5, 0.9))}
+    scale = LinguisticScale("copied", entries)
+    entries["HI"] = make((8, 9, 9, 10, 1.0), (8.5, 9, 9, 9.5, 0.9))
+    assert scale.terms() == ["LO"]
+    assert scale == LinguisticScale("copied", {"LO": entries["LO"]})
+
+
 @pytest.mark.parametrize("term,expected", WEIGHT_SCALE_VALUES.items())
 def test_weight_scale_entries(term, expected):
     value = resolve(builtin_weight_scale(), term)

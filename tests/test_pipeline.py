@@ -26,6 +26,7 @@ from it2mabac.errors import (
     DegenerateRange,
     DimensionMismatch,
     InvalidParams,
+    NegativeOperand,
     TooFewValues,
 )
 from it2mabac.pipeline import column_range
@@ -106,6 +107,13 @@ class TestWeight:
     def test_dimension_mismatch(self, aggregated):
         with pytest.raises(DimensionMismatch):
             weight(aggregated, [crisp(1.0)] * 4)
+
+    def test_weights_are_checked_before_any_cell(self):
+        # Cell (0, 0) plus one reaches down to -2; the weight of column 1 to -0.5.
+        below = make((-3, 0, 0, 1, 1.0), (-2.5, 0, 0, 0.5, 0.9))
+        negative = make((-0.5, 0.5, 0.5, 0.7, 1.0), (0.4, 0.5, 0.5, 0.6, 0.9))
+        with pytest.raises(NegativeOperand, match="got endpoints down to -0.5$"):
+            weight([[below, crisp(0.0)]], [crisp(1.0), negative])
 
 
 @pytest.mark.parametrize(

@@ -99,6 +99,26 @@ class TestParse:
         with pytest.raises(InvalidParams, match=message):
             parse_problem(text)
 
+    def test_params_built_directly_read_numbers_as_documents_do(self):
+        assert PipelineParams(lam="0.5").lam == 0.5
+        assert PipelineParams(s="1e-1").s == 0.1
+        r = PipelineParams(r=2).r
+        assert r == 2.0 and type(r) is float
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("r", True, "param 'r' must be a number, got True"),
+            ("lam", None, "param 'lambda' must be a number, got None"),
+            ("r", 10**400, "param 'r' must be a number, got 1000"),
+            ("s", "abc", "param 's' must be a number, got 'abc'"),
+        ],
+        ids=["bool", "none", "int-beyond-float", "word"],
+    )
+    def test_params_built_directly_reject_what_is_not_a_number(self, field, value, message):
+        with pytest.raises(InvalidParams, match=message):
+            PipelineParams(**{field: value})
+
     def test_directly_built_problem_is_checked(self, example_problem):
         ratings = dict(example_problem.expert_ratings)
         del ratings["DM3"]
@@ -454,6 +474,13 @@ class TestFrozenProblem:
             problem.name = "other"
         with pytest.raises(dataclasses.FrozenInstanceError):
             problem.alternatives = ["A1"]
+
+    def test_scale_entries_are_read_only(self):
+        problem = load_example_problem()
+        with pytest.raises(TypeError):
+            problem.rating_scale.entries["G"] = None
+        with pytest.raises(TypeError):
+            del problem.weight_scale.entries["VH"]
 
     def test_expert_entries_are_read_only(self):
         problem = load_example_problem()

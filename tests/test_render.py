@@ -16,7 +16,7 @@ from it2mabac import (
     run,
     trace_from_json,
 )
-from it2mabac.errors import ProblemSyntaxError
+from it2mabac.errors import InvalidParams, ProblemSyntaxError
 from it2mabac.render import TABLES, render_section_machine
 from test_problem import _generated_document
 
@@ -85,6 +85,24 @@ def test_section_machine_selects_single_table(example_trace):
     assert set(doc) == {"q"}
     scores = json.loads(render_section_machine(example_trace, "scores"))
     assert set(scores) == {"scores", "order", "ranking"}
+
+
+def test_section_machine_is_its_keys_of_the_whole_document():
+    problem = parse_problem(_generated_document(3))
+    assert any(c.sense == "cost" for c in problem.criteria)
+    trace = run(problem)
+    whole = json.loads(render_machine(trace))
+    for table in TABLES:
+        section = render_section_machine(trace, table)
+        keys = list(json.loads(section))
+        assert keys and section == json.dumps({k: whole[k] for k in keys}, indent=2) + "\n", table
+
+
+def test_trace_from_json_checks_params_as_documents_do(example_trace):
+    doc = json.loads(render_machine(example_trace))
+    doc["params"]["r"] = True
+    with pytest.raises(InvalidParams, match="param 'r' must be a number, got True"):
+        trace_from_json(json.dumps(doc))
 
 
 def test_unknown_format_rejected(example_trace):
