@@ -39,6 +39,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--s", type=float, default=None, help="Bonferroni exponent s")
     parser.add_argument("--baa", dest="baa_operator", choices=BAA_OPERATORS,
                         default=None, help="border approximation area operator")
+    parser.add_argument("--format", choices=list(FORMATS), default="text")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,12 +52,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="run the full pipeline and print a report")
     _add_common_flags(solve)
-    solve.add_argument("--format", choices=list(FORMATS), default="text")
 
     trace = sub.add_parser("trace", help="print one named intermediate table")
     _add_common_flags(trace)
     trace.add_argument("table", choices=list(TABLES))
-    trace.add_argument("--format", choices=list(FORMATS), default="text")
 
     validate = sub.add_parser("validate", help="parse and validate a problem document")
     validate.add_argument("problem", help="path to a problem document")

@@ -83,12 +83,7 @@ class IT2TrFN:
             )
 
 
-TrapezoidLike = GeneralizedTrapezoid | Sequence[float]
-
-
-def _as_trapezoid(value: TrapezoidLike, which: str) -> GeneralizedTrapezoid:
-    if isinstance(value, GeneralizedTrapezoid):
-        return value
+def _as_trapezoid(value: Sequence[float], which: str) -> GeneralizedTrapezoid:
     items = list(value)
     if len(items) != 5:
         raise EndpointOrderViolation(
@@ -111,8 +106,8 @@ def _finite(x, which: str) -> float:
     return number
 
 
-def make(upper: TrapezoidLike, lower: TrapezoidLike) -> IT2TrFN:
-    """Build a validated IT2TrFN from two trapezoids or two 5-sequences.
+def make(upper: Sequence[float], lower: Sequence[float]) -> IT2TrFN:
+    """Build a validated IT2TrFN from two 5-sequences (a1, a2, a3, a4, h).
 
     Footprint-of-uncertainty containment (lower membership never above the
     upper one) is not enforced; it is available as a lint, see

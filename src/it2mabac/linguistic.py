@@ -9,7 +9,7 @@ pipeline derives its reference points from the data itself.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import UnknownTerm
@@ -21,7 +21,7 @@ class LinguisticScale:
     """An ordered, read-only term -> IT2TrFN mapping. Insertion order is the scale order."""
 
     name: str
-    entries: Mapping[str, IT2TrFN] = field(default_factory=dict)
+    entries: Mapping[str, IT2TrFN]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))

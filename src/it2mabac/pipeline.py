@@ -25,7 +25,9 @@ LAA = "LAA"
 #: |q_ij - g_j| below this counts as sitting on the border area itself.
 CLASSIFICATION_TOLERANCE = 1e-9
 
-BAA_OPERATORS = ("bonferroni", "geomean")
+#: Each BAA operator as a function of (column, r, s); geomean ignores r and s.
+_BAA_AGGREGATES = {"bonferroni": tit2fgbm, "geomean": lambda col, r, s: geometric_mean(col)}
+BAA_OPERATORS = tuple(_BAA_AGGREGATES)
 
 Matrix = list[list[IT2TrFN]]
 
@@ -53,14 +55,13 @@ def _check_widths(matrix: Matrix, width: int, what: str) -> None:
         raise DimensionMismatch(f"matrix rows have widths {widths}, expected {width} {what}")
 
 
-def column_range(matrix: Matrix, j: int, name: str | None = None) -> tuple[float, float]:
-    """Reference endpoints of column ``j``: (min upper a1, max upper a4)."""
+def column_range(matrix: Matrix, j: int, name: str) -> tuple[float, float]:
+    """Reference endpoints of column ``j``, criterion ``name``: (min upper a1, max upper a4)."""
     a_minus = min(row[j].upper.a1 for row in matrix)
     a_plus = max(row[j].upper.a4 for row in matrix)
     if a_plus - a_minus <= EPS:
-        label = name if name is not None else f"column {j}"
         raise DegenerateRange(
-            f"criterion {label}: all upper endpoints coincide at {a_plus:g}, "
+            f"criterion {name}: all upper endpoints coincide at {a_plus:g}, "
             "nothing to scale against"
         )
     return a_minus, a_plus
@@ -111,14 +112,15 @@ def baa(
 
     ``operator`` is one of BAA_OPERATORS; any other name is a KeyError.
     """
-    aggregate = {"bonferroni": lambda col: tit2fgbm(col, r, s), "geomean": geometric_mean}[operator]
+    aggregate = _BAA_AGGREGATES[operator]
     if len(weighted) < 2:
         raise TooFewValues(
             f"the border approximation area needs at least two alternatives, got {len(weighted)}"
         )
     q = len(weighted[0])
+    _check_widths(weighted, q, "criteria")
     columns = [[row[j] for row in weighted] for j in range(q)]
-    return [aggregate(col) for col in columns]
+    return [aggregate(col, r, s) for col in columns]
 
 
 def crisp_matrices(

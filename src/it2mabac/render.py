@@ -61,12 +61,9 @@ def _g_lines(trace, g):
 
 
 def _scores_lines(trace, scores):
-    # The ranking is by descending score, so the scores sorted best first line up with it.
-    ranking = trace.ranking()
-    best_first = sorted(scores, reverse=True)
-    lines = [f"  {rank}. {name}  S = {score:.2f}"
-             for rank, (name, score) in enumerate(zip(ranking, best_first), start=1)]
-    lines.append("  ranking: " + " > ".join(ranking))
+    lines = [f"  {rank}. {trace.alternatives[i]}  S = {scores[i]:.2f}"
+             for rank, i in enumerate(trace.order, start=1)]
+    lines.append("  ranking: " + " > ".join(trace.ranking()))
     return lines
 
 
@@ -189,8 +186,16 @@ def trace_from_json(text: str) -> PipelineTrace:
     except RecursionError as exc:
         raise ProblemSyntaxError("not a valid machine trace: nested too deeply") from exc
     try:
-        return PipelineTrace(**{name: from_json(doc[name]) for name, _, from_json in _TRACE_FIELDS})
+        trace = PipelineTrace(**{name: from_json(doc[name]) for name, _, from_json in _TRACE_FIELDS})
+        # type() and not isinstance(): a bool is not an index
+        is_ranking = (isinstance(trace.order, list) and all(type(i) is int for i in trace.order)
+                      and sorted(trace.order) == list(range(len(trace.alternatives))))
     except KeyError as exc:
         raise ProblemSyntaxError(f"machine trace is missing key {exc}") from exc
     except TypeError as exc:  # a list, number or null where a mapping or list belongs
         raise ProblemSyntaxError(f"machine trace has the wrong shape: {exc}") from exc
+    if not is_ranking:
+        raise ProblemSyntaxError(
+            f"machine trace: 'order' must list each alternative's index once, got {trace.order!r}"
+        )
+    return trace

@@ -42,14 +42,14 @@ def aggregated():
 
 class TestColumnRange:
     def test_c1_reference_points(self, aggregated):
-        assert column_range(aggregated, 0) == pytest.approx((5.67, 9.67), abs=0.01)
+        assert column_range(aggregated, 0, "C1") == pytest.approx((5.67, 9.67), abs=0.01)
 
     def test_c2_reference_points(self, aggregated):
-        assert column_range(aggregated, 1) == pytest.approx((5.00, 10.00))
+        assert column_range(aggregated, 1, "C2") == pytest.approx((5.00, 10.00))
 
     def test_single_row_column(self):
         matrix = [[make((3, 5, 5, 7, 1.0), (4, 5, 5, 6, 0.9))]]
-        assert column_range(matrix, 0) == (3.0, 7.0)
+        assert column_range(matrix, 0, "C1") == (3.0, 7.0)
 
     def test_degenerate_column_names_criterion(self):
         cell = crisp(2.0)
@@ -122,6 +122,7 @@ class TestWeight:
         ("normalize", "matrix rows have widths [4, 5], expected 5 criteria"),
         ("weight", "matrix rows have widths [4, 5], expected 5 weights"),
         ("crisp_matrices", "matrix rows have widths [4, 5], expected 5 BAA entries"),
+        ("baa", "matrix rows have widths [4, 5], expected 5 criteria"),
     ],
 )
 def test_row_width_messages(aggregated, stage, message):
@@ -130,6 +131,7 @@ def test_row_width_messages(aggregated, stage, message):
         "normalize": lambda: normalize(ragged, BENEFIT),
         "weight": lambda: weight(ragged, [crisp(1.0)] * 5),
         "crisp_matrices": lambda: crisp_matrices(ragged, [crisp(1.0)] * 5),
+        "baa": lambda: baa(ragged),
     }
     with pytest.raises(DimensionMismatch) as info:
         calls[stage]()
@@ -253,7 +255,7 @@ def test_cost_benefit_duality(rows):
     # normalizing as cost equals reflecting each value through the column's
     # reference points and normalizing as benefit
     matrix = [[row[0]] for row in rows] + [[make((0, 2, 5, 10, 1.0), (1, 2, 5, 9, 0.9))]]
-    a_minus, a_plus = column_range(matrix, 0)
+    a_minus, a_plus = column_range(matrix, 0, "c")
     as_cost = normalize(matrix, [CriterionSpec("c", "cost")])
 
     def reflect(t):

@@ -22,6 +22,8 @@ from it2mabac import (
 from it2mabac.errors import (
     DegenerateRange,
     DimensionMismatch,
+    EndpointOrderViolation,
+    HeightOutOfRange,
     InvalidParams,
     MabacError,
     ProblemSyntaxError,
@@ -124,6 +126,11 @@ class TestParse:
         del ratings["DM3"]
         with pytest.raises(DimensionMismatch, match="'ratings' is missing experts"):
             dataclasses.replace(example_problem, expert_ratings=ratings)
+
+    def test_directly_built_problem_needs_an_expert(self, example_problem):
+        with pytest.raises(DimensionMismatch) as info:
+            dataclasses.replace(example_problem, experts=())
+        assert str(info.value) == "a problem needs at least one alternative, criterion and expert"
 
     @pytest.mark.parametrize(
         "field, names, message",
@@ -314,6 +321,24 @@ BOUNDARY_FAULTS = {
     "ratings-row-not-a-list": (
         ["ratings", "DM2", 1], "G", ProblemSyntaxError,
         "ratings[DM2] row 1: expected a list, got a str",
+    ),
+    "ratings-too-few-rows": (
+        ["ratings", "DM2", 2], _DELETE, DimensionMismatch,
+        "ratings[DM2]: expected 3 rows (one per alternative), got 2",
+    ),
+    "inline-endpoint-order": (
+        ["weights", "DM1", 4], [[0.3, 0.7, 0.5, 0.9, 1.0], [0.4, 0.5, 0.5, 0.6, 0.9]],
+        EndpointOrderViolation,
+        "weights[DM1][4]: upper trapezoid: a2=0.7 exceeds a3=0.5; "
+        "endpoints must satisfy a1 <= a2 <= a3 <= a4",
+    ),
+    "inline-height": (
+        ["weights", "DM1", 4], [[0.3, 0.5, 0.5, 0.7, 1.5], [0.4, 0.5, 0.5, 0.6, 0.9]],
+        HeightOutOfRange, "weights[DM1][4]: upper trapezoid: height h=1.5 must lie in (0, 1]",
+    ),
+    "criterion-sense": (
+        ["criteria", 4], {"name": "C5", "sense": "maximize"}, InvalidParams,
+        "criterion 'C5': sense must be 'benefit' or 'cost', got 'maximize'",
     ),
 }
 

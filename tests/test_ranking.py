@@ -76,11 +76,11 @@ def test_rank_is_affine_in_each_endpoint(v, lam):
 
     def with_upper_a4(delta):
         u = v.upper
-        return make((u.a1, u.a2, u.a3, u.a4 + delta, u.h), v.lower)
+        return make((u.a1, u.a2, u.a3, u.a4 + delta, u.h), (*v.lower.endpoints, v.lower.h))
 
     def with_lower_a1(delta):
         lo = v.lower
-        return make(v.upper, (lo.a1 - delta, lo.a2, lo.a3, lo.a4, lo.h))
+        return make((*v.upper.endpoints, v.upper.h), (lo.a1 - delta, lo.a2, lo.a3, lo.a4, lo.h))
 
     for variant in (with_upper_a4, with_lower_a1):
         f0 = rank_to_one(variant(0.0), lam=lam)

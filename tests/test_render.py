@@ -136,6 +136,30 @@ def test_trace_from_json_rejects_deep_nesting():
     assert str(info.value) == "not a valid machine trace: nested too deeply"
 
 
+@pytest.mark.parametrize(
+    "order", [[7, 0, 1], [0, 0, 0], [1, 2], ["1", 0, 2], [1.0, 0, 2], [True, 0, 2]],
+    ids=["out-of-range", "repeated", "too-short", "string", "float", "bool"],
+)
+def test_trace_from_json_requires_order_to_rank_each_alternative_once(example_trace, order):
+    doc = json.loads(render_machine(example_trace))
+    doc["order"] = order
+    with pytest.raises(ProblemSyntaxError) as info:
+        trace_from_json(json.dumps(doc))
+    assert str(info.value) == (
+        f"machine trace: 'order' must list each alternative's index once, got {order!r}"
+    )
+
+
+def test_scores_table_prints_each_score_beside_its_alternative(example_trace):
+    reordered = dataclasses.replace(example_trace, order=[2, 0, 1])
+    assert render_section(reordered, "scores").splitlines()[1:] == [
+        f"  1. A3  S = {example_trace.scores[2]:.2f}",
+        f"  2. A1  S = {example_trace.scores[0]:.2f}",
+        f"  3. A2  S = {example_trace.scores[1]:.2f}",
+        "  ranking: A3 > A1 > A2",
+    ]
+
+
 def test_trace_from_json_rejects_wrong_shapes(example_trace):
     doc = json.loads(render_machine(example_trace))
     doc["normalized"][0] = 5
