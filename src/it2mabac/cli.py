@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -65,6 +66,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser ``main`` uses, built on its first call and reused: parsing leaves
+#: a parser as it was.
+_parser = functools.cache(build_parser)
+
+
 def _load(path: str) -> DecisionProblem:
     source = Path(path)
     text = source.read_text(encoding="utf-8")
@@ -78,7 +84,7 @@ def _merge_params(problem: DecisionProblem, args: argparse.Namespace) -> Pipelin
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
 
     if args.command == "example":
         sys.stdout.write(example_problem_text())

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cache
 from types import MappingProxyType
 
 from .errors import UnknownTerm
@@ -71,11 +72,14 @@ def _build(name: str, rows) -> LinguisticScale:
     return LinguisticScale(name, {term: make(up, lo) for term, up, lo in rows})
 
 
+# Built once and shared: a scale is read-only.
+@cache
 def builtin_weight_scale() -> LinguisticScale:
     """The bundled seven-term criterion-priority scale on [0, 1]."""
     return _build("weights", _WEIGHT_TERMS)
 
 
+@cache
 def builtin_rating_scale() -> LinguisticScale:
     """The bundled seven-term alternative-rating scale on [0, 10]."""
     return _build("ratings", _RATING_TERMS)

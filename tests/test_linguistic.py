@@ -1,5 +1,7 @@
 """Tests for the builtin linguistic scales and scale handling."""
 
+import dataclasses
+
 import pytest
 
 from it2mabac import (
@@ -41,6 +43,25 @@ def test_scale_holds_a_copy_of_its_entries():
     entries["HI"] = make((8, 9, 9, 10, 1.0), (8.5, 9, 9, 9.5, 0.9))
     assert scale.terms() == ["LO"]
     assert scale == LinguisticScale("copied", {"LO": entries["LO"]})
+
+
+@pytest.mark.parametrize("builtin", [builtin_weight_scale, builtin_rating_scale])
+def test_builtin_scale_is_one_read_only_instance(builtin):
+    scale = builtin()
+    assert builtin() is scale
+    term = scale.terms()[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scale.name = "changed"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scale.entries = {}
+    with pytest.raises(TypeError):
+        scale.entries[term] = scale.entries[scale.terms()[-1]]
+    with pytest.raises(TypeError):
+        del scale.entries[term]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scale.entries[term].upper.a1 = 5.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scale.entries[term].lower = scale.entries[term].upper
 
 
 @pytest.mark.parametrize("term,expected", WEIGHT_SCALE_VALUES.items())

@@ -2,11 +2,18 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import it2trfns
 from it2mabac import (
+    CriterionSpec,
     PipelineParams,
+    PipelineTrace,
+    crisp,
     example_problem_text,
     parse_problem,
     render,
@@ -169,8 +176,122 @@ def test_trace_from_json_rejects_wrong_shapes(example_trace):
 
 
 def test_machine_rendering_refuses_non_finite_numbers(example_trace):
-    broken = dataclasses.replace(example_trace, scores=[float("nan")] * 3)
-    with pytest.raises(ValueError):
-        render_machine(broken)
-    with pytest.raises(ValueError):
-        render_section_machine(broken, "scores")
+    for value in (math.nan, math.inf, -math.inf):
+        weighted = [list(row) for row in example_trace.weighted]
+        weighted[1][2] = crisp(value)
+        for field, table, broken in [
+            ("weighted", "weighted", weighted),
+            ("g", "g", [0.5, value, 0.25]),
+            ("scores", "scores", [0.1, 0.2, value]),
+        ]:
+            trace = dataclasses.replace(example_trace, **{field: broken})
+            with pytest.raises(ValueError):
+                render_machine(trace)
+            with pytest.raises(ValueError):
+                render_section_machine(trace, table)
+
+
+def _fuzzy_document(v):
+    return {"upper": [*v.upper.endpoints, v.upper.h], "lower": [*v.lower.endpoints, v.lower.h]}
+
+
+def _json_dumps_document(trace):
+    """The machine document as plain JSON values, for ``json.dumps`` to write."""
+    return {
+        "name": trace.name,
+        "alternatives": trace.alternatives,
+        "criteria": [{"name": c.name, "sense": c.sense} for c in trace.criteria],
+        "params": {"lambda": trace.params.lam, "r": trace.params.r, "s": trace.params.s,
+                   "baa": trace.params.baa_operator},
+        "aggregated_weights": [_fuzzy_document(v) for v in trace.aggregated_weights],
+        **{key: [[_fuzzy_document(v) for v in row] for row in getattr(trace, key)]
+           for key in ("aggregated_ratings", "normalized", "weighted")},
+        "baa": [_fuzzy_document(v) for v in trace.baa],
+        **{key: getattr(trace, key)
+           for key in ("q", "g", "delta", "classification", "scores", "order")},
+        "ranking": trace.ranking(),
+    }
+
+
+def _assert_written_as_json_dumps(trace):
+    doc = _json_dumps_document(trace)
+    assert render_machine(trace) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    for table in TABLES:
+        section = render_section_machine(trace, table)
+        keys = list(json.loads(section))
+        expected = json.dumps({k: doc[k] for k in keys}, indent=2, allow_nan=False) + "\n"
+        assert keys and section == expected, table
+
+
+def test_machine_json_is_what_json_dumps_writes(example_trace):
+    traces = [example_trace] + [
+        run(parse_problem(_generated_document(seed)), params)
+        for seed in (1, 2, 3, 4, 5) for params in ROUNDTRIP_PARAMS
+    ]
+    for trace in traces:
+        _assert_written_as_json_dumps(trace)
+
+
+def test_machine_json_writes_names_and_numbers_as_json_dumps_does(example_trace):
+    extremes = (-0.0, 5e-324, 1.7976931348623157e308)
+    upper = dataclasses.replace(example_trace.baa[0].upper, a1=-0.0, a4=extremes[2])
+    lower = dataclasses.replace(example_trace.baa[0].lower, a1=-0.0, a2=extremes[1], h=5e-324)
+    odd = dataclasses.replace(example_trace.baa[0], upper=upper, lower=lower)
+    int_params = PipelineParams(r=2)  # read as the float 2.0
+    object.__setattr__(int_params, "s", 3)  # an int, as json.dumps writes one
+    _assert_written_as_json_dumps(dataclasses.replace(
+        example_trace,
+        name='Crit\u00e8re "\u0394" \\ tab\t nul\x00 \ud83d\ude00 \u2028',
+        alternatives=["\u00c9cole", 'quo"te', "back\\slash"],
+        criteria=[dataclasses.replace(c, name=n)
+                  for c, n in zip(example_trace.criteria, ["\x1f", "\u4e2d", "\n", "'", "\x7f"])],
+        params=int_params,
+        baa=[odd, *example_trace.baa[1:]],
+        g=[*extremes, *example_trace.g[3:]],
+        scores=list(extremes),
+        q=[list(extremes) * 2, *example_trace.q[1:]],
+        # what a loaded machine trace may hold where labels belong
+        classification=[[True, False, None, 7, -0.0], *example_trace.classification[1:]],
+    ))
+    params = render_machine(dataclasses.replace(example_trace, params=int_params))
+    assert '"r": 2.0,\n    "s": 3,\n' in params
+
+
+_names = st.text(max_size=6)
+_numbers = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _traces(draw):
+    """Small traces of arbitrary names and finite numbers (not a pipeline's output)."""
+    p, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    fuzzy_rows = st.lists(st.lists(it2trfns(-1e6, 1e6), min_size=q, max_size=q),
+                          min_size=p, max_size=p)
+    crisp_rows = st.lists(st.lists(_numbers, min_size=q, max_size=q), min_size=p, max_size=p)
+    return PipelineTrace(
+        name=draw(_names),
+        alternatives=draw(st.lists(_names, min_size=p, max_size=p)),
+        criteria=[CriterionSpec(f"C{j}{name}", draw(st.sampled_from(["benefit", "cost"])))
+                  for j, name in enumerate(draw(st.lists(_names, min_size=q, max_size=q)))],
+        params=PipelineParams(lam=draw(st.floats(0, 1)), r=draw(st.floats(0.5, 1e9)),
+                              s=draw(st.integers(0, 10**6)),
+                              baa_operator=draw(st.sampled_from(["bonferroni", "geomean"]))),
+        aggregated_weights=draw(st.lists(it2trfns(), min_size=q, max_size=q)),
+        aggregated_ratings=draw(fuzzy_rows),
+        normalized=draw(fuzzy_rows),
+        weighted=draw(fuzzy_rows),
+        baa=draw(st.lists(it2trfns(), min_size=q, max_size=q)),
+        q=draw(crisp_rows),
+        g=draw(st.lists(_numbers, min_size=q, max_size=q)),
+        delta=draw(crisp_rows),
+        classification=draw(st.lists(st.lists(_names, min_size=q, max_size=q),
+                                     min_size=p, max_size=p)),
+        scores=draw(st.lists(_numbers, min_size=p, max_size=p)),
+        order=draw(st.permutations(range(p))),
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(trace=_traces())
+def test_machine_json_of_any_trace_is_what_json_dumps_writes(trace):
+    _assert_written_as_json_dumps(trace)
