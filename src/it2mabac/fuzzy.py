@@ -89,20 +89,21 @@ def _as_trapezoid(value: Sequence[float], which: str) -> GeneralizedTrapezoid:
         raise EndpointOrderViolation(
             f"{which} trapezoid needs exactly five numbers (a1, a2, a3, a4, h), got {len(items)}"
         )
+    message = f"{which} trapezoid: {{!r}} is not a finite number"
     try:
-        return GeneralizedTrapezoid(*(_finite(x, which) for x in items))
+        return GeneralizedTrapezoid(*(_finite(x, ProblemSyntaxError, message) for x in items))
     except (EndpointOrderViolation, HeightOutOfRange) as exc:
         raise type(exc)(f"{which} trapezoid: {exc}") from exc
 
 
-def _finite(x, which: str) -> float:
-    """``x`` as a float; booleans, non-numbers, NaN, infinities and huge ints are rejected."""
+def _finite(x, error: type[Exception], message: str) -> float:
+    """``x`` as a float; a boolean, non-number, NaN, infinity or huge int raises ``error``."""
     try:
         number = float(x)
     except (TypeError, ValueError, OverflowError):
         number = math.nan
     if isinstance(x, bool) or not math.isfinite(number):
-        raise ProblemSyntaxError(f"{which} trapezoid: {x!r} is not a finite number")
+        raise error(message.format(x))
     return number
 
 

@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .aggregation import geometric_mean, tit2fgbm
-from .errors import ComputationError, DegenerateRange, DimensionMismatch, InvalidParams, TooFewValues
+from .errors import (ComputationError, DegenerateRange, DimensionMismatch, InvalidParams,
+                     ProblemSyntaxError, TooFewValues)
 from .fuzzy import EPS, GeneralizedTrapezoid, IT2TrFN, _require_nonnegative, endpointwise
 from .ranking import rank_to_one
 
@@ -32,6 +33,17 @@ BAA_OPERATORS = tuple(_BAA_AGGREGATES)
 Matrix = list[list[IT2TrFN]]
 
 
+def _check_names(names, key: str) -> None:
+    """The one name rule: ``names`` is a list or tuple of non-empty, unique strings."""
+    if not isinstance(names, (list, tuple)):
+        raise ProblemSyntaxError(f"{key!r} must be a non-empty list of names")
+    for name in names:
+        if not isinstance(name, str) or not name:
+            raise ProblemSyntaxError(f"{key!r} entries must be non-empty strings, got {name!r}")
+    if len(set(names)) != len(names):
+        raise ProblemSyntaxError(f"{key!r} entries must be unique, got {list(names)}")
+
+
 @dataclass(frozen=True)
 class CriterionSpec:
     """A named criterion with its optimization sense."""
@@ -40,8 +52,7 @@ class CriterionSpec:
     sense: str = "benefit"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not self.name:
-            raise InvalidParams(f"'criteria' entries must be non-empty strings, got {self.name!r}")
+        _check_names([self.name], "criteria")
         if self.sense not in ("benefit", "cost"):
             raise InvalidParams(
                 f"criterion {self.name!r}: sense must be 'benefit' or 'cost', got {self.sense!r}"

@@ -14,7 +14,6 @@ trace holding every intermediate matrix. A problem is read-only, so steps
 from __future__ import annotations
 
 import importlib.resources
-import math
 from collections.abc import Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -31,7 +30,7 @@ from .errors import (
     MabacError,
     ProblemSyntaxError,
 )
-from .fuzzy import IT2TrFN, make
+from .fuzzy import IT2TrFN, _finite, make
 from .linguistic import (
     LinguisticScale,
     builtin_rating_scale,
@@ -42,6 +41,7 @@ from .pipeline import (
     BAA_OPERATORS,
     CriterionSpec,
     Matrix,
+    _check_names,
     baa,
     classify_and_score,
     crisp_matrices,
@@ -54,8 +54,8 @@ from .pipeline import (
 class PipelineParams:
     """Tuning knobs: rank attitude, Bonferroni exponents, BAA operator.
 
-    The only place these values are checked; the stage functions take them
-    as plain keyword arguments.
+    The only place these values are checked, ``lam``, ``r`` and ``s`` by the one
+    number rule of ``fuzzy._finite``; the stage functions take them as plain keywords.
     """
 
     lam: float = 0.5
@@ -66,11 +66,10 @@ class PipelineParams:
     def __post_init__(self) -> None:
         for key, name in PARAM_KEYS.items():
             if name != "baa_operator":  # lam, r and s are stored as the floats they read as
-                object.__setattr__(self, name, _param_number(key, getattr(self, name)))
+                message = f"param {key!r} must be a finite number, got {{!r}}"
+                object.__setattr__(self, name, _finite(getattr(self, name), InvalidParams, message))
         if not 0.0 <= self.lam <= 1.0:
             raise InvalidParams(f"lambda must lie in [0, 1], got {self.lam!r}")
-        if not (math.isfinite(self.r) and math.isfinite(self.s)):
-            raise InvalidParams(f"Bonferroni exponents must be finite, got r={self.r!r}, s={self.s!r}")
         if self.r < 0 or self.s < 0:
             raise InvalidParams(f"Bonferroni exponents must be non-negative, got r={self.r!r}, s={self.s!r}")
         if self.r + self.s <= 0:
@@ -84,18 +83,6 @@ class PipelineParams:
 #: The ``params`` keys of a problem document and of the machine trace, each
 #: with the ``PipelineParams`` field it sets.
 PARAM_KEYS = {"lambda": "lam", "r": "r", "s": "s", "baa": "baa_operator"}
-
-
-def _check_names(names: Sequence[str], key: str) -> None:
-    for name in names:
-        if not isinstance(name, str) or not name:
-            raise ProblemSyntaxError(f"{key!r} entries must be non-empty strings, got {name!r}")
-    _check_unique(names, key)
-
-
-def _check_unique(names: Sequence[str], key: str) -> None:
-    if len(set(names)) != len(names):
-        raise ProblemSyntaxError(f"{key!r} entries must be unique, got {list(names)}")
 
 
 def _check_expert_keys(node: Mapping, experts: Sequence[str], key: str) -> None:
@@ -132,10 +119,10 @@ class DecisionProblem:
 
     def __post_init__(self) -> None:
         _check_names(self.alternatives, "alternatives")
-        for c in self.criteria:  # a CriterionSpec has checked its own name
+        for c in self.criteria:
             if not isinstance(c, CriterionSpec):
                 raise ProblemSyntaxError(f"'criteria' entries must be CriterionSpec values, got {c!r}")
-        _check_unique([c.name for c in self.criteria], "criteria")
+        _check_names([c.name for c in self.criteria], "criteria")
         _check_names(self.experts, "experts")
         p, q = len(self.alternatives), len(self.criteria)
         if not (p and q and self.experts):
@@ -454,28 +441,7 @@ def _parse_params(node) -> PipelineParams:
         raise ProblemSyntaxError(
             f"unknown params {sorted(unknown, key=str)}; expected a subset of {sorted(PARAM_KEYS)}"
         )
-    return PipelineParams(**{
-        name: str(node[key]) if name == "baa_operator" else node[key]
-        for key, name in PARAM_KEYS.items() if key in node
-    })
-
-
-def _param_number(key: str, value) -> float:
-    """A param's ``value`` as a float: a number, or a string such as ``1e3``.
-
-    YAML 1.1 resolves ``1e3`` and ``1.0e0`` to strings, while ``--r 1e3`` and
-    inline endpoints read them with ``float()``; a string is accepted when
-    ``float()`` reads it as a finite number. A non-finite number is left to
-    the range checks of ``PipelineParams``, its only caller.
-    """
-    try:
-        if isinstance(value, str) and math.isfinite(float(value)):
-            return float(value)
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
-    except (ValueError, OverflowError):
-        pass
-    raise InvalidParams(f"param {key!r} must be a number, got {value!r}")
+    return PipelineParams(**{name: node[key] for key, name in PARAM_KEYS.items() if key in node})
 
 
 def _as_list(node, where: str) -> list:

@@ -23,9 +23,9 @@ import json
 import typing
 from json.encoder import encode_basestring_ascii
 
-from .errors import ProblemSyntaxError
+from .errors import DimensionMismatch, ProblemSyntaxError
 from .fuzzy import IT2TrFN, make
-from .pipeline import CriterionSpec, Matrix
+from .pipeline import CriterionSpec, Matrix, _check_names, classify_and_score, crisp_matrices
 from .problem import PARAM_KEYS, PipelineParams, PipelineTrace
 
 FORMATS = ("text", "machine")
@@ -40,7 +40,7 @@ def _fuzzy_text(v: IT2TrFN) -> str:
 
 
 def _fuzzy_lines(names, values, indent="  "):
-    width = max(len(n) for n in names)
+    width = max(map(len, names), default=0)
     return [f"{indent}{n:<{width}}  {_fuzzy_text(v)}" for n, v in zip(names, values)]
 
 
@@ -58,7 +58,7 @@ def _fuzzy_matrix_lines(trace, matrix):
 
 
 def _crisp_matrix_lines(trace, matrix, fmt="{:8.2f}"):
-    width = max(len(n) for n in trace.alternatives)
+    width = max(map(len, trace.alternatives), default=0)
     header = " " * (width + 2) + "".join(f"{s.name:>8}" for s in trace.criteria)
     lines = [header]
     for name, row in zip(trace.alternatives, matrix):
@@ -187,10 +187,13 @@ def _fuzzy_from_lists(node) -> IT2TrFN:
     return make(node["upper"], node["lower"])
 
 
+_AS_IS = (lambda value, indent: [_json(value, indent)], lambda node: node)
+
 #: (to JSON, from JSON) for each trace field type that JSON does not carry
 #: as it is. The to-JSON side gives the pieces of the value's text when it
 #: starts at a given indent.
 _CONVERSIONS = {
+    str: (_AS_IS[0], str),  # the trace's name, read as a problem document's is
     list[IT2TrFN]: (
         lambda vector, indent: [_fuzzy_json(vector, indent)],
         lambda node: [_fuzzy_from_lists(v) for v in node],
@@ -210,7 +213,6 @@ _CONVERSIONS = {
         lambda node: PipelineParams(**{name: node[key] for key, name in PARAM_KEYS.items()}),
     ),
 }
-_AS_IS = (lambda value, indent: [_json(value, indent)], lambda node: node)
 
 _TRACE_TYPES = typing.get_type_hints(PipelineTrace)
 
@@ -222,6 +224,9 @@ _TRACE_FIELDS = [
 
 
 _TO_JSON = {name: to_json for name, to_json, _ in _TRACE_FIELDS}
+
+#: The trace fields that steps 6-7 compute from ``weighted``, ``baa`` and ``lambda``.
+_DERIVED = ("q", "g", "delta", "classification", "scores", "order")
 
 
 def _machine_json(trace: PipelineTrace, keys=(*_TO_JSON, "ranking")) -> str:
@@ -254,7 +259,12 @@ def render_section_machine(trace: PipelineTrace, table: str) -> str:
 
 
 def trace_from_json(text: str) -> PipelineTrace:
-    """Rebuild a trace from ``render_machine`` output (bit-exact floats)."""
+    """Rebuild a trace from ``render_machine`` output (bit-exact floats).
+
+    Reads the fields steps 6-7 cannot derive, checks that the fuzzy ones are
+    p x q or q long, runs steps 6-7 again and refuses a document whose own
+    ``_DERIVED`` fields differ from theirs.
+    """
     try:
         doc = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
@@ -262,16 +272,25 @@ def trace_from_json(text: str) -> PipelineTrace:
     except RecursionError as exc:
         raise ProblemSyntaxError("not a valid machine trace: nested too deeply") from exc
     try:
-        trace = PipelineTrace(**{name: from_json(doc[name]) for name, _, from_json in _TRACE_FIELDS})
-        # type() and not isinstance(): a bool is not an index
-        is_ranking = (isinstance(trace.order, list) and all(type(i) is int for i in trace.order)
-                      and sorted(trace.order) == list(range(len(trace.alternatives))))
+        fields = {name: from_json(doc[name]) for name, _, from_json in _TRACE_FIELDS
+                  if name not in _DERIVED}
     except KeyError as exc:
         raise ProblemSyntaxError(f"machine trace is missing key {exc}") from exc
     except TypeError as exc:  # a list, number or null where a mapping or list belongs
         raise ProblemSyntaxError(f"machine trace has the wrong shape: {exc}") from exc
-    if not is_ranking:
-        raise ProblemSyntaxError(
-            f"machine trace: 'order' must list each alternative's index once, got {trace.order!r}"
-        )
-    return trace
+    _check_names(fields["alternatives"], "alternatives")
+    p, q = len(fields["alternatives"]), len(fields["criteria"])
+    for name, kind in _TRACE_TYPES.items():
+        if kind == list[IT2TrFN] and len(fields[name]) != q:
+            raise DimensionMismatch(f"machine trace: {name!r} must have {q} entries (criteria)")
+        if kind == Matrix and [len(row) for row in fields[name]] != [q] * p:
+            raise DimensionMismatch(
+                f"machine trace: {name!r} must be {p} x {q} (alternatives x criteria)"
+            )
+    q_matrix, g, delta = crisp_matrices(fields["weighted"], fields["baa"], fields["params"].lam)
+    derived = (q_matrix, g, delta, *classify_and_score(delta, fields["alternatives"]))
+    for name, recomputed in zip(_DERIVED, derived):
+        if repr(doc.get(name)) != repr(recomputed):  # repr, not ==: True is not the index 1
+            raise ProblemSyntaxError(f"machine trace: {name!r} is not what steps 6-7 give "
+                                     "for its 'weighted', 'baa' and 'lambda'")
+    return PipelineTrace(**fields, **dict(zip(_DERIVED, derived)))

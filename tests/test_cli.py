@@ -328,8 +328,11 @@ def test_mutated_example_exits_cleanly(data, tmp_path_factory):
 
 
 def test_non_finite_flag_is_validation_failure(problem_file, capsys):
-    assert main(["solve", problem_file, "--r", "inf"]) == 1
-    assert "finite" in capsys.readouterr().err
+    for flag, key, value in [("--r", "r", "inf"), ("--lambda", "lambda", "nan")]:
+        assert main(["solve", problem_file, flag, value]) == 1
+        assert capsys.readouterr().err == (
+            f"validation error: param '{key}' must be a finite number, got {value}\n"
+        )
 
 
 @pytest.mark.parametrize("fmt", ["text", "machine"])

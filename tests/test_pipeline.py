@@ -27,6 +27,7 @@ from it2mabac.errors import (
     DimensionMismatch,
     InvalidParams,
     NegativeOperand,
+    ProblemSyntaxError,
     TooFewValues,
 )
 from it2mabac.pipeline import column_range
@@ -87,8 +88,9 @@ class TestNormalize:
 
     @pytest.mark.parametrize("name", [1.5, "", None, ["C1"]])
     def test_name_must_be_a_non_empty_string(self, name):
-        with pytest.raises(InvalidParams, match="criteria"):
+        with pytest.raises(ProblemSyntaxError) as info:
             CriterionSpec(name)
+        assert str(info.value) == f"'criteria' entries must be non-empty strings, got {name!r}"
 
 
 class TestWeight:
