@@ -89,7 +89,7 @@ def _as_trapezoid(value: Sequence[float], which: str) -> GeneralizedTrapezoid:
         raise EndpointOrderViolation(
             f"{which} trapezoid needs exactly five numbers (a1, a2, a3, a4, h), got {len(items)}"
         )
-    message = f"{which} trapezoid: {{!r}} is not a finite number"
+    message = f"{which} trapezoid: {{}} is not a finite number"
     try:
         return GeneralizedTrapezoid(*(_finite(x, ProblemSyntaxError, message) for x in items))
     except (EndpointOrderViolation, HeightOutOfRange) as exc:
@@ -97,13 +97,20 @@ def _as_trapezoid(value: Sequence[float], which: str) -> GeneralizedTrapezoid:
 
 
 def _finite(x, error: type[Exception], message: str) -> float:
-    """``x`` as a float; a boolean, non-number, NaN, infinity or huge int raises ``error``."""
+    """``x`` as a float; a boolean, non-number, NaN, infinity or huge int raises ``error``.
+
+    ``message`` shows ``x`` in its ``{}``; an int too long to print shows its bit length.
+    """
     try:
         number = float(x)
     except (TypeError, ValueError, OverflowError):
         number = math.nan
     if isinstance(x, bool) or not math.isfinite(number):
-        raise error(message.format(x))
+        try:
+            shown = repr(x)
+        except ValueError:
+            shown = f"an int of {x.bit_length()} bits"
+        raise error(message.format(shown))
     return number
 
 

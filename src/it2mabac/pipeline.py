@@ -34,8 +34,8 @@ Matrix = list[list[IT2TrFN]]
 
 
 def _check_names(names, key: str) -> None:
-    """The one name rule: ``names`` is a list or tuple of non-empty, unique strings."""
-    if not isinstance(names, (list, tuple)):
+    """The one name rule: ``names`` is a non-empty list or tuple of non-empty, unique strings."""
+    if not isinstance(names, (list, tuple)) or not names:
         raise ProblemSyntaxError(f"{key!r} must be a non-empty list of names")
     for name in names:
         if not isinstance(name, str) or not name:

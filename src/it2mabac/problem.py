@@ -14,7 +14,7 @@ trace holding every intermediate matrix. A problem is read-only, so steps
 from __future__ import annotations
 
 import importlib.resources
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -66,7 +66,7 @@ class PipelineParams:
     def __post_init__(self) -> None:
         for key, name in PARAM_KEYS.items():
             if name != "baa_operator":  # lam, r and s are stored as the floats they read as
-                message = f"param {key!r} must be a finite number, got {{!r}}"
+                message = f"param {key!r} must be a finite number, got {{}}"
                 object.__setattr__(self, name, _finite(getattr(self, name), InvalidParams, message))
         if not 0.0 <= self.lam <= 1.0:
             raise InvalidParams(f"lambda must lie in [0, 1], got {self.lam!r}")
@@ -85,13 +85,42 @@ class PipelineParams:
 PARAM_KEYS = {"lambda": "lam", "r": "r", "s": "s", "baa": "baa_operator"}
 
 
-def _check_expert_keys(node: Mapping, experts: Sequence[str], key: str) -> None:
-    missing = set(experts) - set(node)
-    extra = set(node) - set(experts)
-    if missing:
-        raise DimensionMismatch(f"{key!r} is missing experts {sorted(missing)}")
-    if extra:
-        raise DimensionMismatch(f"{key!r} names unknown experts {sorted(extra, key=str)}")
+def _check_expert_blocks(weights, ratings, alternatives, experts, q: int, resolved: bool) -> None:
+    """The shape rule of steps 1-2, for a document's nodes and a direct build alike.
+
+    ``weights`` and ``ratings`` map exactly the ``experts``: each expert to a
+    list or tuple of ``q`` weights, and to one such list of ratings per
+    alternative. ``resolved`` entries must be IT2TrFNs; each row is visited once.
+    """
+    for key, block, shape in (("weights", weights, "list"), ("ratings", ratings, "matrix")):
+        if not isinstance(block, Mapping):
+            raise ProblemSyntaxError(f"{key!r} must map each expert to a {shape} of entries")
+        missing, extra = set(experts) - set(block), set(block) - set(experts)
+        if missing:
+            raise DimensionMismatch(f"{key!r} is missing experts {sorted(missing)}")
+        if extra:
+            raise DimensionMismatch(f"{key!r} names unknown experts {sorted(extra, key=str)}")
+
+    def check(node, where: str, size: int, what: str, alt=None, cells: str = "") -> None:
+        """``node`` lists ``size`` ``what``; ``cells`` labels its entries, if they hold values."""
+        if not isinstance(node, (list, tuple)):
+            raise ProblemSyntaxError(f"{where}: expected a list, got a {type(node).__name__}")
+        if len(node) != size:
+            named = where if alt is None else f"{where} ({alt!r})"
+            raise DimensionMismatch(f"{named}: expected {size} {what}, got {len(node)}")
+        if resolved and cells:
+            for j, entry in enumerate(node):
+                if not isinstance(entry, IT2TrFN):
+                    raise ProblemSyntaxError(
+                        f"{cells}[{j}]: expected an IT2TrFN, got a {type(entry).__name__}"
+                    )
+
+    for e in experts:
+        check(weights[e], f"weights[{e}]", q, "entries (one per criterion)", cells=f"weights[{e}]")
+    for e in experts:
+        check(ratings[e], f"ratings[{e}]", len(alternatives), "rows (one per alternative)")
+        for i, (alt, row) in enumerate(zip(alternatives, ratings[e])):
+            check(row, f"ratings[{e}] row {i}", q, "entries", alt, f"ratings[{e}][{alt}]")
 
 
 @dataclass(frozen=True)
@@ -99,9 +128,10 @@ class DecisionProblem:
     """A fully resolved group decision problem; read-only once built.
 
     Building one checks that the alternative and expert names are
-    non-empty, unique strings, that the criteria are ``CriterionSpec``
-    values with unique names, and every expert's weight vector and rating
-    matrix against them; the pipeline relies on that.
+    non-empty lists of non-empty, unique strings, that the criteria are
+    ``CriterionSpec`` values with unique names, that the scales and params
+    have their types, and every expert's weight vector and rating matrix
+    against the names; the pipeline relies on that.
     The names are then held as tuples and the expert entries as read-only
     mappings of tuples, so the expert averages of steps 1-2 are computed on
     the first ``run`` and reused by every later one.
@@ -119,34 +149,21 @@ class DecisionProblem:
 
     def __post_init__(self) -> None:
         _check_names(self.alternatives, "alternatives")
+        if not isinstance(self.criteria, (list, tuple)):
+            raise ProblemSyntaxError("'criteria' must be a non-empty list")
         for c in self.criteria:
             if not isinstance(c, CriterionSpec):
                 raise ProblemSyntaxError(f"'criteria' entries must be CriterionSpec values, got {c!r}")
         _check_names([c.name for c in self.criteria], "criteria")
         _check_names(self.experts, "experts")
-        p, q = len(self.alternatives), len(self.criteria)
-        if not (p and q and self.experts):
-            raise DimensionMismatch("a problem needs at least one alternative, criterion and expert")
-        _check_expert_keys(self.expert_weights, self.experts, "weights")
-        for expert in self.experts:
-            if len(self.expert_weights[expert]) != q:
-                raise DimensionMismatch(
-                    f"weights[{expert}]: expected {q} entries (one per criterion), "
-                    f"got {len(self.expert_weights[expert])}"
+        for key, kind in (("weight_scale", LinguisticScale), ("rating_scale", LinguisticScale),
+                          ("params", PipelineParams)):
+            if not isinstance(getattr(self, key), kind):
+                raise ProblemSyntaxError(
+                    f"{key!r} must be a {kind.__name__}, got a {type(getattr(self, key)).__name__}"
                 )
-        _check_expert_keys(self.expert_ratings, self.experts, "ratings")
-        for expert in self.experts:
-            matrix = self.expert_ratings[expert]
-            if len(matrix) != p:
-                raise DimensionMismatch(
-                    f"ratings[{expert}]: expected {p} rows (one per alternative), got {len(matrix)}"
-                )
-            for i, row in enumerate(matrix):
-                if len(row) != q:
-                    raise DimensionMismatch(
-                        f"ratings[{expert}] row {i} ({self.alternatives[i]!r}): "
-                        f"expected {q} entries, got {len(row)}"
-                    )
+        _check_expert_blocks(self.expert_weights, self.expert_ratings, self.alternatives,
+                             self.experts, len(self.criteria), resolved=True)
         freeze = object.__setattr__
         freeze(self, "alternatives", tuple(self.alternatives))
         freeze(self, "criteria", tuple(self.criteria))
@@ -296,13 +313,6 @@ def _load_yaml(text: str, what: str):
         raise ProblemSyntaxError(f"{what}: nested too deeply") from exc
 
 
-def _require_name_list(node, key: str) -> list:
-    """``node`` if it is a non-empty list; ``DecisionProblem`` checks the names."""
-    if not isinstance(node, list) or not node:
-        raise ProblemSyntaxError(f"{key!r} must be a non-empty list of names")
-    return node
-
-
 def _parse_criteria(node) -> list[CriterionSpec]:
     if not isinstance(node, list) or not node:
         raise ProblemSyntaxError("'criteria' must be a non-empty list")
@@ -408,15 +418,15 @@ def parse_problem(text: str, base_dir: str | Path | None = None) -> DecisionProb
         raise ProblemSyntaxError(f"missing required keys: {sorted(missing)}")
 
     base = Path(base_dir) if base_dir is not None else None
-    alternatives = _require_name_list(doc["alternatives"], "alternatives")
+    alternatives, experts = doc["alternatives"], doc["experts"]
+    _check_names(alternatives, "alternatives")
     criteria = _parse_criteria(doc["criteria"])
-    experts = _require_name_list(doc["experts"], "experts")
+    _check_names(experts, "experts")
     weight_scale = _load_scale(doc.get("weight_scale"), "weight_scale", base)
     rating_scale = _load_scale(doc.get("rating_scale"), "rating_scale", base)
     params = _parse_params(doc.get("params"))
-
-    expert_weights = _parse_weights(doc["weights"], weight_scale)
-    expert_ratings = _parse_ratings(doc["ratings"], alternatives, rating_scale)
+    weights, ratings = doc["weights"], doc["ratings"]
+    _check_expert_blocks(weights, ratings, alternatives, experts, len(criteria), resolved=False)
 
     return DecisionProblem(
         alternatives=alternatives,
@@ -424,8 +434,12 @@ def parse_problem(text: str, base_dir: str | Path | None = None) -> DecisionProb
         experts=experts,
         weight_scale=weight_scale,
         rating_scale=rating_scale,
-        expert_weights=expert_weights,
-        expert_ratings=expert_ratings,
+        expert_weights={e: _resolve_row(weights[e], weight_scale, f"weights[{e}]") for e in experts},
+        expert_ratings={
+            e: [_resolve_row(row, rating_scale, f"ratings[{e}][{alt}]")
+                for alt, row in zip(alternatives, ratings[e])]
+            for e in experts
+        },
         params=params,
         name=str(doc.get("name", "unnamed")),
     )
@@ -442,35 +456,6 @@ def _parse_params(node) -> PipelineParams:
             f"unknown params {sorted(unknown, key=str)}; expected a subset of {sorted(PARAM_KEYS)}"
         )
     return PipelineParams(**{name: node[key] for key, name in PARAM_KEYS.items() if key in node})
-
-
-def _as_list(node, where: str) -> list:
-    if not isinstance(node, list):
-        raise ProblemSyntaxError(f"{where}: expected a list, got a {type(node).__name__}")
-    return node
-
-
-def _parse_weights(node, scale) -> dict[str, list[IT2TrFN]]:
-    if not isinstance(node, dict):
-        raise ProblemSyntaxError("'weights' must map each expert to a list of entries")
-    return {
-        expert: _resolve_row(_as_list(row, f"weights[{expert}]"), scale, f"weights[{expert}]")
-        for expert, row in node.items()
-    }
-
-
-def _parse_ratings(node, alternatives, scale) -> dict[str, list[list[IT2TrFN]]]:
-    if not isinstance(node, dict):
-        raise ProblemSyntaxError("'ratings' must map each expert to a matrix of entries")
-    out: dict[str, list[list[IT2TrFN]]] = {}
-    for expert, matrix in node.items():
-        rows = []
-        for i, row in enumerate(_as_list(matrix, f"ratings[{expert}]")):
-            alt = alternatives[i] if i < len(alternatives) else f"row {i}"
-            row = _as_list(row, f"ratings[{expert}] row {i}")
-            rows.append(_resolve_row(row, scale, f"ratings[{expert}][{alt}]"))
-        out[expert] = rows
-    return out
 
 
 def example_problem_text() -> str:

@@ -279,6 +279,7 @@ def trace_from_json(text: str) -> PipelineTrace:
     except TypeError as exc:  # a list, number or null where a mapping or list belongs
         raise ProblemSyntaxError(f"machine trace has the wrong shape: {exc}") from exc
     _check_names(fields["alternatives"], "alternatives")
+    _check_names([c.name for c in fields["criteria"]], "criteria")
     p, q = len(fields["alternatives"]), len(fields["criteria"])
     for name, kind in _TRACE_TYPES.items():
         if kind == list[IT2TrFN] and len(fields[name]) != q:

@@ -26,6 +26,7 @@ from it2mabac.errors import (
     HeightOutOfRange,
     NegativeOperand,
     NegativeScalar,
+    ProblemSyntaxError,
 )
 
 GOOD = make((7, 9, 9, 10, 1.0), (8, 9, 9, 9.5, 0.9))
@@ -60,6 +61,11 @@ class TestConstruction:
     def test_wrong_tuple_width(self):
         with pytest.raises(EndpointOrderViolation, match="five numbers"):
             make((1, 2, 3, 4), (1, 2, 3, 4, 1.0))
+
+    def test_int_too_long_to_print_is_named_by_its_bit_length(self):
+        with pytest.raises(ProblemSyntaxError) as info:
+            make([10**5000, 0, 0, 0, 1], [0, 0, 0, 0, 1])
+        assert str(info.value) == "upper trapezoid: an int of 16610 bits is not a finite number"
 
     def test_unrepaired_low_term_is_valid_without_fou_check(self):
         # lower a4 = 2 escapes the upper support but both trapezoids are

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from collections.abc import Mapping
 
 import pytest
 import yaml
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import it2mabac.problem
 from it2mabac import (
     CriterionSpec,
+    IT2TrFN,
     PipelineParams,
     builtin_rating_scale,
     builtin_weight_scale,
@@ -40,6 +42,19 @@ def _doc():
 
 def _dump(doc):
     return yaml.safe_dump(doc)
+
+
+_EXAMPLE = load_example_problem()
+
+
+def _replaced(node, path, value):
+    """``node`` with the item at ``path`` (expert names and indices) replaced by ``value``."""
+    if not path:
+        return value
+    key, *rest = path
+    if isinstance(node, Mapping):
+        return {**node, key: _replaced(node[key], rest, value)}
+    return (*node[:key], _replaced(node[key], rest, value), *node[key + 1:])
 
 
 class TestParse:
@@ -115,10 +130,11 @@ class TestParse:
             ("r", True, "param 'r' must be a finite number, got True"),
             ("lam", None, "param 'lambda' must be a finite number, got None"),
             ("r", 10**400, "param 'r' must be a finite number, got 1000"),
+            ("r", 10**5000, "param 'r' must be a finite number, got an int of 16610 bits"),
             ("s", "abc", "param 's' must be a finite number, got 'abc'"),
             ("r", float("inf"), "param 'r' must be a finite number, got inf"),
         ],
-        ids=["bool", "none", "int-beyond-float", "word", "inf"],
+        ids=["bool", "none", "int-beyond-float", "int-too-long-to-print", "word", "inf"],
     )
     def test_params_built_directly_reject_what_is_not_a_number(self, field, value, message):
         with pytest.raises(InvalidParams, match=message):
@@ -131,12 +147,12 @@ class TestParse:
             dataclasses.replace(example_problem, expert_ratings=ratings)
 
     def test_directly_built_problem_needs_an_expert(self, example_problem):
-        with pytest.raises(DimensionMismatch) as info:
+        with pytest.raises(ProblemSyntaxError) as info:
             dataclasses.replace(example_problem, experts=())
-        assert str(info.value) == "a problem needs at least one alternative, criterion and expert"
+        assert str(info.value) == "'experts' must be a non-empty list of names"
 
     @pytest.mark.parametrize(
-        "field, names, message",
+        "field, value, message",
         [
             ("alternatives", [1, 2, 3], "'alternatives' entries must be non-empty strings, got 1"),
             ("alternatives", ["A1", "A1", "A3"],
@@ -149,13 +165,26 @@ class TestParse:
              "'criteria' entries must be CriterionSpec values, got 'C1'"),
             ("alternatives", "XYZ", "'alternatives' must be a non-empty list of names"),
             ("experts", "DM1", "'experts' must be a non-empty list of names"),
+            ("criteria", 5, "'criteria' must be a non-empty list"),
+            ("expert_weights", 5, "'weights' must map each expert to a list of entries"),
+            ("expert_ratings", 5, "'ratings' must map each expert to a matrix of entries"),
+            ("expert_ratings", _replaced(_EXAMPLE.expert_ratings, ["DM2", 1], 5),
+             "ratings[DM2] row 1: expected a list, got a int"),
+            ("expert_weights", _replaced(_EXAMPLE.expert_weights, ["DM1", 4], 0.7),
+             "weights[DM1][4]: expected an IT2TrFN, got a float"),
+            ("expert_ratings", _replaced(_EXAMPLE.expert_ratings, ["DM3", 0, 2], 7),
+             "ratings[DM3][A1][2]: expected an IT2TrFN, got a int"),
+            ("params", None, "'params' must be a PipelineParams, got a NoneType"),
+            ("rating_scale", "builtin", "'rating_scale' must be a LinguisticScale, got a str"),
         ],
         ids=["int-alternatives", "duplicate-alternatives", "duplicate-experts", "duplicate-criteria",
-             "str-criteria", "bare-string-alternatives", "bare-string-experts"],
+             "str-criteria", "bare-string-alternatives", "bare-string-experts", "int-criteria",
+             "int-weights", "int-ratings", "int-row", "number-weight-cell", "number-rating-cell",
+             "none-params", "str-scale"],
     )
-    def test_directly_built_problem_checks_names(self, example_problem, field, names, message):
+    def test_directly_built_problem_checks_names(self, example_problem, field, value, message):
         with pytest.raises(ProblemSyntaxError) as info:
-            dataclasses.replace(example_problem, **{field: names})
+            dataclasses.replace(example_problem, **{field: value})
         assert str(info.value) == message
 
     def test_lambda_out_of_range(self):
@@ -169,6 +198,14 @@ class TestParse:
         doc["ratings"]["DM1"][0][2] = "XX"
         with pytest.raises(UnknownTerm, match=r"ratings\[DM1\]\[A1\]\[2\]"):
             parse_problem(_dump(doc))
+
+    def test_shape_fault_is_reported_before_an_unknown_term(self):
+        doc = _doc()
+        doc["ratings"]["DM1"][0][2] = "XX"
+        doc["ratings"]["DM2"][1] = ["G", "G", "G", "G"]
+        with pytest.raises(DimensionMismatch) as info:
+            parse_problem(_dump(doc))
+        assert str(info.value) == "ratings[DM2] row 1 ('A2'): expected 5 entries, got 4"
 
     def test_inline_value_accepted(self):
         doc = _doc()
@@ -367,6 +404,33 @@ def test_boundary_messages(fault, tmp_path):
         parse_problem(_dump(doc), base_dir=tmp_path)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+@st.composite
+def edited_fields(draw):
+    """One example field, whole or with one expert entry, row or cell replaced by a drawn value."""
+    field = draw(st.sampled_from([f.name for f in dataclasses.fields(_EXAMPLE)]))
+    path, node = [], getattr(_EXAMPLE, field)
+    while field.startswith("expert_") and not isinstance(node, IT2TrFN) and draw(st.booleans()):
+        path.append(draw(st.sampled_from(sorted(node) if isinstance(node, Mapping)
+                                         else range(len(node)))))
+        node = node[path[-1]]
+    items = tuple(node) if isinstance(node, (list, tuple)) else (node,)
+    value = draw(st.one_of(
+        st.integers(), st.none(), st.text(max_size=3), st.lists(st.integers(0, 3), max_size=4),
+        st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2),
+        st.sampled_from([items[:-1], items + items[:1]]),  # a tuple of the wrong length
+    ))
+    return {field: _replaced(getattr(_EXAMPLE, field), path, value)}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(fields=edited_fields())
+def test_edited_problem_builds_and_runs_or_is_refused(fields):
+    try:
+        run(dataclasses.replace(_EXAMPLE, **fields))
+    except MabacError:
+        pass
 
 
 def _generated_document(seed: int) -> str:

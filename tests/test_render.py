@@ -167,6 +167,20 @@ def test_scores_table_prints_each_score_beside_its_alternative(example_trace):
     ]
 
 
+def test_trace_from_json_applies_the_name_rule(example_trace):
+    doc = json.loads(render_machine(example_trace))
+    doc["criteria"][1]["name"] = "C1"
+    with pytest.raises(ProblemSyntaxError) as info:
+        trace_from_json(json.dumps(doc))
+    assert str(info.value) == "'criteria' entries must be unique, got ['C1', 'C1', 'C3', 'C4', 'C5']"
+    # the example has 3 alternatives and 5 criteria: its 3-long lists run over the alternatives
+    doc = {key: [] if isinstance(value, list) and len(value) == 3 else value
+           for key, value in json.loads(render_machine(example_trace)).items()}
+    with pytest.raises(ProblemSyntaxError) as info:
+        trace_from_json(json.dumps(doc))
+    assert str(info.value) == "'alternatives' must be a non-empty list of names"
+
+
 def test_trace_from_json_rejects_wrong_shapes(example_trace):
     doc = json.loads(render_machine(example_trace))
     doc["normalized"][0] = 5
@@ -250,7 +264,7 @@ def test_machine_json_writes_names_and_numbers_as_json_dumps_does(example_trace)
         g=[*extremes, *example_trace.g[3:]],
         scores=list(extremes),
         q=[list(extremes) * 2, *example_trace.q[1:]],
-        # what a loaded machine trace may hold where labels belong
+        # what a directly built trace may hold where labels belong; a loaded one recomputes them
         classification=[[True, False, None, 7, -0.0], *example_trace.classification[1:]],
     ))
     params = render_machine(dataclasses.replace(example_trace, params=int_params))
