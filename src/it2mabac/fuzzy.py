@@ -99,19 +99,25 @@ def _as_trapezoid(value: Sequence[float], which: str) -> GeneralizedTrapezoid:
 def _finite(x, error: type[Exception], message: str) -> float:
     """``x`` as a float; a boolean, non-number, NaN, infinity or huge int raises ``error``.
 
-    ``message`` shows ``x`` in its ``{}``; an int too long to print shows its bit length.
+    ``message`` shows ``x`` in its ``{}`` as ``_shown`` does.
     """
     try:
         number = float(x)
     except (TypeError, ValueError, OverflowError):
         number = math.nan
     if isinstance(x, bool) or not math.isfinite(number):
-        try:
-            shown = repr(x)
-        except ValueError:
-            shown = f"an int of {x.bit_length()} bits"
-        raise error(message.format(shown))
+        raise error(message.format(_shown(x)))
     return number
+
+
+def _shown(x) -> str:
+    """``repr(x)``, or a name for an int too long to print and for a value holding one."""
+    try:
+        return repr(x)
+    except ValueError:  # CPython prints no int of more than 4300 digits
+        if isinstance(x, int):
+            return f"an int of {x.bit_length()} bits"
+        return f"a {type(x).__name__} holding an int too long to print"
 
 
 def make(upper: Sequence[float], lower: Sequence[float]) -> IT2TrFN:

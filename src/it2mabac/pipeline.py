@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .aggregation import geometric_mean, tit2fgbm
 from .errors import (ComputationError, DegenerateRange, DimensionMismatch, InvalidParams,
                      ProblemSyntaxError, TooFewValues)
-from .fuzzy import EPS, GeneralizedTrapezoid, IT2TrFN, _require_nonnegative, endpointwise
+from .fuzzy import EPS, GeneralizedTrapezoid, IT2TrFN, _require_nonnegative, _shown, endpointwise
 from .ranking import rank_to_one
 
 #: Classification labels: upper, border, and lower approximation areas.
@@ -39,7 +39,7 @@ def _check_names(names, key: str) -> None:
         raise ProblemSyntaxError(f"{key!r} must be a non-empty list of names")
     for name in names:
         if not isinstance(name, str) or not name:
-            raise ProblemSyntaxError(f"{key!r} entries must be non-empty strings, got {name!r}")
+            raise ProblemSyntaxError(f"{key!r} entries must be non-empty strings, got {_shown(name)}")
     if len(set(names)) != len(names):
         raise ProblemSyntaxError(f"{key!r} entries must be unique, got {list(names)}")
 
@@ -55,7 +55,8 @@ class CriterionSpec:
         _check_names([self.name], "criteria")
         if self.sense not in ("benefit", "cost"):
             raise InvalidParams(
-                f"criterion {self.name!r}: sense must be 'benefit' or 'cost', got {self.sense!r}"
+                f"criterion {self.name!r}: sense must be 'benefit' or 'cost', "
+                f"got {_shown(self.sense)}"
             )
 
 

@@ -4,7 +4,8 @@ A decision problem is a single YAML document naming alternatives, criteria
 (with their senses), experts, the two linguistic scales, per-expert weight
 vectors and rating matrices, and optional tuning parameters. Ratings and
 weights may be linguistic terms or inline values written as two 5-tuples
-(four endpoints and a height per trapezoid).
+(four endpoints and a height per trapezoid); ``DecisionProblem`` resolves
+them through the problem's own scales, and a direct build may give IT2TrFNs.
 
 ``run`` executes the seven pipeline steps on a parsed problem and returns a
 trace holding every intermediate matrix. A problem is read-only, so steps
@@ -30,7 +31,7 @@ from .errors import (
     MabacError,
     ProblemSyntaxError,
 )
-from .fuzzy import IT2TrFN, _finite, make
+from .fuzzy import IT2TrFN, _finite, _shown, make
 from .linguistic import (
     LinguisticScale,
     builtin_rating_scale,
@@ -76,7 +77,7 @@ class PipelineParams:
             raise InvalidParams("Bonferroni exponents must satisfy r + s > 0")
         if self.baa_operator not in BAA_OPERATORS:
             raise InvalidParams(
-                f"baa operator must be one of {BAA_OPERATORS}, got {self.baa_operator!r}"
+                f"baa operator must be one of {BAA_OPERATORS}, got {_shown(self.baa_operator)}"
             )
 
 
@@ -85,12 +86,12 @@ class PipelineParams:
 PARAM_KEYS = {"lambda": "lam", "r": "r", "s": "s", "baa": "baa_operator"}
 
 
-def _check_expert_blocks(weights, ratings, alternatives, experts, q: int, resolved: bool) -> None:
-    """The shape rule of steps 1-2, for a document's nodes and a direct build alike.
+def _check_expert_blocks(weights, ratings, alternatives, experts, q: int) -> None:
+    """The shape rule of steps 1-2; it reads no entry.
 
     ``weights`` and ``ratings`` map exactly the ``experts``: each expert to a
     list or tuple of ``q`` weights, and to one such list of ratings per
-    alternative. ``resolved`` entries must be IT2TrFNs; each row is visited once.
+    alternative.
     """
     for key, block, shape in (("weights", weights, "list"), ("ratings", ratings, "matrix")):
         if not isinstance(block, Mapping):
@@ -101,40 +102,34 @@ def _check_expert_blocks(weights, ratings, alternatives, experts, q: int, resolv
         if extra:
             raise DimensionMismatch(f"{key!r} names unknown experts {sorted(extra, key=str)}")
 
-    def check(node, where: str, size: int, what: str, alt=None, cells: str = "") -> None:
-        """``node`` lists ``size`` ``what``; ``cells`` labels its entries, if they hold values."""
+    def check(node, where: str, size: int, what: str, alt=None) -> None:
+        """``node`` lists ``size`` ``what``."""
         if not isinstance(node, (list, tuple)):
             raise ProblemSyntaxError(f"{where}: expected a list, got a {type(node).__name__}")
         if len(node) != size:
             named = where if alt is None else f"{where} ({alt!r})"
             raise DimensionMismatch(f"{named}: expected {size} {what}, got {len(node)}")
-        if resolved and cells:
-            for j, entry in enumerate(node):
-                if not isinstance(entry, IT2TrFN):
-                    raise ProblemSyntaxError(
-                        f"{cells}[{j}]: expected an IT2TrFN, got a {type(entry).__name__}"
-                    )
 
     for e in experts:
-        check(weights[e], f"weights[{e}]", q, "entries (one per criterion)", cells=f"weights[{e}]")
+        check(weights[e], f"weights[{e}]", q, "entries (one per criterion)")
     for e in experts:
         check(ratings[e], f"ratings[{e}]", len(alternatives), "rows (one per alternative)")
         for i, (alt, row) in enumerate(zip(alternatives, ratings[e])):
-            check(row, f"ratings[{e}] row {i}", q, "entries", alt, f"ratings[{e}][{alt}]")
+            check(row, f"ratings[{e}] row {i}", q, "entries", alt)
 
 
 @dataclass(frozen=True)
 class DecisionProblem:
-    """A fully resolved group decision problem; read-only once built.
+    """A group decision problem, checked and resolved when built; read-only once built.
 
-    Building one checks that the alternative and expert names are
-    non-empty lists of non-empty, unique strings, that the criteria are
-    ``CriterionSpec`` values with unique names, that the scales and params
-    have their types, and every expert's weight vector and rating matrix
-    against the names; the pipeline relies on that.
-    The names are then held as tuples and the expert entries as read-only
-    mappings of tuples, so the expert averages of steps 1-2 are computed on
-    the first ``run`` and reused by every later one.
+    Building one checks the alternative, criterion and expert names, the
+    types of the criteria, scales and params, and the shape of every
+    expert's weight vector and rating matrix before it resolves any entry:
+    an ``IT2TrFN`` is kept, a term is looked up in the problem's own
+    ``weight_scale`` or ``rating_scale``, and an inline value is built.
+    The names are then held as tuples and the entries as read-only
+    mappings of IT2TrFN tuples, so the expert averages of steps 1-2 are
+    computed on the first ``run`` and reused by every later one.
     """
 
     alternatives: tuple[str, ...]
@@ -149,11 +144,13 @@ class DecisionProblem:
 
     def __post_init__(self) -> None:
         _check_names(self.alternatives, "alternatives")
-        if not isinstance(self.criteria, (list, tuple)):
+        if not isinstance(self.criteria, (list, tuple)) or not self.criteria:
             raise ProblemSyntaxError("'criteria' must be a non-empty list")
         for c in self.criteria:
             if not isinstance(c, CriterionSpec):
-                raise ProblemSyntaxError(f"'criteria' entries must be CriterionSpec values, got {c!r}")
+                raise ProblemSyntaxError(
+                    f"'criteria' entries must be CriterionSpec values, got {_shown(c)}"
+                )
         _check_names([c.name for c in self.criteria], "criteria")
         _check_names(self.experts, "experts")
         for key, kind in (("weight_scale", LinguisticScale), ("rating_scale", LinguisticScale),
@@ -163,17 +160,20 @@ class DecisionProblem:
                     f"{key!r} must be a {kind.__name__}, got a {type(getattr(self, key)).__name__}"
                 )
         _check_expert_blocks(self.expert_weights, self.expert_ratings, self.alternatives,
-                             self.experts, len(self.criteria), resolved=True)
+                             self.experts, len(self.criteria))
         freeze = object.__setattr__
         freeze(self, "alternatives", tuple(self.alternatives))
         freeze(self, "criteria", tuple(self.criteria))
         freeze(self, "experts", tuple(self.experts))
-        freeze(self, "expert_weights", MappingProxyType(
-            {e: tuple(row) for e, row in self.expert_weights.items()}
-        ))
-        freeze(self, "expert_ratings", MappingProxyType(
-            {e: tuple(map(tuple, matrix)) for e, matrix in self.expert_ratings.items()}
-        ))
+        freeze(self, "expert_weights", MappingProxyType({
+            e: _resolve_row(self.expert_weights[e], self.weight_scale, f"weights[{e}]")
+            for e in self.experts
+        }))
+        freeze(self, "expert_ratings", MappingProxyType({
+            e: tuple(_resolve_row(row, self.rating_scale, f"ratings[{e}][{alt}]")
+                     for alt, row in zip(self.alternatives, self.expert_ratings[e]))
+            for e in self.experts
+        }))
 
     @cached_property
     def _averages(self) -> tuple[tuple[IT2TrFN, ...], tuple[tuple[IT2TrFN, ...], ...]]:
@@ -336,10 +336,11 @@ def parse_scale(node, default_name: str = "custom") -> LinguisticScale:
     terms = node["terms"]
     if not isinstance(terms, dict) or not terms:
         raise ProblemSyntaxError("'terms' must be a non-empty mapping of term -> two 5-tuples")
+    _check_names(list(terms), "terms")
     entries: dict[str, IT2TrFN] = {}
     for term, value in terms.items():
         with _stage(f"scale term {term!r}"):
-            entries[str(term)] = _parse_inline_value(value)
+            entries[term] = _parse_inline_value(value)
     return LinguisticScale(str(node.get("name", default_name)), entries)
 
 
@@ -350,7 +351,8 @@ def _parse_inline_value(node) -> IT2TrFN:
         or not all(isinstance(part, list) for part in node)
     ):
         raise ProblemSyntaxError(
-            f"an inline value must be two 5-tuples [[a1,a2,a3,a4,h],[a1,a2,a3,a4,h]], got {node!r}"
+            "an inline value must be two 5-tuples [[a1,a2,a3,a4,h],[a1,a2,a3,a4,h]], "
+            f"got {_shown(node)}"
         )
     return make(node[0], node[1])
 
@@ -384,22 +386,23 @@ def _resolve_entry(node, scale: LinguisticScale, where: str) -> IT2TrFN:
         return _parse_inline_value(node)
 
 
-def _resolve_row(row: list, scale: LinguisticScale, where: str) -> list[IT2TrFN]:
+def _resolve_row(row, scale: LinguisticScale, where: str) -> tuple[IT2TrFN, ...]:
     """Resolve one row; cell ``j`` is labelled ``{where}[{j}]`` in errors.
 
-    A known term is one dict lookup; only inline values and unknown terms
-    pay for ``_resolve_entry`` and its label.
+    A known term is one dict lookup and an ``IT2TrFN`` is kept as it is; only
+    inline values and refusals pay for ``_resolve_entry`` and its label.
     """
-    known = scale.entries
-    return [
-        known[entry] if isinstance(entry, str) and entry in known
-        else _resolve_entry(entry, scale, f"{where}[{j}]")
-        for j, entry in enumerate(row)
-    ]
+    known, resolved = scale.entries, []
+    for j, entry in enumerate(row):
+        if not isinstance(entry, IT2TrFN):
+            entry = (known[entry] if isinstance(entry, str) and entry in known
+                     else _resolve_entry(entry, scale, f"{where}[{j}]"))
+        resolved.append(entry)
+    return tuple(resolved)
 
 
 def parse_problem(text: str, base_dir: str | Path | None = None) -> DecisionProblem:
-    """Parse and fully validate a problem document.
+    """Parse a problem document; ``DecisionProblem`` checks its names and resolves its entries.
 
     ``base_dir`` anchors relative scale-file paths (the CLI passes the
     directory of the problem file).
@@ -418,29 +421,15 @@ def parse_problem(text: str, base_dir: str | Path | None = None) -> DecisionProb
         raise ProblemSyntaxError(f"missing required keys: {sorted(missing)}")
 
     base = Path(base_dir) if base_dir is not None else None
-    alternatives, experts = doc["alternatives"], doc["experts"]
-    _check_names(alternatives, "alternatives")
-    criteria = _parse_criteria(doc["criteria"])
-    _check_names(experts, "experts")
-    weight_scale = _load_scale(doc.get("weight_scale"), "weight_scale", base)
-    rating_scale = _load_scale(doc.get("rating_scale"), "rating_scale", base)
-    params = _parse_params(doc.get("params"))
-    weights, ratings = doc["weights"], doc["ratings"]
-    _check_expert_blocks(weights, ratings, alternatives, experts, len(criteria), resolved=False)
-
     return DecisionProblem(
-        alternatives=alternatives,
-        criteria=criteria,
-        experts=experts,
-        weight_scale=weight_scale,
-        rating_scale=rating_scale,
-        expert_weights={e: _resolve_row(weights[e], weight_scale, f"weights[{e}]") for e in experts},
-        expert_ratings={
-            e: [_resolve_row(row, rating_scale, f"ratings[{e}][{alt}]")
-                for alt, row in zip(alternatives, ratings[e])]
-            for e in experts
-        },
-        params=params,
+        alternatives=doc["alternatives"],
+        criteria=_parse_criteria(doc["criteria"]),
+        experts=doc["experts"],
+        weight_scale=_load_scale(doc.get("weight_scale"), "weight_scale", base),
+        rating_scale=_load_scale(doc.get("rating_scale"), "rating_scale", base),
+        expert_weights=doc["weights"],
+        expert_ratings=doc["ratings"],
+        params=_parse_params(doc.get("params")),
         name=str(doc.get("name", "unnamed")),
     )
 

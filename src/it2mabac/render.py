@@ -263,7 +263,7 @@ def trace_from_json(text: str) -> PipelineTrace:
 
     Reads the fields steps 6-7 cannot derive, checks that the fuzzy ones are
     p x q or q long, runs steps 6-7 again and refuses a document whose own
-    ``_DERIVED`` fields differ from theirs.
+    ``_DERIVED`` fields or ``ranking`` differ from theirs.
     """
     try:
         doc = json.loads(text)
@@ -290,7 +290,8 @@ def trace_from_json(text: str) -> PipelineTrace:
             )
     q_matrix, g, delta = crisp_matrices(fields["weighted"], fields["baa"], fields["params"].lam)
     derived = (q_matrix, g, delta, *classify_and_score(delta, fields["alternatives"]))
-    for name, recomputed in zip(_DERIVED, derived):
+    ranking = [fields["alternatives"][i] for i in derived[-1]]
+    for name, recomputed in zip((*_DERIVED, "ranking"), (*derived, ranking)):
         if repr(doc.get(name)) != repr(recomputed):  # repr, not ==: True is not the index 1
             raise ProblemSyntaxError(f"machine trace: {name!r} is not what steps 6-7 give "
                                      "for its 'weighted', 'baa' and 'lambda'")

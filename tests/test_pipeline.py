@@ -85,6 +85,11 @@ class TestNormalize:
     def test_sense_validation(self):
         with pytest.raises(InvalidParams):
             CriterionSpec("bad", "maximize")
+        with pytest.raises(InvalidParams) as info:
+            CriterionSpec("bad", 10**5000)
+        assert str(info.value) == (
+            "criterion 'bad': sense must be 'benefit' or 'cost', got an int of 16610 bits"
+        )
 
     @pytest.mark.parametrize("name", [1.5, "", None, ["C1"]])
     def test_name_must_be_a_non_empty_string(self, name):

@@ -133,8 +133,10 @@ class TestParse:
             ("r", 10**5000, "param 'r' must be a finite number, got an int of 16610 bits"),
             ("s", "abc", "param 's' must be a finite number, got 'abc'"),
             ("r", float("inf"), "param 'r' must be a finite number, got inf"),
+            ("baa_operator", 10**5000, "baa operator must be one of .*, got an int of 16610 bits"),
         ],
-        ids=["bool", "none", "int-beyond-float", "int-too-long-to-print", "word", "inf"],
+        ids=["bool", "none", "int-beyond-float", "int-too-long-to-print", "word", "inf",
+             "operator-too-long-to-print"],
     )
     def test_params_built_directly_reject_what_is_not_a_number(self, field, value, message):
         with pytest.raises(InvalidParams, match=message):
@@ -171,21 +173,52 @@ class TestParse:
             ("expert_ratings", _replaced(_EXAMPLE.expert_ratings, ["DM2", 1], 5),
              "ratings[DM2] row 1: expected a list, got a int"),
             ("expert_weights", _replaced(_EXAMPLE.expert_weights, ["DM1", 4], 0.7),
-             "weights[DM1][4]: expected an IT2TrFN, got a float"),
+             "weights[DM1][4]: an inline value must be two 5-tuples "
+             "[[a1,a2,a3,a4,h],[a1,a2,a3,a4,h]], got 0.7"),
             ("expert_ratings", _replaced(_EXAMPLE.expert_ratings, ["DM3", 0, 2], 7),
-             "ratings[DM3][A1][2]: expected an IT2TrFN, got a int"),
+             "ratings[DM3][A1][2]: an inline value must be two 5-tuples "
+             "[[a1,a2,a3,a4,h],[a1,a2,a3,a4,h]], got 7"),
             ("params", None, "'params' must be a PipelineParams, got a NoneType"),
             ("rating_scale", "builtin", "'rating_scale' must be a LinguisticScale, got a str"),
+            ("criteria", (), "'criteria' must be a non-empty list"),
+            ("alternatives", ["A1", "A2", 10**5000],
+             "'alternatives' entries must be non-empty strings, got an int of 16610 bits"),
+            ("criteria", [*_EXAMPLE.criteria[:4], 10**5000],
+             "'criteria' entries must be CriterionSpec values, got an int of 16610 bits"),
+            ("expert_weights", _replaced(_EXAMPLE.expert_weights, ["DM1", 4], [10**5000]),
+             "weights[DM1][4]: an inline value must be two 5-tuples "
+             "[[a1,a2,a3,a4,h],[a1,a2,a3,a4,h]], got a list holding an int too long to print"),
+            ("expert_ratings", _replaced(_EXAMPLE.expert_ratings, ["DM3", 0, 2], 10**5000),
+             "ratings[DM3][A1][2]: an inline value must be two 5-tuples "
+             "[[a1,a2,a3,a4,h],[a1,a2,a3,a4,h]], got an int of 16610 bits"),
         ],
         ids=["int-alternatives", "duplicate-alternatives", "duplicate-experts", "duplicate-criteria",
              "str-criteria", "bare-string-alternatives", "bare-string-experts", "int-criteria",
              "int-weights", "int-ratings", "int-row", "number-weight-cell", "number-rating-cell",
-             "none-params", "str-scale"],
+             "none-params", "str-scale", "empty-criteria", "alternative-too-long-to-print",
+             "criteria-entry-too-long-to-print", "weight-cell-holding-an-int-too-long-to-print",
+             "rating-cell-too-long-to-print"],
     )
     def test_directly_built_problem_checks_names(self, example_problem, field, value, message):
         with pytest.raises(ProblemSyntaxError) as info:
             dataclasses.replace(example_problem, **{field: value})
         assert str(info.value) == message
+
+    def test_problem_built_from_the_raw_nodes_equals_the_parsed_one(self, example_problem):
+        doc = _doc()
+        built = dataclasses.replace(
+            example_problem, expert_weights=doc["weights"], expert_ratings=doc["ratings"]
+        )
+        assert built == example_problem
+
+    def test_directly_built_problem_reports_a_shape_fault_before_an_unknown_term(
+        self, example_problem
+    ):
+        ratings = _replaced(example_problem.expert_ratings, ["DM1", 0, 2], "XX")
+        ratings = _replaced(ratings, ["DM2", 1], example_problem.expert_ratings["DM2"][1][:4])
+        with pytest.raises(DimensionMismatch) as info:
+            dataclasses.replace(example_problem, expert_ratings=ratings)
+        assert str(info.value) == "ratings[DM2] row 1 ('A2'): expected 5 entries, got 4"
 
     def test_lambda_out_of_range(self):
         doc = _doc()
@@ -381,6 +414,10 @@ BOUNDARY_FAULTS = {
         ["weights", "DM1", 4], [[0.3, 0.5, 0.5, 0.7, 1.5], [0.4, 0.5, 0.5, 0.6, 0.9]],
         HeightOutOfRange, "weights[DM1][4]: upper trapezoid: height h=1.5 must lie in (0, 1]",
     ),
+    "scale-term-name": (
+        ["rating_scale"], {"terms": {1: [[0, 1, 1, 2, 1.0], [0.5, 1, 1, 1.5, 0.9]]}},
+        ProblemSyntaxError, "rating_scale: 'terms' entries must be non-empty strings, got 1",
+    ),
     "criterion-sense": (
         ["criteria", 4], {"name": "C5", "sense": "maximize"}, InvalidParams,
         "criterion 'C5': sense must be 'benefit' or 'cost', got 'maximize'",
@@ -420,6 +457,8 @@ def edited_fields(draw):
         st.integers(), st.none(), st.text(max_size=3), st.lists(st.integers(0, 3), max_size=4),
         st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2),
         st.sampled_from([items[:-1], items + items[:1]]),  # a tuple of the wrong length
+        st.sampled_from(["H", "G", 10**5000]),  # a known term of each scale, an int too long to print
+        st.just((*items[:-1], 10**5000)),  # the last item an int too long to print
     ))
     return {field: _replaced(getattr(_EXAMPLE, field), path, value)}
 

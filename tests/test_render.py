@@ -157,6 +157,16 @@ def test_trace_from_json_requires_order_to_rank_each_alternative_once(example_tr
     )
 
 
+def test_trace_from_json_requires_the_ranking_of_its_order(example_trace):
+    doc = json.loads(render_machine(example_trace))
+    doc["ranking"] = ["A1", "A1", "ZZ"]
+    with pytest.raises(ProblemSyntaxError) as info:
+        trace_from_json(json.dumps(doc))
+    assert str(info.value) == (
+        "machine trace: 'ranking' is not what steps 6-7 give for its 'weighted', 'baa' and 'lambda'"
+    )
+
+
 def test_scores_table_prints_each_score_beside_its_alternative(example_trace):
     reordered = dataclasses.replace(example_trace, order=[2, 0, 1])
     assert render_section(reordered, "scores").splitlines()[1:] == [
