@@ -8,6 +8,9 @@ Arithmetic follows the usual convention for this number type: operations act
 endpoint by endpoint on both trapezoids and combine heights with min. The
 private kernel :func:`endpointwise` is the only code that does this lifting,
 here and in the aggregation and pipeline stages; it builds only the result.
+One or two values, as in normalization, weighting and the binary operations,
+take a fast path that hands their endpoints to the scalar function directly;
+three or more are lifted through ``map``, in the same call order.
 Multiplication is only defined on the non-negative cone, which is the only
 region the decision pipeline ever visits.
 """
@@ -45,13 +48,16 @@ class GeneralizedTrapezoid:
     h: float
 
     def __post_init__(self) -> None:
-        for lo, hi in (("a1", "a2"), ("a2", "a3"), ("a3", "a4")):
-            if getattr(self, lo) > getattr(self, hi) + EPS:
-                raise EndpointOrderViolation(
-                    f"{lo}={getattr(self, lo)!r} exceeds {hi}={getattr(self, hi)!r}; "
-                    "endpoints must satisfy a1 <= a2 <= a3 <= a4"
-                )
-        if not 0.0 < self.h <= 1.0:
+        # The loop's own tests, unrolled: a value passes here exactly when the
+        # loop would pass it, so the loop runs only to name the broken rule.
+        if (self.a1 > self.a2 + EPS or self.a2 > self.a3 + EPS or self.a3 > self.a4 + EPS
+                or not 0.0 < self.h <= 1.0):
+            for lo, hi in (("a1", "a2"), ("a2", "a3"), ("a3", "a4")):
+                if getattr(self, lo) > getattr(self, hi) + EPS:
+                    raise EndpointOrderViolation(
+                        f"{lo}={getattr(self, lo)!r} exceeds {hi}={getattr(self, hi)!r}; "
+                        "endpoints must satisfy a1 <= a2 <= a3 <= a4"
+                    )
             raise HeightOutOfRange(f"height h={self.h!r} must lie in (0, 1]")
 
     @property
@@ -110,10 +116,10 @@ def _finite(x, error: type[Exception], message: str) -> float:
     return number
 
 
-def _shown(x) -> str:
-    """``repr(x)``, or a name for an int too long to print and for a value holding one."""
+def _shown(x, show=repr) -> str:
+    """``show(x)``, or a name for an int too long to print and for a value holding one."""
     try:
-        return repr(x)
+        return show(x)
     except ValueError:  # CPython prints no int of more than 4300 digits
         if isinstance(x, int):
             return f"an int of {x.bit_length()} bits"
@@ -152,7 +158,27 @@ def endpointwise(fn, *values: IT2TrFN) -> IT2TrFN:
     ``fn`` receives one endpoint position of every value (a1 of each, then a2,
     ...), first over the upper trapezoids, then over the lower ones; heights
     combine with min. Only the result is built and validated.
+
+    One value (normalization, ``scale``) and two values (weighting, ``add``,
+    ``mul``) take a fast path that passes the endpoints to ``fn`` directly;
+    it calls ``fn`` in the same order and gives the same result as ``map``.
     """
+    if len(values) == 1:
+        u, l = values[0].upper, values[0].lower
+        return IT2TrFN(
+            GeneralizedTrapezoid(fn(u.a1), fn(u.a2), fn(u.a3), fn(u.a4), u.h),
+            GeneralizedTrapezoid(fn(l.a1), fn(l.a2), fn(l.a3), fn(l.a4), l.h),
+        )
+    if len(values) == 2:
+        u, v, l, m = values[0].upper, values[1].upper, values[0].lower, values[1].lower
+        return IT2TrFN(
+            GeneralizedTrapezoid(
+                fn(u.a1, v.a1), fn(u.a2, v.a2), fn(u.a3, v.a3), fn(u.a4, v.a4), min(u.h, v.h)
+            ),
+            GeneralizedTrapezoid(
+                fn(l.a1, m.a1), fn(l.a2, m.a2), fn(l.a3, m.a3), fn(l.a4, m.a4), min(l.h, m.h)
+            ),
+        )
     return IT2TrFN(
         GeneralizedTrapezoid(
             *map(fn, *[v.upper.endpoints for v in values]), min([v.upper.h for v in values])

@@ -92,15 +92,15 @@ def normalize(matrix: Matrix, specs: list[CriterionSpec]) -> Matrix:
     for j, spec in enumerate(specs):
         a_minus, a_plus = column_range(matrix, j, spec.name)
         rng = a_plus - a_minus
-        for i, row in enumerate(matrix):
-            v = row[j]
-            if spec.sense == "benefit":
-                entry = endpointwise(lambda x: (x - a_minus) / rng, v)
-            else:
-                entry = IT2TrFN(
-                    _reflect_scale(v.upper, a_plus, rng), _reflect_scale(v.lower, a_plus, rng)
-                )
-            result[i].append(entry)
+        if spec.sense == "benefit":
+            scaled = lambda x: (x - a_minus) / rng  # one closure per column
+            for out, row in zip(result, matrix):
+                out.append(endpointwise(scaled, row[j]))
+        else:
+            for out, row in zip(result, matrix):
+                v = row[j]
+                out.append(IT2TrFN(_reflect_scale(v.upper, a_plus, rng),
+                                   _reflect_scale(v.lower, a_plus, rng)))
     return result
 
 
@@ -114,7 +114,11 @@ def weight(normalized: Matrix, weights: list[IT2TrFN]) -> Matrix:
 
 def _weighted(w: IT2TrFN, n: IT2TrFN) -> IT2TrFN:
     _require_nonnegative(n, "multiplication", shift=1.0)
-    return endpointwise(lambda we, ne: we * (ne + 1.0), w, n)
+    return endpointwise(_weighted_endpoint, w, n)
+
+
+def _weighted_endpoint(we: float, ne: float) -> float:
+    return we * (ne + 1.0)
 
 
 def baa(

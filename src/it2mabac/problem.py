@@ -100,7 +100,8 @@ def _check_expert_blocks(weights, ratings, alternatives, experts, q: int) -> Non
         if missing:
             raise DimensionMismatch(f"{key!r} is missing experts {sorted(missing)}")
         if extra:
-            raise DimensionMismatch(f"{key!r} names unknown experts {sorted(extra, key=str)}")
+            shown = ", ".join(map(_shown, sorted(extra, key=lambda k: _shown(k, str))))
+            raise DimensionMismatch(f"{key!r} names unknown experts [{shown}]")
 
     def check(node, where: str, size: int, what: str, alt=None) -> None:
         """``node`` lists ``size`` ``what``."""
@@ -123,7 +124,7 @@ class DecisionProblem:
     """A group decision problem, checked and resolved when built; read-only once built.
 
     Building one checks the alternative, criterion and expert names, the
-    types of the criteria, scales and params, and the shape of every
+    types of the name, criteria, scales and params, and the shape of every
     expert's weight vector and rating matrix before it resolves any entry:
     an ``IT2TrFN`` is kept, a term is looked up in the problem's own
     ``weight_scale`` or ``rating_scale``, and an inline value is built.
@@ -153,6 +154,8 @@ class DecisionProblem:
                 )
         _check_names([c.name for c in self.criteria], "criteria")
         _check_names(self.experts, "experts")
+        if not isinstance(self.name, str):
+            raise ProblemSyntaxError(f"'name' must be a string, got {_shown(self.name)}")
         for key, kind in (("weight_scale", LinguisticScale), ("rating_scale", LinguisticScale),
                           ("params", PipelineParams)):
             if not isinstance(getattr(self, key), kind):

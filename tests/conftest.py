@@ -11,16 +11,27 @@ def finite(lo, hi):
 
 
 @st.composite
-def it2trfns(draw, lo=0.0, hi=10.0):
-    """A valid IT2TrFN with sorted endpoints and lower height <= upper height."""
-    upper = sorted(draw(st.lists(finite(lo, hi), min_size=4, max_size=4)))
-    lower = sorted(draw(st.lists(finite(lo, hi), min_size=4, max_size=4)))
+def it2trfns(draw, lo=0.0, hi=10.0, signed_zeros=False):
+    """A valid IT2TrFN with sorted endpoints and lower height <= upper height.
+
+    With ``signed_zeros``, an endpoint may also be 0.0 or -0.0.
+    """
+    point = finite(lo, hi)
+    if signed_zeros:
+        point = st.one_of(st.sampled_from([0.0, -0.0]), point)
+    upper = sorted(draw(st.lists(point, min_size=4, max_size=4)))
+    lower = sorted(draw(st.lists(point, min_size=4, max_size=4)))
     h_upper = draw(finite(0.05, 1.0))
     fraction = draw(finite(0.05, 1.0))
     return IT2TrFN(
         GeneralizedTrapezoid(*upper, h_upper),
         GeneralizedTrapezoid(*lower, h_upper * fraction),
     )
+
+
+def bits(v):
+    """Upper a1-a4 and h, then lower a1-a4 and h, bit for bit (the sign of zero included)."""
+    return [float(x).hex() for t in (v.upper, v.lower) for x in (*t.endpoints, t.h)]
 
 
 @pytest.fixture(scope="session")

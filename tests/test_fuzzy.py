@@ -1,5 +1,6 @@
 """Tests for the fuzzy value type and its arithmetic."""
 
+import math
 import operator
 from functools import reduce
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import finite, it2trfns
+from conftest import bits, finite, it2trfns
 from it2mabac import (
     CRISP_ONE,
     GeneralizedTrapezoid,
@@ -28,6 +29,7 @@ from it2mabac.errors import (
     NegativeScalar,
     ProblemSyntaxError,
 )
+from it2mabac.fuzzy import endpointwise
 
 GOOD = make((7, 9, 9, 10, 1.0), (8, 9, 9, 9.5, 0.9))
 H = make((0.7, 0.9, 0.9, 1.0, 1.0), (0.8, 0.9, 0.9, 0.95, 0.9))
@@ -53,6 +55,34 @@ class TestConstruction:
             GeneralizedTrapezoid(1, 2, 3, 4, 0.0)
         with pytest.raises(HeightOutOfRange):
             GeneralizedTrapezoid(1, 2, 3, 4, 1.2)
+
+    @pytest.mark.parametrize(
+        "args, error, message",
+        [
+            ((2.0, 1.0, 3.0, 4.0, 1.0), EndpointOrderViolation,
+             "a1=2.0 exceeds a2=1.0; endpoints must satisfy a1 <= a2 <= a3 <= a4"),
+            ((1.0, 3.0, 2.0, 4.0, 1.0), EndpointOrderViolation,
+             "a2=3.0 exceeds a3=2.0; endpoints must satisfy a1 <= a2 <= a3 <= a4"),
+            ((1.0, 2.0, 4.0, 3.0, 1.0), EndpointOrderViolation,
+             "a3=4.0 exceeds a4=3.0; endpoints must satisfy a1 <= a2 <= a3 <= a4"),
+            ((1.0, 2.0, 3.0, 4.0, 0.0), HeightOutOfRange, "height h=0.0 must lie in (0, 1]"),
+            ((1.0, 2.0, 3.0, 4.0, 1.2), HeightOutOfRange, "height h=1.2 must lie in (0, 1]"),
+            ((2.0, 1.0, 4.0, 3.0, 0.0), EndpointOrderViolation,
+             "a1=2.0 exceeds a2=1.0; endpoints must satisfy a1 <= a2 <= a3 <= a4"),
+            ((1.0, 2.0, 3.0, 4.0, math.nan), HeightOutOfRange, "height h=nan must lie in (0, 1]"),
+        ],
+        ids=["a1>a2", "a2>a3", "a3>a4", "h=0", "h>1", "first-broken-pair-before-height", "nan-h"],
+    )
+    def test_refusal_names_the_first_broken_rule(self, args, error, message):
+        with pytest.raises(error) as info:
+            GeneralizedTrapezoid(*args)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    def test_order_is_checked_within_eps(self):
+        assert GeneralizedTrapezoid(1.0 + 9e-10, 1.0, 2.0, 3.0, 1.0).a1 == 1.0 + 9e-10
+        # A NaN endpoint fails no comparison, so only ``make`` refuses it.
+        assert math.isnan(GeneralizedTrapezoid(math.nan, 1.0, 2.0, 3.0, 1.0).a1)
 
     def test_height_order_violation(self):
         with pytest.raises(HeightOrderViolation):
@@ -229,3 +259,32 @@ def test_mean_rejects_empty_input():
 
     with pytest.raises(EmptyInput):
         mean([])
+
+
+def _map_lifted(fn, *values):
+    """``bits`` of the general lifting, written out: ``map`` over each level, heights by min."""
+    return [
+        float(x).hex()
+        for t in ("upper", "lower")
+        for x in (*map(fn, *[getattr(v, t).endpoints for v in values]),
+                  min(getattr(v, t).h for v in values))
+    ]
+
+
+@given(data=st.data(), n=st.integers(1, 3))
+def test_endpointwise_is_the_map_lifting_in_the_same_order(data, n):
+    values = data.draw(st.lists(it2trfns(signed_zeros=True), min_size=n, max_size=n))
+    calls = []
+
+    def product(*xs):
+        calls.append([x.hex() for x in xs])
+        return reduce(operator.mul, xs)
+
+    assert bits(endpointwise(product, *values)) == _map_lifted(
+        lambda *xs: reduce(operator.mul, xs), *values
+    )
+    assert calls == [
+        [getattr(v, t).endpoints[k].hex() for v in values]
+        for t in ("upper", "lower")
+        for k in range(4)
+    ]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import finite, it2trfns
+from conftest import bits, finite, it2trfns
 from it2mabac import (
     BAA,
     LAA,
@@ -277,19 +277,45 @@ def test_cost_benefit_duality(rows):
 
 
 @given(
-    rows=st.lists(st.lists(it2trfns(lo=0.0, hi=2.0), min_size=3, max_size=3), min_size=1, max_size=3),
-    weights=st.lists(it2trfns(lo=0.0, hi=1.0), min_size=3, max_size=3),
+    rows=st.lists(st.lists(it2trfns(lo=0.0, hi=9.0, signed_zeros=True), min_size=3, max_size=3),
+                  min_size=1, max_size=3),
+    senses=st.lists(st.sampled_from(["benefit", "cost"]), min_size=3, max_size=3),
+)
+def test_normalize_is_the_per_endpoint_formula(rows, senses):
+    # the anchor row keeps every column's range at least [1, 10], and its
+    # a_minus above 0 unless a drawn value reaches below 1
+    matrix = rows + [[make((1, 2, 5, 10, 1.0), (1, 2, 5, 9, 0.9))] * 3]
+    specs = [CriterionSpec(f"c{j}", sense) for j, sense in enumerate(senses)]
+    want = [[] for _ in matrix]
+    for j, spec in enumerate(specs):
+        a_minus, a_plus = column_range(matrix, j, spec.name)
+        rng = a_plus - a_minus
+        for out, row in zip(want, matrix):
+            cell = []
+            for t in (row[j].upper, row[j].lower):
+                if spec.sense == "benefit":
+                    cell += [(x - a_minus) / rng for x in t.endpoints]
+                else:
+                    cell += [(a_plus - x) / rng for x in reversed(t.endpoints)]
+                cell.append(t.h)
+            out.append([x.hex() for x in cell])
+    assert [[bits(v) for v in row] for row in normalize(matrix, specs)] == want
+
+
+@given(
+    rows=st.lists(st.lists(it2trfns(lo=0.0, hi=2.0, signed_zeros=True), min_size=3, max_size=3),
+                  min_size=1, max_size=3),
+    weights=st.lists(it2trfns(lo=0.0, hi=1.0, signed_zeros=True), min_size=3, max_size=3),
 )
 def test_weight_is_w_times_n_plus_one_per_endpoint(rows, weights):
     weighted = weight(rows, weights)
     for row, out in zip(rows, weighted):
         for w, n, v in zip(weights, row, out):
-            for level in ("upper", "lower"):
-                wt, nt, vt = getattr(w, level), getattr(n, level), getattr(v, level)
-                assert vt.endpoints == tuple(
-                    we * (ne + 1.0) for we, ne in zip(wt.endpoints, nt.endpoints)
-                )
-                assert vt.h == min(wt.h, nt.h)
+            want = []
+            for wt, nt in ((w.upper, n.upper), (w.lower, n.lower)):
+                want += [we * (ne + 1.0) for we, ne in zip(wt.endpoints, nt.endpoints)]
+                want.append(min(wt.h, nt.h))
+            assert bits(v) == [x.hex() for x in want]
 
 
 @st.composite

@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 import it2mabac.problem
 from it2mabac import (
     CriterionSpec,
+    GeneralizedTrapezoid,
     IT2TrFN,
     PipelineParams,
     builtin_rating_scale,
     builtin_weight_scale,
     example_problem_text,
     load_example_problem,
+    make,
     parse_problem,
     render_machine,
     resolve,
@@ -191,17 +193,36 @@ class TestParse:
             ("expert_ratings", _replaced(_EXAMPLE.expert_ratings, ["DM3", 0, 2], 10**5000),
              "ratings[DM3][A1][2]: an inline value must be two 5-tuples "
              "[[a1,a2,a3,a4,h],[a1,a2,a3,a4,h]], got an int of 16610 bits"),
+            ("name", 5, "'name' must be a string, got 5"),
+            ("name", 10**5000, "'name' must be a string, got an int of 16610 bits"),
         ],
         ids=["int-alternatives", "duplicate-alternatives", "duplicate-experts", "duplicate-criteria",
              "str-criteria", "bare-string-alternatives", "bare-string-experts", "int-criteria",
              "int-weights", "int-ratings", "int-row", "number-weight-cell", "number-rating-cell",
              "none-params", "str-scale", "empty-criteria", "alternative-too-long-to-print",
              "criteria-entry-too-long-to-print", "weight-cell-holding-an-int-too-long-to-print",
-             "rating-cell-too-long-to-print"],
+             "rating-cell-too-long-to-print", "int-name", "name-too-long-to-print"],
     )
     def test_directly_built_problem_checks_names(self, example_problem, field, value, message):
         with pytest.raises(ProblemSyntaxError) as info:
             dataclasses.replace(example_problem, **{field: value})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ([5, "x"], "'weights' names unknown experts [5, 'x']"),
+            (['x"', "x'"], """'weights' names unknown experts ['x"', "x'"]"""),
+            ([10**5000], "'weights' names unknown experts [an int of 16610 bits]"),
+        ],
+        ids=["int-and-str", "sorted-by-str-not-repr", "too-long-to-print"],
+    )
+    def test_directly_built_problem_names_unknown_experts(self, example_problem, extra, message):
+        weights = example_problem.expert_weights
+        with pytest.raises(DimensionMismatch) as info:
+            dataclasses.replace(
+                example_problem, expert_weights={**weights, **{k: weights["DM1"] for k in extra}}
+            )
         assert str(info.value) == message
 
     def test_problem_built_from_the_raw_nodes_equals_the_parsed_one(self, example_problem):
@@ -595,6 +616,19 @@ class TestRun:
                 row[2] = [[5, 5, 5, 5, 1.0], [5, 5, 5, 5, 1.0]]
         problem = parse_problem(_dump(doc))
         with pytest.raises(DegenerateRange, match=r"step 3.*C3"):
+            run(problem)
+
+    def test_value_tolerated_in_order_can_break_it_once_scaled(self):
+        # a1 exceeds a2 by 9e-10, inside EPS; scaled by the column range 1e-3
+        # the excess is 9e-7, which step 3 must refuse.
+        t = GeneralizedTrapezoid(5e-4 + 9e-10, 5e-4, 5e-4, 1e-3, 1.0)
+        tolerated, low = IT2TrFN(t, t), make((0, 0, 0, 1e-3, 1.0), (0, 0, 0, 1e-3, 1.0))
+        ratings = {
+            e: [[tolerated if i == 0 else low, *row[1:]] for i, row in enumerate(rows)]
+            for e, rows in _EXAMPLE.expert_ratings.items()
+        }
+        problem = dataclasses.replace(_EXAMPLE, expert_ratings=ratings)
+        with pytest.raises(EndpointOrderViolation, match=r"^step 3 \(normalization\): a1=\S+ exceeds a2="):
             run(problem)
 
     def test_cli_style_params_override(self, example_problem):
