@@ -20,9 +20,21 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from types import MappingProxyType
+from types import GeneratorType, MappingProxyType
 
 import yaml
+from yaml.constructor import ConstructorError
+from yaml.composer import ComposerError
+from yaml.events import (
+    AliasEvent,
+    MappingEndEvent,
+    MappingStartEvent,
+    ScalarEvent,
+    SequenceEndEvent,
+    SequenceStartEvent,
+    StreamEndEvent,
+)
+from yaml.nodes import ScalarNode
 
 from .aggregation import average_ratings, average_weights
 from .errors import (
@@ -86,6 +98,19 @@ class PipelineParams:
 PARAM_KEYS = {"lambda": "lam", "r": "r", "s": "s", "baa": "baa_operator"}
 
 
+def _listed(keys) -> str:
+    """``keys`` as the repr of their list sorted by ``str``, each shown as ``_shown`` shows it."""
+    return f"[{', '.join(map(_shown, sorted(keys, key=lambda k: _shown(k, str))))}]"
+
+
+def _name(node, what: str) -> str:
+    """``str(node)``, as YAML reads ``name: 12`` as an int; one too long to print is refused."""
+    try:
+        return str(node)
+    except ValueError:  # CPython prints no int of more than 4300 digits
+        raise ProblemSyntaxError(f"{what} must be a string, got {_shown(node)}") from None
+
+
 def _check_expert_blocks(weights, ratings, alternatives, experts, q: int) -> None:
     """The shape rule of steps 1-2; it reads no entry.
 
@@ -100,8 +125,7 @@ def _check_expert_blocks(weights, ratings, alternatives, experts, q: int) -> Non
         if missing:
             raise DimensionMismatch(f"{key!r} is missing experts {sorted(missing)}")
         if extra:
-            shown = ", ".join(map(_shown, sorted(extra, key=lambda k: _shown(k, str))))
-            raise DimensionMismatch(f"{key!r} names unknown experts [{shown}]")
+            raise DimensionMismatch(f"{key!r} names unknown experts {_listed(extra)}")
 
     def check(node, where: str, size: int, what: str, alt=None) -> None:
         """``node`` lists ``size`` ``what``."""
@@ -271,24 +295,36 @@ def run(problem: DecisionProblem, params: PipelineParams | None = None) -> Pipel
 _REQUIRED_KEYS = {"alternatives", "criteria", "experts", "weights", "ratings"}
 _TOP_LEVEL_KEYS = _REQUIRED_KEYS | {"name", "weight_scale", "rating_scale", "params"}
 
+#: The deepest nesting of lists and mappings a document may have, the top level
+#: included. PyYAML's recursive composer, which ``_construct`` replaced, accepted
+#: 493 levels when called through ``cli.main``.
+_MAX_DEPTH = 500
+
+_TAG = "tag:yaml.org,2002:"
+_STR, _MERGE, _VALUE = yaml.resolver.BaseResolver.DEFAULT_SCALAR_TAG, _TAG + "merge", _TAG + "value"
+#: What ``_construct`` builds for a list or a mapping, by (is a mapping, tag).
+_KINDS = {(False, None): "seq", (False, "!"): "seq", (False, _TAG + "seq"): "seq",
+          (False, _TAG + "omap"): "pairs", (False, _TAG + "pairs"): "pairs",
+          (True, None): "map", (True, "!"): "map", (True, _TAG + "map"): "map", (True, _TAG + "set"): "set"}
+_NO_KEY, _MERGE_KEY = object(), object()  # a mapping waits for a key; the key ``<<``
+
 if yaml.__with_libyaml__:
-    from yaml.composer import Composer
     from yaml.constructor import SafeConstructor
     from yaml.cyaml import CParser
     from yaml.resolver import Resolver
 
-    class _Loader(Composer, CParser, SafeConstructor, Resolver):
-        """libyaml's C scanner and parser under PyYAML's Python safe loader.
+    class _Loader(CParser, SafeConstructor, Resolver):
+        """libyaml's C scanner and parser, with PyYAML's safe scalar constructors and resolver.
 
-        PyYAML's all-C safe loader is not used: its compiled composer
-        recurses on the C stack, so a deeply nested document kills the
-        interpreter. The Python ``Composer``, first in the MRO, raises
-        ``RecursionError`` instead.
+        There is no composer: ``_construct`` builds the value straight from
+        the parser's events. PyYAML's Python composer built a node graph
+        that its constructor then walked a second time, and it recursed once
+        per nesting level; its all-C composer recurses on the C stack, so a
+        deeply nested document killed the interpreter.
         """
 
         def __init__(self, stream):
             CParser.__init__(self, stream)
-            Composer.__init__(self)
             SafeConstructor.__init__(self)
             Resolver.__init__(self)
 
@@ -299,9 +335,11 @@ else:
 def _load_yaml(text: str, what: str):
     """Load one YAML document; every failure is a ``ProblemSyntaxError``.
 
-    Text with a tab goes through ``yaml.SafeLoader``: libyaml accepts a tab
+    ``_Loader``'s parser feeds ``_construct``. Text with a tab goes to
+    ``yaml.SafeLoader``'s scanner and parser instead: libyaml accepts a tab
     as a separator in places where PyYAML's own scanner rejects it, and the
-    outcome must not depend on how PyYAML was built.
+    outcome must not depend on how PyYAML was built. A document nested more
+    than ``_MAX_DEPTH`` levels deep is refused as "nested too deeply".
 
     ``ValueError``: PyYAML's safe constructor raises it for a timestamp that
     is not a date and for an integer too long to convert; it also covers the
@@ -309,11 +347,161 @@ def _load_yaml(text: str, what: str):
     so a lone surrogate fails there.
     """
     try:
-        return yaml.load(text, Loader=yaml.SafeLoader if "\t" in text else _Loader)
+        loader = (yaml.SafeLoader if "\t" in text else _Loader)(text)
+        try:
+            return _construct(loader)
+        finally:
+            loader.dispose()
     except (yaml.YAMLError, ValueError) as exc:
         raise ProblemSyntaxError(f"{what}: {exc}") from exc
-    except RecursionError as exc:
-        raise ProblemSyntaxError(f"{what}: nested too deeply") from exc
+
+
+def _construct(loader):
+    """The value of the one document ``loader`` parses, or ``None`` for an empty stream.
+
+    One pass over the parser's events, with an explicit stack of the open
+    lists and mappings, builds what PyYAML's composer and safe constructor
+    built. A scalar is resolved by ``loader.resolve``, once per distinct
+    plain text, and built by the loader's safe constructor for its tag; a
+    string is the event's text. An anchor names the object itself, so every
+    alias shares it, and a list or mapping is named before its entries, so
+    it may hold itself. A duplicate key keeps its last value; ``<<`` merges
+    a mapping, or a list of mappings, in PyYAML's order, and the mapping's
+    own keys win. The tags ``!!seq``, ``!!map``, ``!!set``, ``!!omap`` and
+    ``!!pairs`` give what PyYAML gives.
+
+    Where PyYAML's node graph gave an odd outcome, this differs: a mapping
+    merged into itself or into a mapping inside it, a ``!!set``, ``!!omap``
+    or ``!!pairs`` as a merge source, and a scalar tag on a mapping holding
+    the YAML 1.1 value key ``=`` are refused; an ``!!omap`` or ``!!pairs`` entry
+    is built as any mapping is, so a repeated key in it keeps its last value
+    and an unhashable key is refused.
+    """
+    get_event, resolve = loader.get_event, loader.resolve
+    get_event()  # StreamStartEvent
+    if loader.check_event(StreamEndEvent):
+        return None
+    get_event()  # DocumentStartEvent
+    anchors, tags, stack = {}, {}, []
+    # The open collection: its kind, its entries, the key waiting for a value,
+    # the object it builds, the merge sources met so far and its start mark;
+    # the bottom list receives the document.
+    kind, items, key, result, merges, mark = "seq", [], _NO_KEY, None, None, None
+    document = items
+    while True:
+        event = get_event()
+        cls = event.__class__
+        if cls is ScalarEvent:
+            value, tag = event.value, event.tag
+            if tag is None or tag == "!":
+                if event.implicit[0]:  # plain: the text alone decides the tag
+                    tag = tags.get(value)
+                    if tag is None:
+                        tag = tags[value] = resolve(ScalarNode, value, event.implicit)
+                else:
+                    tag = resolve(ScalarNode, value, event.implicit)
+            if tag != _STR:
+                if key is _NO_KEY and (kind == "map" or kind == "set") and (tag == _MERGE or tag == _VALUE):
+                    value = _MERGE_KEY if tag == _MERGE else value  # PyYAML reads the key "=" as a string
+                else:
+                    value = _construct_scalar(loader, tag, event)
+            if event.anchor is not None:
+                _add_anchor(anchors, event, value)
+        elif cls is SequenceStartEvent or cls is MappingStartEvent:
+            stack.append((kind, items, key, result, merges, mark))
+            if len(stack) > _MAX_DEPTH:
+                raise yaml.YAMLError("nested too deeply")
+            mapping = cls is MappingStartEvent
+            kind = _KINDS.get((mapping, event.tag))
+            if kind is None:
+                raise _refused(event.tag, "a mapping" if mapping else "a sequence", event)
+            items = {} if mapping else []
+            result = set() if kind == "set" else items
+            key, merges, mark = _NO_KEY, None, event.start_mark
+            if event.anchor is not None:
+                _add_anchor(anchors, event, result)
+            continue
+        elif cls is SequenceEndEvent or cls is MappingEndEvent:
+            if merges is not None:  # the merged entries first, then the mapping's own
+                own = dict(items)
+                items.clear()
+                for source in merges:
+                    items.update(source)
+                items.update(own)
+            if kind == "set":
+                result.update(items)
+            value = result
+            kind, items, key, result, merges, mark = stack.pop()
+        elif cls is AliasEvent:
+            if event.anchor not in anchors:
+                raise ComposerError(None, None, f"found undefined alias {event.anchor!r}", event.start_mark)
+            value = anchors[event.anchor][0]
+            if value is _MERGE_KEY and not (key is _NO_KEY and (kind == "map" or kind == "set")):
+                raise _refused(_MERGE, "a value", event)
+        else:  # DocumentEndEvent
+            break
+
+        if kind == "seq":
+            items.append(value)
+        elif kind == "pairs":
+            if type(value) is not dict or len(value) != 1:
+                raise ConstructorError(None, None, "expected a mapping of one pair in an !!omap or !!pairs",
+                                       event.start_mark)
+            items.append(next(iter(value.items())))
+        elif key is _NO_KEY:
+            if cls is not ScalarEvent and isinstance(value, (list, dict, set)):
+                raise ConstructorError("while constructing a mapping", mark, "found unhashable key",
+                                       event.start_mark)
+            key = value
+        else:
+            if key is _MERGE_KEY:
+                merges = (merges or []) + _merge_sources(value, [result] + [f[3] for f in stack], mark, event)
+            else:
+                items[key] = value
+            key = _NO_KEY
+
+    if not loader.check_event(StreamEndEvent):
+        raise ComposerError("expected a single document in the stream", None,
+                            "but found another document", get_event().start_mark)
+    return document[0]
+
+
+def _construct_scalar(loader, tag: str, event):
+    """The loader's safe constructor for ``tag`` applied to the scalar ``event``."""
+    constructors = loader.yaml_constructors
+    constructor = constructors.get(tag) or constructors[None]  # None: "could not determine a constructor"
+    node = ScalarNode(tag, event.value, event.start_mark, event.end_mark, event.style)
+    try:
+        value = constructor(loader, node)
+    except (LookupError, AttributeError) as exc:  # !!bool x, !!int '', !!timestamp x
+        raise ConstructorError(None, None, f"cannot read {event.value!r} as {tag!r}",
+                               event.start_mark) from exc
+    if isinstance(value, GeneratorType):  # a collection tag
+        raise _refused(tag, "a scalar", event)
+    return value
+
+
+def _merge_sources(value, open_collections, mark, event) -> list:
+    """The mappings that ``<<: value`` merges, in the order their entries are inserted."""
+    sources = value[::-1] if isinstance(value, list) else [value]
+    for source in sources:
+        if type(source) is not dict or any(source is c for c in open_collections):
+            raise ConstructorError("while constructing a mapping", mark, "expected a mapping or a list "
+                                   "of mappings for merging, none enclosing the merge", event.start_mark)
+    return sources
+
+
+def _add_anchor(anchors: dict, event, value) -> None:
+    """Name ``value`` by the anchor of ``event``; a name is given once per document."""
+    if event.anchor in anchors:
+        raise ComposerError(f"found duplicate anchor {event.anchor!r}; first occurrence",
+                            anchors[event.anchor][1], "second occurrence", event.start_mark)
+    anchors[event.anchor] = value, event.start_mark
+
+
+def _refused(tag: str, found: str, event) -> ConstructorError:
+    """The error for ``tag`` on a node it cannot be built from."""
+    return ConstructorError(None, None, f"cannot construct {tag!r} from {found}", event.start_mark)
 
 
 def _parse_criteria(node) -> list[CriterionSpec]:
@@ -327,7 +515,7 @@ def _parse_criteria(node) -> list[CriterionSpec]:
             specs.append(CriterionSpec(**item))
         else:
             raise ProblemSyntaxError(
-                f"criteria[{i}]: expected a name or a {{name, sense}} mapping, got {item!r}"
+                f"criteria[{i}]: expected a name or a {{name, sense}} mapping, got {_shown(item)}"
             )
     return specs
 
@@ -344,7 +532,7 @@ def parse_scale(node, default_name: str = "custom") -> LinguisticScale:
     for term, value in terms.items():
         with _stage(f"scale term {term!r}"):
             entries[term] = _parse_inline_value(value)
-    return LinguisticScale(str(node.get("name", default_name)), entries)
+    return LinguisticScale(_name(node.get("name", default_name), "a scale's 'name'"), entries)
 
 
 def _parse_inline_value(node) -> IT2TrFN:
@@ -378,7 +566,7 @@ def _load_scale(node, role: str, base_dir: Path | None) -> LinguisticScale:
         with _stage(f"{role} ({path.name})"):
             return parse_scale(doc, default_name=path.stem)
     raise ProblemSyntaxError(
-        f"{role}: expected 'builtin', an inline scale mapping, or a file path, got {node!r}"
+        f"{role}: expected 'builtin', an inline scale mapping, or a file path, got {_shown(node)}"
     )
 
 
@@ -392,12 +580,19 @@ def _resolve_entry(node, scale: LinguisticScale, where: str) -> IT2TrFN:
 def _resolve_row(row, scale: LinguisticScale, where: str) -> tuple[IT2TrFN, ...]:
     """Resolve one row; cell ``j`` is labelled ``{where}[{j}]`` in errors.
 
-    A known term is one dict lookup and an ``IT2TrFN`` is kept as it is; only
-    inline values and refusals pay for ``_resolve_entry`` and its label.
+    A known term is one dict lookup, and an ``IT2TrFN`` is kept once its ten
+    numbers pass the one number rule of ``fuzzy._finite``, which a document's
+    inline values meet in ``make``; only inline values and refusals pay for
+    ``_resolve_entry`` and its label.
     """
     known, resolved = scale.entries, []
     for j, entry in enumerate(row):
-        if not isinstance(entry, IT2TrFN):
+        if isinstance(entry, IT2TrFN):
+            for which, t in (("upper", entry.upper), ("lower", entry.lower)):
+                message = f"{where}[{j}]: {which} trapezoid: {{}} is not a finite number"
+                for x in (t.a1, t.a2, t.a3, t.a4, t.h):
+                    _finite(x, ProblemSyntaxError, message)
+        else:
             entry = (known[entry] if isinstance(entry, str) and entry in known
                      else _resolve_entry(entry, scale, f"{where}[{j}]"))
         resolved.append(entry)
@@ -416,7 +611,7 @@ def parse_problem(text: str, base_dir: str | Path | None = None) -> DecisionProb
     unknown = set(doc) - _TOP_LEVEL_KEYS
     if unknown:
         raise ProblemSyntaxError(
-            f"unknown top-level keys {sorted(unknown, key=str)}; "
+            f"unknown top-level keys {_listed(unknown)}; "
             f"expected a subset of {sorted(_TOP_LEVEL_KEYS)}"
         )
     missing = _REQUIRED_KEYS - set(doc)
@@ -433,7 +628,7 @@ def parse_problem(text: str, base_dir: str | Path | None = None) -> DecisionProb
         expert_weights=doc["weights"],
         expert_ratings=doc["ratings"],
         params=_parse_params(doc.get("params")),
-        name=str(doc.get("name", "unnamed")),
+        name=_name(doc.get("name", "unnamed"), "'name'"),
     )
 
 
@@ -441,11 +636,11 @@ def _parse_params(node) -> PipelineParams:
     if node is None:
         return PipelineParams()
     if not isinstance(node, dict):
-        raise ProblemSyntaxError(f"'params' must be a mapping, got {node!r}")
+        raise ProblemSyntaxError(f"'params' must be a mapping, got {_shown(node)}")
     unknown = set(node) - PARAM_KEYS.keys()
     if unknown:
         raise ProblemSyntaxError(
-            f"unknown params {sorted(unknown, key=str)}; expected a subset of {sorted(PARAM_KEYS)}"
+            f"unknown params {_listed(unknown)}; expected a subset of {sorted(PARAM_KEYS)}"
         )
     return PipelineParams(**{name: node[key] for key, name in PARAM_KEYS.items() if key in node})
 

@@ -1,6 +1,7 @@
 """Tests for problem parsing, validation, and pipeline orchestration."""
 
 import dataclasses
+import math
 import random
 from collections.abc import Mapping
 
@@ -240,6 +241,32 @@ class TestParse:
         with pytest.raises(DimensionMismatch) as info:
             dataclasses.replace(example_problem, expert_ratings=ratings)
         assert str(info.value) == "ratings[DM2] row 1 ('A2'): expected 5 entries, got 4"
+
+    @pytest.mark.parametrize(
+        "upper, lower, shown",
+        [
+            ((math.nan, 0.5, 0.6, 0.9, 1.0), (0.5, 0.5, 0.6, 0.8, 0.9), "upper trapezoid: nan"),
+            ((0.3, 0.5, 0.6, math.inf, 1.0), (0.5, 0.5, 0.6, 0.8, 0.9), "upper trapezoid: inf"),
+            ((0.3, 0.5, 0.6, 0.9, 1.0), (-math.inf, 0.5, 0.6, 0.8, 0.9), "lower trapezoid: -inf"),
+        ],
+        ids=["nan", "inf", "-inf"],
+    )
+    @pytest.mark.parametrize(
+        "field, path, where",
+        [("expert_ratings", ["DM2", 1, 3], "ratings[DM2][A2][3]"),
+         ("expert_weights", ["DM3", 0], "weights[DM3][0]")],
+        ids=["rating", "weight"],
+    )
+    def test_directly_built_cell_must_be_finite(
+        self, example_problem, upper, lower, shown, field, path, where
+    ):
+        # GeneralizedTrapezoid only compares, so these build; the problem refuses
+        # them with the text a document's inline value gets
+        cell = IT2TrFN(GeneralizedTrapezoid(*upper), GeneralizedTrapezoid(*lower))
+        entries = _replaced(getattr(example_problem, field), path, cell)
+        with pytest.raises(ProblemSyntaxError) as info:
+            dataclasses.replace(example_problem, **{field: entries})
+        assert str(info.value) == f"{where}: {shown} is not a finite number"
 
     def test_lambda_out_of_range(self):
         doc = _doc()

@@ -1,0 +1,307 @@
+"""Tests of the YAML loader: ``problem._load_yaml`` against the composer it replaced.
+
+The reference is the loader the package used before: libyaml's parser under
+PyYAML's Python ``Composer`` and ``SafeConstructor``, or ``yaml.SafeLoader``
+for text with a tab and without libyaml, with the same error mapping.
+"""
+
+import importlib.util
+import math
+import sys
+from pathlib import Path
+
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from yaml.composer import Composer
+from yaml.constructor import SafeConstructor
+from yaml.resolver import Resolver
+
+import it2mabac.problem
+from it2mabac import example_problem_text
+from it2mabac.cli import main
+from it2mabac.errors import ProblemSyntaxError
+from it2mabac.problem import _MAX_DEPTH, _load_yaml
+
+if yaml.__with_libyaml__:
+    from yaml.cyaml import CParser
+
+    class _Reference(Composer, CParser, SafeConstructor, Resolver):
+        def __init__(self, stream):
+            CParser.__init__(self, stream)
+            Composer.__init__(self)
+            SafeConstructor.__init__(self)
+            Resolver.__init__(self)
+
+else:
+    _Reference = yaml.SafeLoader
+
+
+def _reference_load(text: str, what: str = "doc"):
+    try:
+        return yaml.load(text, Loader=yaml.SafeLoader if "\t" in text else _Reference)
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
+        raise ProblemSyntaxError(f"{what}: {exc}") from exc
+
+
+def _outcome(load, text: str):
+    """("value", the loaded value), or ("error", the class of the exception raised)."""
+    try:
+        return "value", load(text, "doc")
+    except Exception as exc:  # the class is the outcome, whatever it is
+        return "error", type(exc)
+
+
+def _same(a, b, pairs=None) -> bool:
+    """Equal values with equal types at every depth, and the same sharing of lists and mappings."""
+    pairs = {} if pairs is None else pairs
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return a.hex() == b.hex()  # nan equals nan; 0.0 is not -0.0
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(_same(x, y, pairs) for x, y in zip(a, b))
+    if not isinstance(a, (list, dict, set)):
+        return a == b
+    if id(a) in pairs or id(b) in pairs:
+        return pairs.get(id(a), (None,))[0] is b and pairs.get(id(b), (None,))[0] is a
+    pairs[id(a)], pairs[id(b)] = (b, a), (a, b)  # holds both, so no id is reused
+    if isinstance(a, set):
+        return {(type(x), x) for x in a} == {(type(x), x) for x in b}
+    if isinstance(a, dict):  # the order of the keys counts
+        return len(a) == len(b) and all(
+            _same(ka, kb, pairs) and _same(va, vb, pairs) for (ka, va), (kb, vb) in zip(a.items(), b.items())
+        )
+    return len(a) == len(b) and all(_same(x, y, pairs) for x, y in zip(a, b))
+
+
+# --------------------------------------------------------------------------
+# one case per construct
+
+
+def _self_holding(value) -> bool:
+    return value["a"][0] is value["a"]
+
+
+MERGED = (
+    "base: &b {x: 1, y: 2}\n"
+    "more: &m {y: 3, z: 4}\n"
+    "one: {<<: *b, w: 0}\n"
+    "many: {a: 0, <<: [*b, *m], x: 9}\n"
+)
+
+#: name -> (document, expected value or error class)
+CONSTRUCTS = {
+    "alias_shares_the_object": ("a: &x [1, 2]\nb: *x", lambda v: v["a"] is v["b"]),
+    "alias_of_a_scalar": ("a: &x 1.5\nb: *x", {"a": 1.5, "b": 1.5}),
+    "self_reference": ("a: &x [*x]", _self_holding),
+    "undefined_alias": ("a: *x", ProblemSyntaxError),
+    "duplicate_anchor": ("a: &x 1\nb: &x 2", ProblemSyntaxError),
+    "second_document": ("--- a\n--- b\n", ProblemSyntaxError),
+    "unhashable_key": ("? [1]\n: 2", ProblemSyntaxError),
+    "unhashable_alias_key": ("a: &x {b: 1}\n? *x\n: 2", ProblemSyntaxError),
+    "unknown_scalar_tag": ("a: !foo x", ProblemSyntaxError),
+    "unknown_collection_tag": ("a: !foo [x]", ProblemSyntaxError),
+    "duplicate_key_keeps_the_last": ("a: 1\nb: 2\na: 3", {"a": 3, "b": 2}),
+    "empty_stream": ("", None),
+    "comment_only": ("# nothing\n", None),
+    "empty_document": ("---\n", None),
+    "merge_one_mapping": (MERGED, lambda v: list(v["one"].items()) == [("x", 1), ("y", 2), ("w", 0)]),
+    "merge_list_explicit_keys_win": (
+        MERGED, lambda v: list(v["many"].items()) == [("y", 2), ("z", 4), ("x", 9), ("a", 0)]
+    ),
+    "merge_of_a_scalar": ("a: {<<: 1}", ProblemSyntaxError),
+    "merge_list_of_a_scalar": ("a: {<<: [1]}", ProblemSyntaxError),
+    "merge_key_as_a_value": ("a: <<", ProblemSyntaxError),
+    "value_key_is_a_string": ("=: 1", {"=": 1}),
+    "tag_str": ("a: !!str 12", {"a": "12"}),
+    "tag_int": ("a: !!int '0x1F'", {"a": 31}),
+    "tag_float": ("a: !!float 1", {"a": 1.0}),
+    "tag_bool": ("a: !!bool yes", {"a": True}),
+    "tag_null": ("a: !!null ''", {"a": None}),
+    "tag_binary": ("a: !!binary aGk=", {"a": b"hi"}),
+    "tag_timestamp": ("a: !!timestamp 2001-02-03", lambda v: str(v["a"]) == "2001-02-03"),
+    "non_specific_tag": ("a: ! 12", {"a": 12}),
+    "quoted_number_is_a_string": (
+        "a: 12\nb: '12'\nc: \"12\"\nd: 12", {"a": 12, "b": "12", "c": "12", "d": 12}
+    ),
+    "tag_seq": ("a: !!seq [1]", {"a": [1]}),
+    "tag_map": ("a: !!map {b: 1}", {"a": {"b": 1}}),
+    "tag_set": ("a: !!set {x, y}", {"a": {"x", "y"}}),
+    "tag_omap": ("a: !!omap [{x: 1}, {y: 2}]", {"a": [("x", 1), ("y", 2)]}),
+    "tag_pairs": ("a: !!pairs [{x: 1}, {x: 2}]", {"a": [("x", 1), ("x", 2)]}),
+    "omap_entry_of_two_items": ("a: !!omap [{x: 1, y: 2}]", ProblemSyntaxError),
+    "omap_entry_not_a_mapping": ("a: !!omap [x]", ProblemSyntaxError),
+    "collection_tag_on_a_scalar": ("a: !!seq x", ProblemSyntaxError),
+    "set_tag_on_a_sequence": ("a: !!set [x]", ProblemSyntaxError),
+    "scalar_tag_on_a_sequence": ("a: !!str [x]", ProblemSyntaxError),
+    "timestamp_not_a_date": ("a: 2001-02-30", ProblemSyntaxError),
+    "integer_too_long": ("a: 1" + "0" * 5000, ProblemSyntaxError),
+    "nested_too_deeply": ("a: " + "[" * (_MAX_DEPTH + 1) + "]" * (_MAX_DEPTH + 1), ProblemSyntaxError),
+}
+
+#: Where the outcome moved on purpose: PyYAML's constructor ended in a bare
+#: KeyError, IndexError or AttributeError, or its node graph gave an odd
+#: outcome (see ``problem._construct``).
+CHANGED = {
+    "bool_tag_on_a_non_bool": ("a: !!bool x", ProblemSyntaxError),
+    "int_tag_on_an_empty_string": ("a: !!int ''", ProblemSyntaxError),
+    "timestamp_tag_on_a_non_date": ("a: !!timestamp x", ProblemSyntaxError),
+    "merge_into_itself": ("a: &x {b: 1, <<: *x}", ProblemSyntaxError),
+    "merge_into_an_inner_mapping": ("a: &x {b: {<<: *x}}", ProblemSyntaxError),
+    "scalar_tag_on_a_value_key_mapping": ("a: !!str {=: x}", ProblemSyntaxError),
+    "pairs_entry_with_a_repeated_key": ("a: !!pairs [{x: 1, x: 2}]", {"a": [("x", 2)]}),
+    "omap_entry_with_an_unhashable_key": ("a: !!omap [{[1]: 2}]", ProblemSyntaxError),
+}
+
+
+def _check(expected, outcome):
+    kind, value = outcome
+    if isinstance(expected, type):
+        assert outcome == ("error", expected)
+    elif callable(expected):
+        assert kind == "value" and expected(value)
+    else:
+        assert kind == "value" and _same(value, expected)
+
+
+@pytest.mark.parametrize("name", list(CONSTRUCTS))
+def test_construct_loads_as_the_composer_loaded_it(name, yaml_loader):
+    text, expected = CONSTRUCTS[name]
+    _check(expected, _outcome(_load_yaml, text))
+    _check(expected, _outcome(_reference_load, text))
+
+
+@pytest.mark.parametrize("name", list(CHANGED))
+def test_construct_refused_on_purpose(name, yaml_loader):
+    text, expected = CHANGED[name]
+    _check(expected, _outcome(_load_yaml, text))
+    assert _outcome(_reference_load, text) != _outcome(_load_yaml, text)
+
+
+def test_nesting_bound_admits_what_the_composer_admitted():
+    # the bound admits the deepest document it allows; the composer's recursion refused it
+    depth = _MAX_DEPTH - 1  # under the top-level mapping
+    value = _load_yaml("a: " + "[" * depth + "]" * depth, "doc")["a"]
+    for _ in range(depth - 1):
+        (value,) = value
+    assert value == []
+    assert _outcome(_reference_load, "a: " + "[" * depth + "]" * depth) == ("error", ProblemSyntaxError)
+
+
+def test_yaml_loader_fixture_switches_the_parser(yaml_loader):
+    # libyaml encodes the text to UTF-8 first and fails on a lone surrogate;
+    # PyYAML's own reader refuses the character. The tests that patch
+    # ``problem._Loader`` to ``yaml.SafeLoader`` rely on this switch.
+    with pytest.raises(ProblemSyntaxError) as info:
+        _load_yaml("name: \ud800\n", "doc")
+    libyaml = yaml.__with_libyaml__ and yaml_loader == "libyaml"
+    assert type(info.value.__cause__) is (UnicodeEncodeError if libyaml else yaml.reader.ReaderError)
+
+
+# --------------------------------------------------------------------------
+# differential: byte edits of real documents load alike under both loaders
+
+
+def _gen():
+    path = Path(__file__).parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+_GEN = _gen()
+SEEDS = [example_problem_text()] + [
+    _GEN.emit(_GEN.template(workload, index, (4, 3, 2) if workload != "cli-small" else None))
+    for workload, count in _GEN.TEMPLATE_COUNTS.items() for index in range(min(count, 6))
+]
+TOKENS = [
+    "[", "]", "{", "}", ", ", ": ", ":", "- ", "? ", "\n", "\n  ", "\t", "#", "'", '"', "|\n", ">\n",
+    "&a ", "*a", "&b ", "*b", "<<: *a\n  ", "<<: ", "=", "~", "---\n", "...\n", "%YAML 1.1\n",
+    "!!str ", "!!int ", "!!float ", "!!bool ", "!!timestamp ", "!!binary ",
+    "!!set ", "!!omap ", "!!pairs ", "!!seq ", "!!map ",
+    "!foo ", "! ", "0x1F", "0o17", "1_000", "1e3", ".inf", ".nan", "2001-02-03", "yes", "null",
+]
+
+
+@st.composite
+def edited_documents(draw):
+    """A bundled or benchmark document with one to four insertions, deletions or replacements."""
+    text = draw(st.sampled_from(SEEDS))
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["insert", "delete", "replace"]))
+        start = draw(st.integers(0, len(text)))
+        end = start if kind == "insert" else min(len(text), start + draw(st.integers(1, 8)))
+        token = "" if kind == "delete" else draw(st.sampled_from(TOKENS))
+        text = text[:start] + token + text[end:]
+    return text
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=edited_documents())
+def test_edited_documents_load_alike(text):
+    new, old = _outcome(_load_yaml, text), _outcome(_reference_load, text)
+    if old[0] == "error" and old[1] is not ProblemSyntaxError:
+        old = ("error", ProblemSyntaxError)  # PyYAML's constructor ended in a bare error: see CHANGED
+    assert new[0] == old[0]
+    assert (new == old) if new[0] == "error" else _same(new[1], old[1])
+
+
+def test_differential_check_sees_a_difference():
+    assert not _same({"a": 1}, {"a": 1.0})
+    assert not _same({"a": 1, "b": 2}, {"b": 2, "a": 1})
+    shared = [1]
+    assert not _same({"a": shared, "b": shared}, {"a": [1], "b": [1]})
+    assert _same({"a": math.nan}, {"a": math.nan})
+
+
+# --------------------------------------------------------------------------
+# values too long to print
+
+HUGE_HEX = "0x" + "f" * 4000  # about 4800 decimal digits: CPython will not print it
+
+
+def _inline_scale(name: str) -> str:
+    value = "[[0, 0.1, 0.2, 0.3, 1], [0, 0.1, 0.2, 0.3, 0.9]]"
+    terms = "{" + ", ".join(f"{t}: {value}" for t in ("VL", "L", "ML", "M", "MH", "H", "VH")) + "}"
+    return f"weight_scale: {{name: {name}, terms: {terms}}}"
+
+
+PARAMS_BLOCK = "params:\n  lambda: 0.5\n  r: 1.0\n  s: 1.0\n  baa: bonferroni\n"
+BITS = "an int of 16000 bits"
+IN_A_LIST = "a list holding an int too long to print"
+
+#: position -> (text of the example, its replacement, what the message shows)
+HUGE_INT_POSITIONS = {
+    "problem_name": ("name: system-analyst", f"name: {HUGE_HEX}", BITS),
+    "scale_name": ("weight_scale: builtin", _inline_scale(HUGE_HEX), BITS),
+    "criterion": ("  - {name: C5, sense: benefit}", f"  - [{HUGE_HEX}]", IN_A_LIST),
+    "params": (PARAMS_BLOCK, f"params: [{HUGE_HEX}]\n", IN_A_LIST),
+    "weight_scale": ("weight_scale: builtin", f"weight_scale: [{HUGE_HEX}]", IN_A_LIST),
+    "top_level_key": ("name: system-analyst", f"name: system-analyst\n? {HUGE_HEX}\n: 1", BITS),
+    "params_key": ("  s: 1.0", f"  s: 1.0\n  ? {HUGE_HEX}\n  : 1", BITS),
+}
+
+
+@pytest.mark.parametrize("position", list(HUGE_INT_POSITIONS))
+def test_int_too_long_to_print_is_validation_failure(position, tmp_path, capsys):
+    old, new, shown = HUGE_INT_POSITIONS[position]
+    text = example_problem_text()
+    assert old in text
+    path = tmp_path / "huge.problem"
+    path.write_text(text.replace(old, new, 1))
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("validation error: ")
+    assert shown in captured.err
+
+
+def test_printable_keys_keep_their_text():
+    text = example_problem_text() + "1: one\nfoo: two\n"
+    with pytest.raises(ProblemSyntaxError) as info:
+        it2mabac.problem.parse_problem(text)
+    assert str(info.value).startswith("unknown top-level keys [1, 'foo']; ")
+
