@@ -116,14 +116,36 @@ def _finite(x, error: type[Exception], message: str) -> float:
     return number
 
 
+#: The most entries, at every depth and once per appearance, and the deepest
+#: nesting of a list, tuple or dict that ``_shown`` prints; YAML aliases can
+#: repeat one list so often that its text grows as a power of the document's size.
+_SHOWN_ENTRIES, _SHOWN_DEPTH = 1000, 50
+
+
 def _shown(x, show=repr) -> str:
-    """``show(x)``, or a name for an int too long to print and for a value holding one."""
+    """``show(x)``, or a name for an int too long to print, for a value holding one
+    and for a list, tuple or dict too large or too deep to print."""
+    if isinstance(x, (list, tuple, dict)) and _too_large(x):
+        return f"a {type(x).__name__} of length {len(x)}, too large to print"
     try:
         return show(x)
     except ValueError:  # CPython prints no int of more than 4300 digits
         if isinstance(x, int):
             return f"an int of {x.bit_length()} bits"
         return f"a {type(x).__name__} holding an int too long to print"
+
+
+def _too_large(x) -> bool:
+    """Whether ``x`` is past ``_SHOWN_ENTRIES`` or ``_SHOWN_DEPTH``; it walks with a stack, not recursion."""
+    budget, stack = _SHOWN_ENTRIES, [(x, 0)]
+    while stack:
+        value, depth = stack.pop()
+        entries = (*value, *value.values()) if isinstance(value, dict) else value
+        budget -= len(entries)
+        if budget < 0 or depth > _SHOWN_DEPTH:
+            return True
+        stack.extend((v, depth + 1) for v in entries if isinstance(v, (list, tuple, dict)))
+    return False
 
 
 def make(upper: Sequence[float], lower: Sequence[float]) -> IT2TrFN:

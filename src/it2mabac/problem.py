@@ -104,11 +104,14 @@ def _listed(keys) -> str:
 
 
 def _name(node, what: str) -> str:
-    """``str(node)``, as YAML reads ``name: 12`` as an int; one too long to print is refused."""
+    """``str(node)``, as YAML reads ``name: 12`` as an int; a name is a scalar, so
+    a list or a mapping is refused, as is an int too long to print."""
     try:
-        return str(node)
+        if not isinstance(node, (list, dict)):
+            return str(node)
     except ValueError:  # CPython prints no int of more than 4300 digits
-        raise ProblemSyntaxError(f"{what} must be a string, got {_shown(node)}") from None
+        pass
+    raise ProblemSyntaxError(f"{what} must be a string, got {_shown(node)}")
 
 
 def _check_expert_blocks(weights, ratings, alternatives, experts, q: int) -> None:
@@ -301,35 +304,15 @@ _TOP_LEVEL_KEYS = _REQUIRED_KEYS | {"name", "weight_scale", "rating_scale", "par
 _MAX_DEPTH = 500
 
 _TAG = "tag:yaml.org,2002:"
-_STR, _MERGE, _VALUE = yaml.resolver.BaseResolver.DEFAULT_SCALAR_TAG, _TAG + "merge", _TAG + "value"
-#: What ``_construct`` builds for a list or a mapping, by (is a mapping, tag).
-_KINDS = {(False, None): "seq", (False, "!"): "seq", (False, _TAG + "seq"): "seq",
-          (False, _TAG + "omap"): "pairs", (False, _TAG + "pairs"): "pairs",
-          (True, None): "map", (True, "!"): "map", (True, _TAG + "map"): "map", (True, _TAG + "set"): "set"}
+_STR, _MERGE = yaml.resolver.BaseResolver.DEFAULT_SCALAR_TAG, _TAG + "merge"
+#: The tags a list, and a mapping, may carry: none, the non-specific ``!`` and its own.
+_SEQ_TAGS, _MAP_TAGS = (None, "!", _TAG + "seq"), (None, "!", _TAG + "map")
 _NO_KEY, _MERGE_KEY = object(), object()  # a mapping waits for a key; the key ``<<``
 
-if yaml.__with_libyaml__:
-    from yaml.constructor import SafeConstructor
-    from yaml.cyaml import CParser
-    from yaml.resolver import Resolver
-
-    class _Loader(CParser, SafeConstructor, Resolver):
-        """libyaml's C scanner and parser, with PyYAML's safe scalar constructors and resolver.
-
-        There is no composer: ``_construct`` builds the value straight from
-        the parser's events. PyYAML's Python composer built a node graph
-        that its constructor then walked a second time, and it recursed once
-        per nesting level; its all-C composer recurses on the C stack, so a
-        deeply nested document killed the interpreter.
-        """
-
-        def __init__(self, stream):
-            CParser.__init__(self, stream)
-            SafeConstructor.__init__(self)
-            Resolver.__init__(self)
-
-else:
-    _Loader = yaml.SafeLoader
+#: libyaml's scanner and parser with PyYAML's safe constructor and resolver.
+#: ``_construct`` never calls its composer, whose C recursion killed the
+#: interpreter on a deeply nested document.
+_Loader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 def _load_yaml(text: str, what: str):
@@ -338,8 +321,7 @@ def _load_yaml(text: str, what: str):
     ``_Loader``'s parser feeds ``_construct``. Text with a tab goes to
     ``yaml.SafeLoader``'s scanner and parser instead: libyaml accepts a tab
     as a separator in places where PyYAML's own scanner rejects it, and the
-    outcome must not depend on how PyYAML was built. A document nested more
-    than ``_MAX_DEPTH`` levels deep is refused as "nested too deeply".
+    outcome must not depend on how PyYAML was built.
 
     ``ValueError``: PyYAML's safe constructor raises it for a timestamp that
     is not a date and for an integer too long to convert; it also covers the
@@ -360,22 +342,21 @@ def _construct(loader):
     """The value of the one document ``loader`` parses, or ``None`` for an empty stream.
 
     One pass over the parser's events, with an explicit stack of the open
-    lists and mappings, builds what PyYAML's composer and safe constructor
-    built. A scalar is resolved by ``loader.resolve``, once per distinct
-    plain text, and built by the loader's safe constructor for its tag; a
-    string is the event's text. An anchor names the object itself, so every
-    alias shares it, and a list or mapping is named before its entries, so
-    it may hold itself. A duplicate key keeps its last value; ``<<`` merges
-    a mapping, or a list of mappings, in PyYAML's order, and the mapping's
-    own keys win. The tags ``!!seq``, ``!!map``, ``!!set``, ``!!omap`` and
-    ``!!pairs`` give what PyYAML gives.
+    lists and mappings, builds the lists, dicts and scalars that PyYAML's
+    composer and safe constructor built, with no node graph. A scalar is
+    resolved by ``loader.resolve``, once per distinct plain text, and built
+    by the loader's safe constructor for its tag; a string is the event's
+    text. An anchor names the object itself, so every alias shares it, and a
+    list or mapping is named before its entries, so it may hold itself. A
+    duplicate key keeps its last value; ``<<`` merges a mapping, or a list
+    of mappings, in PyYAML's order, and the mapping's own keys win.
 
-    Where PyYAML's node graph gave an odd outcome, this differs: a mapping
-    merged into itself or into a mapping inside it, a ``!!set``, ``!!omap``
-    or ``!!pairs`` as a merge source, and a scalar tag on a mapping holding
-    the YAML 1.1 value key ``=`` are refused; an ``!!omap`` or ``!!pairs`` entry
-    is built as any mapping is, so a repeated key in it keeps its last value
-    and an unhashable key is refused.
+    No problem can hold a set, an ordered mapping or a list of pairs, so the
+    tags ``!!set``, ``!!omap`` and ``!!pairs`` are refused, as is any tag on
+    a list but ``!!seq`` and on a mapping but ``!!map``; the YAML 1.1 value
+    key ``=`` is refused as the value ``=`` is. A mapping merged into itself
+    or into a mapping inside it is refused too. A document nested more than
+    ``_MAX_DEPTH`` levels deep is refused as "nested too deeply".
     """
     get_event, resolve = loader.get_event, loader.resolve
     get_event()  # StreamStartEvent
@@ -383,10 +364,10 @@ def _construct(loader):
         return None
     get_event()  # DocumentStartEvent
     anchors, tags, stack = {}, {}, []
-    # The open collection: its kind, its entries, the key waiting for a value,
-    # the object it builds, the merge sources met so far and its start mark;
+    # The open collection: whether it is a mapping, its entries, the key
+    # waiting for a value, the merge sources met so far and its start mark;
     # the bottom list receives the document.
-    kind, items, key, result, merges, mark = "seq", [], _NO_KEY, None, None, None
+    mapping, items, key, merges, mark = False, [], _NO_KEY, None, None
     document = items
     while True:
         event = get_event()
@@ -400,26 +381,23 @@ def _construct(loader):
                         tag = tags[value] = resolve(ScalarNode, value, event.implicit)
                 else:
                     tag = resolve(ScalarNode, value, event.implicit)
-            if tag != _STR:
-                if key is _NO_KEY and (kind == "map" or kind == "set") and (tag == _MERGE or tag == _VALUE):
-                    value = _MERGE_KEY if tag == _MERGE else value  # PyYAML reads the key "=" as a string
-                else:
-                    value = _construct_scalar(loader, tag, event)
+            if tag == _MERGE and mapping and key is _NO_KEY:
+                value = _MERGE_KEY
+            elif tag != _STR:
+                value = _construct_scalar(loader, tag, event)
             if event.anchor is not None:
                 _add_anchor(anchors, event, value)
         elif cls is SequenceStartEvent or cls is MappingStartEvent:
-            stack.append((kind, items, key, result, merges, mark))
+            stack.append((mapping, items, key, merges, mark))
             if len(stack) > _MAX_DEPTH:
                 raise yaml.YAMLError("nested too deeply")
             mapping = cls is MappingStartEvent
-            kind = _KINDS.get((mapping, event.tag))
-            if kind is None:
+            if event.tag not in (_MAP_TAGS if mapping else _SEQ_TAGS):
                 raise _refused(event.tag, "a mapping" if mapping else "a sequence", event)
             items = {} if mapping else []
-            result = set() if kind == "set" else items
             key, merges, mark = _NO_KEY, None, event.start_mark
             if event.anchor is not None:
-                _add_anchor(anchors, event, result)
+                _add_anchor(anchors, event, items)
             continue
         elif cls is SequenceEndEvent or cls is MappingEndEvent:
             if merges is not None:  # the merged entries first, then the mapping's own
@@ -428,34 +406,27 @@ def _construct(loader):
                 for source in merges:
                     items.update(source)
                 items.update(own)
-            if kind == "set":
-                result.update(items)
-            value = result
-            kind, items, key, result, merges, mark = stack.pop()
+            value = items
+            mapping, items, key, merges, mark = stack.pop()
         elif cls is AliasEvent:
             if event.anchor not in anchors:
                 raise ComposerError(None, None, f"found undefined alias {event.anchor!r}", event.start_mark)
             value = anchors[event.anchor][0]
-            if value is _MERGE_KEY and not (key is _NO_KEY and (kind == "map" or kind == "set")):
+            if value is _MERGE_KEY and not (mapping and key is _NO_KEY):
                 raise _refused(_MERGE, "a value", event)
         else:  # DocumentEndEvent
             break
 
-        if kind == "seq":
+        if not mapping:
             items.append(value)
-        elif kind == "pairs":
-            if type(value) is not dict or len(value) != 1:
-                raise ConstructorError(None, None, "expected a mapping of one pair in an !!omap or !!pairs",
-                                       event.start_mark)
-            items.append(next(iter(value.items())))
         elif key is _NO_KEY:
-            if cls is not ScalarEvent and isinstance(value, (list, dict, set)):
+            if cls is not ScalarEvent and isinstance(value, (list, dict)):
                 raise ConstructorError("while constructing a mapping", mark, "found unhashable key",
                                        event.start_mark)
             key = value
         else:
             if key is _MERGE_KEY:
-                merges = (merges or []) + _merge_sources(value, [result] + [f[3] for f in stack], mark, event)
+                merges = (merges or []) + _merge_sources(value, [items] + [f[1] for f in stack], mark, event)
             else:
                 items[key] = value
             key = _NO_KEY

@@ -29,7 +29,7 @@ from it2mabac.errors import (
     NegativeScalar,
     ProblemSyntaxError,
 )
-from it2mabac.fuzzy import endpointwise
+from it2mabac.fuzzy import _SHOWN_DEPTH, _SHOWN_ENTRIES, _shown, endpointwise
 
 GOOD = make((7, 9, 9, 10, 1.0), (8, 9, 9, 9.5, 0.9))
 H = make((0.7, 0.9, 0.9, 1.0, 1.0), (0.8, 0.9, 0.9, 0.95, 0.9))
@@ -96,6 +96,23 @@ class TestConstruction:
         with pytest.raises(ProblemSyntaxError) as info:
             make([10**5000, 0, 0, 0, 1], [0, 0, 0, 0, 1])
         assert str(info.value) == "upper trapezoid: an int of 16610 bits is not a finite number"
+
+    def test_value_too_large_to_print_is_named_by_its_length(self):
+        def nested(depth):
+            value = []
+            for _ in range(depth):
+                value = [value]
+            return value
+
+        cycle = []
+        cycle.append(cycle)
+        assert _shown([0] * _SHOWN_ENTRIES) == repr([0] * _SHOWN_ENTRIES)
+        assert _shown({0: [0] * (_SHOWN_ENTRIES - 2)}) == repr({0: [0] * (_SHOWN_ENTRIES - 2)})
+        assert _shown(nested(_SHOWN_DEPTH)) == repr(nested(_SHOWN_DEPTH))
+        for value in ([[0] * _SHOWN_ENTRIES], (0,) * (_SHOWN_ENTRIES + 1), nested(_SHOWN_DEPTH + 1)):
+            kind = type(value).__name__
+            assert _shown(value) == f"a {kind} of length {len(value)}, too large to print"
+        assert _shown(cycle) == "a list of length 1, too large to print"
 
     def test_unrepaired_low_term_is_valid_without_fou_check(self):
         # lower a4 = 2 escapes the upper support but both trapezoids are

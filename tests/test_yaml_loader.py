@@ -2,7 +2,10 @@
 
 The reference is the loader the package used before: libyaml's parser under
 PyYAML's Python ``Composer`` and ``SafeConstructor``, or ``yaml.SafeLoader``
-for text with a tab and without libyaml, with the same error mapping.
+for text with a tab and without libyaml, with the same error mapping. The
+differential test narrows it to what ``_load_yaml`` builds: lists, mappings
+and scalars, without the ``!!set``, ``!!omap`` and ``!!pairs`` tags and the
+value key ``=``.
 """
 
 import importlib.util
@@ -15,14 +18,15 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from yaml.composer import Composer
-from yaml.constructor import SafeConstructor
+from yaml.constructor import BaseConstructor, ConstructorError, SafeConstructor
 from yaml.resolver import Resolver
 
 import it2mabac.problem
 from it2mabac import example_problem_text
 from it2mabac.cli import main
 from it2mabac.errors import ProblemSyntaxError
-from it2mabac.problem import _MAX_DEPTH, _load_yaml
+from it2mabac.problem import _MAX_DEPTH, _load_yaml, parse_problem
+from test_cli import DEEP_DOCUMENTS
 
 if yaml.__with_libyaml__:
     from yaml.cyaml import CParser
@@ -38,11 +42,48 @@ else:
     _Reference = yaml.SafeLoader
 
 
-def _reference_load(text: str, what: str = "doc"):
+class _Narrowed:
+    """The reference without what no problem can hold: the tags ``!!set``,
+    ``!!omap`` and ``!!pairs``, and the YAML 1.1 value key ``=``."""
+
+    def flatten_mapping(self, node):
+        if any(key.tag == "tag:yaml.org,2002:value" for key, _ in node.value):
+            raise ConstructorError(None, None, "the value key '=' is refused", node.start_mark)
+        super().flatten_mapping(node)
+
+    def construct_scalar(self, node):  # SafeConstructor's reads a mapping's value key
+        return BaseConstructor.construct_scalar(self, node)
+
+    def refuse(self, node):
+        raise ConstructorError(None, None, f"{node.tag!r} is refused", node.start_mark)
+
+
+class _NarrowReference(_Narrowed, _Reference):
+    pass
+
+
+class _NarrowSafeLoader(_Narrowed, yaml.SafeLoader):
+    pass
+
+
+for _loader in (_NarrowReference, _NarrowSafeLoader):
+    for _tag in ("set", "omap", "pairs"):
+        _loader.add_constructor("tag:yaml.org,2002:" + _tag, _Narrowed.refuse)
+
+
+def _reference_load(text: str, what: str = "doc", narrowed: bool = False):
+    if "\t" in text:
+        loader = _NarrowSafeLoader if narrowed else yaml.SafeLoader
+    else:
+        loader = _NarrowReference if narrowed else _Reference
     try:
-        return yaml.load(text, Loader=yaml.SafeLoader if "\t" in text else _Reference)
+        return yaml.load(text, Loader=loader)
     except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise ProblemSyntaxError(f"{what}: {exc}") from exc
+
+
+def _narrowed_load(text: str, what: str = "doc"):
+    return _reference_load(text, what, narrowed=True)
 
 
 def _outcome(load, text: str):
@@ -60,15 +101,11 @@ def _same(a, b, pairs=None) -> bool:
         return False
     if isinstance(a, float):
         return a.hex() == b.hex()  # nan equals nan; 0.0 is not -0.0
-    if isinstance(a, tuple):
-        return len(a) == len(b) and all(_same(x, y, pairs) for x, y in zip(a, b))
-    if not isinstance(a, (list, dict, set)):
+    if not isinstance(a, (list, dict)):
         return a == b
     if id(a) in pairs or id(b) in pairs:
         return pairs.get(id(a), (None,))[0] is b and pairs.get(id(b), (None,))[0] is a
     pairs[id(a)], pairs[id(b)] = (b, a), (a, b)  # holds both, so no id is reused
-    if isinstance(a, set):
-        return {(type(x), x) for x in a} == {(type(x), x) for x in b}
     if isinstance(a, dict):  # the order of the keys counts
         return len(a) == len(b) and all(
             _same(ka, kb, pairs) and _same(va, vb, pairs) for (ka, va), (kb, vb) in zip(a.items(), b.items())
@@ -104,6 +141,7 @@ CONSTRUCTS = {
     "unknown_scalar_tag": ("a: !foo x", ProblemSyntaxError),
     "unknown_collection_tag": ("a: !foo [x]", ProblemSyntaxError),
     "duplicate_key_keeps_the_last": ("a: 1\nb: 2\na: 3", {"a": 3, "b": 2}),
+    "quoted_value_key_is_a_string": ("'=': 1", {"=": 1}),
     "empty_stream": ("", None),
     "comment_only": ("# nothing\n", None),
     "empty_document": ("---\n", None),
@@ -114,7 +152,6 @@ CONSTRUCTS = {
     "merge_of_a_scalar": ("a: {<<: 1}", ProblemSyntaxError),
     "merge_list_of_a_scalar": ("a: {<<: [1]}", ProblemSyntaxError),
     "merge_key_as_a_value": ("a: <<", ProblemSyntaxError),
-    "value_key_is_a_string": ("=: 1", {"=": 1}),
     "tag_str": ("a: !!str 12", {"a": "12"}),
     "tag_int": ("a: !!int '0x1F'", {"a": 31}),
     "tag_float": ("a: !!float 1", {"a": 1.0}),
@@ -128,9 +165,6 @@ CONSTRUCTS = {
     ),
     "tag_seq": ("a: !!seq [1]", {"a": [1]}),
     "tag_map": ("a: !!map {b: 1}", {"a": {"b": 1}}),
-    "tag_set": ("a: !!set {x, y}", {"a": {"x", "y"}}),
-    "tag_omap": ("a: !!omap [{x: 1}, {y: 2}]", {"a": [("x", 1), ("y", 2)]}),
-    "tag_pairs": ("a: !!pairs [{x: 1}, {x: 2}]", {"a": [("x", 1), ("x", 2)]}),
     "omap_entry_of_two_items": ("a: !!omap [{x: 1, y: 2}]", ProblemSyntaxError),
     "omap_entry_not_a_mapping": ("a: !!omap [x]", ProblemSyntaxError),
     "collection_tag_on_a_scalar": ("a: !!seq x", ProblemSyntaxError),
@@ -142,8 +176,9 @@ CONSTRUCTS = {
 }
 
 #: Where the outcome moved on purpose: PyYAML's constructor ended in a bare
-#: KeyError, IndexError or AttributeError, or its node graph gave an odd
-#: outcome (see ``problem._construct``).
+#: KeyError, IndexError or AttributeError, its node graph gave an odd outcome,
+#: or it built a set, an ordered mapping, a list of pairs or the string key
+#: "=", none of which a problem can hold (see ``problem._construct``).
 CHANGED = {
     "bool_tag_on_a_non_bool": ("a: !!bool x", ProblemSyntaxError),
     "int_tag_on_an_empty_string": ("a: !!int ''", ProblemSyntaxError),
@@ -151,8 +186,11 @@ CHANGED = {
     "merge_into_itself": ("a: &x {b: 1, <<: *x}", ProblemSyntaxError),
     "merge_into_an_inner_mapping": ("a: &x {b: {<<: *x}}", ProblemSyntaxError),
     "scalar_tag_on_a_value_key_mapping": ("a: !!str {=: x}", ProblemSyntaxError),
-    "pairs_entry_with_a_repeated_key": ("a: !!pairs [{x: 1, x: 2}]", {"a": [("x", 2)]}),
     "omap_entry_with_an_unhashable_key": ("a: !!omap [{[1]: 2}]", ProblemSyntaxError),
+    "value_key": ("=: 1", ProblemSyntaxError),
+    "tag_set": ("a: !!set {x, y}", ProblemSyntaxError),
+    "tag_omap": ("a: !!omap [{x: 1}, {y: 2}]", ProblemSyntaxError),
+    "tag_pairs": ("a: !!pairs [{x: 1}, {x: 2}]", ProblemSyntaxError),
 }
 
 
@@ -171,6 +209,7 @@ def test_construct_loads_as_the_composer_loaded_it(name, yaml_loader):
     text, expected = CONSTRUCTS[name]
     _check(expected, _outcome(_load_yaml, text))
     _check(expected, _outcome(_reference_load, text))
+    _check(expected, _outcome(_narrowed_load, text))
 
 
 @pytest.mark.parametrize("name", list(CHANGED))
@@ -178,6 +217,32 @@ def test_construct_refused_on_purpose(name, yaml_loader):
     text, expected = CHANGED[name]
     _check(expected, _outcome(_load_yaml, text))
     assert _outcome(_reference_load, text) != _outcome(_load_yaml, text)
+
+
+NARROWED = ["value_key", "tag_set", "tag_omap", "tag_pairs", "scalar_tag_on_a_value_key_mapping"]
+
+
+@pytest.mark.parametrize("name", NARROWED)
+def test_narrowed_reference_refuses_what_no_problem_holds(name, yaml_loader):
+    assert _outcome(_narrowed_load, CHANGED[name][0]) == ("error", ProblemSyntaxError)
+
+
+def test_loader_is_pyyamls_own():
+    assert it2mabac.problem._Loader is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="the loader is yaml.SafeLoader without libyaml")
+def test_walker_never_composes(monkeypatch):
+    class NoComposer(yaml.CSafeLoader):
+        def get_single_node(self):
+            raise AssertionError("composed a node graph")
+
+        get_node = get_single_node
+
+    monkeypatch.setattr(it2mabac.problem, "_Loader", NoComposer)
+    assert parse_problem(example_problem_text()).name == "system-analyst"
+    with pytest.raises(ProblemSyntaxError, match="nested too deeply"):
+        parse_problem(DEEP_DOCUMENTS["block"])
 
 
 def test_nesting_bound_admits_what_the_composer_admitted():
@@ -242,7 +307,7 @@ def edited_documents(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(text=edited_documents())
 def test_edited_documents_load_alike(text):
-    new, old = _outcome(_load_yaml, text), _outcome(_reference_load, text)
+    new, old = _outcome(_load_yaml, text), _outcome(_narrowed_load, text)
     if old[0] == "error" and old[1] is not ProblemSyntaxError:
         old = ("error", ProblemSyntaxError)  # PyYAML's constructor ended in a bare error: see CHANGED
     assert new[0] == old[0]
@@ -305,3 +370,48 @@ def test_printable_keys_keep_their_text():
         it2mabac.problem.parse_problem(text)
     assert str(info.value).startswith("unknown top-level keys [1, 'foo']; ")
 
+
+
+# --------------------------------------------------------------------------
+# values too large to print
+
+
+def _alias_chain(links: int = 5, depth: int = 300) -> str:
+    """``links`` lists ``depth`` deep, each holding the one before through an alias."""
+    items, inner = [], "x"
+    for n in range(links):
+        items.append(f"&d{n} " + "[" * depth + inner + "]" * depth)
+        inner = f"*d{n}"
+    return "[" + ", ".join(items) + "]"
+
+
+def _laughs(levels: int = 7, width: int = 10) -> str:
+    """Each level a list of ``width`` aliases of the level before: ``width ** levels`` leaves."""
+    items = ["&l0 [lol]"] + [
+        f"&l{n} [" + ", ".join([f"*l{n - 1}"] * width) + "]" for n in range(1, levels + 1)
+    ]
+    return "[" + ", ".join(items) + "]"
+
+
+#: position -> (text of the example, its replacement with ``{}`` for the value)
+LARGE_VALUE_POSITIONS = {
+    "name": ("name: system-analyst", "name: {}"),
+    "alternatives": ("alternatives: [A1, A2, A3]", "alternatives: [{}, A2, A3]"),
+    "criterion": ("  - {name: C5, sense: benefit}", "  - {}"),
+}
+
+
+@pytest.mark.parametrize("value", [_alias_chain, _laughs], ids=["alias_chain", "laughs"])
+@pytest.mark.parametrize("position", list(LARGE_VALUE_POSITIONS))
+def test_value_too_large_to_print_is_validation_failure(position, value, tmp_path, capsys):
+    old, new = LARGE_VALUE_POSITIONS[position]
+    text = example_problem_text()
+    assert old in text
+    path = tmp_path / "large.problem"
+    path.write_text(text.replace(old, new.format(value()), 1))
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("validation error: ")
+    assert "too large to print" in captured.err
+    assert len(captured.err) < 64 * 1024 and "Traceback" not in captured.err
