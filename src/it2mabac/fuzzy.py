@@ -116,6 +116,14 @@ def _finite(x, error: type[Exception], message: str) -> float:
     return number
 
 
+def _check_finite(value: IT2TrFN, where: str) -> None:
+    """Hold the ten numbers of ``value``, built directly, to the rule of ``_finite``."""
+    for which, t in (("upper", value.upper), ("lower", value.lower)):
+        message = f"{where}: {which} trapezoid: {{}} is not a finite number"
+        for x in (t.a1, t.a2, t.a3, t.a4, t.h):
+            _finite(x, ProblemSyntaxError, message)
+
+
 #: The most entries, at every depth and once per appearance, and the deepest
 #: nesting of a list, tuple or dict that ``_shown`` prints; YAML aliases can
 #: repeat one list so often that its text grows as a power of the document's size.

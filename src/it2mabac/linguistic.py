@@ -13,18 +13,29 @@ from dataclasses import dataclass
 from functools import cache
 from types import MappingProxyType
 
-from .errors import UnknownTerm
-from .fuzzy import IT2TrFN, make
+from .errors import ProblemSyntaxError, UnknownTerm
+from .fuzzy import IT2TrFN, _check_finite, _shown, make
+from .pipeline import _check_names
 
 
 @dataclass(frozen=True)
 class LinguisticScale:
-    """An ordered, read-only term -> IT2TrFN mapping. Insertion order is the scale order."""
+    """An ordered, read-only term -> IT2TrFN mapping, checked when built: a string
+    name, terms under the one name rule and ``IT2TrFN`` entries of finite numbers,
+    or a ``ProblemSyntaxError``. Insertion order is the scale order."""
 
     name: str
     entries: Mapping[str, IT2TrFN]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ProblemSyntaxError(f"a scale's 'name' must be a string, got {_shown(self.name)}")
+        _check_names(list(self.entries) if isinstance(self.entries, Mapping) else None, "terms")
+        for term, value in self.entries.items():
+            where = f"scale {self.name!r} term {term!r}"
+            if not isinstance(value, IT2TrFN):
+                raise ProblemSyntaxError(f"{where}: expected an IT2TrFN, got {_shown(value)}")
+            _check_finite(value, where)
         object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
 
     def terms(self) -> list[str]:

@@ -159,8 +159,11 @@ def classify_and_score(
     order of alternatives from best to worst.
 
     A score that is not finite (an overflow upstream) is a ComputationError
-    naming the alternative, or its row index when ``alternatives`` is omitted.
+    naming the alternative, or its row index when ``alternatives`` is omitted;
+    ``alternatives`` names one row of ``delta`` each, or is a DimensionMismatch.
     """
+    if alternatives is not None and len(alternatives) != len(delta):
+        raise DimensionMismatch(f"{len(delta)} rows of differences for {len(alternatives)} alternatives")
     classification = []
     for row in delta:
         labels = []

@@ -43,7 +43,7 @@ from .errors import (
     MabacError,
     ProblemSyntaxError,
 )
-from .fuzzy import IT2TrFN, _finite, _shown, make
+from .fuzzy import IT2TrFN, _check_finite, _finite, _shown, make
 from .linguistic import (
     LinguisticScale,
     builtin_rating_scale,
@@ -253,43 +253,32 @@ def _stage(label: str):
 
 
 def run(problem: DecisionProblem, params: PipelineParams | None = None) -> PipelineTrace:
-    """Execute steps 1-7 on ``problem`` and collect the full trace.
+    """Execute steps 1-7 on ``problem``: its cached averages, then ``_trace`` on copies
+    of them, so mutating a trace reaches neither the problem nor a later trace."""
+    weights_bar, ratings_bar = problem._averages
+    return _trace(problem.name, list(problem.alternatives), list(problem.criteria),
+                  params if params is not None else problem.params,
+                  list(weights_bar), [list(row) for row in ratings_bar])
 
-    Steps 1-2 come from the problem's cached averages; steps 3-7 run on
-    every call. The trace holds lists of its own, so mutating one reaches
-    neither the problem nor a later trace.
+
+def _trace(name: str, alternatives: list[str], criteria: list[CriterionSpec], params: PipelineParams,
+           aggregated_weights: list[IT2TrFN], aggregated_ratings: Matrix) -> PipelineTrace:
+    """Steps 3-7 on the averages of steps 1-2, as a trace; the only code that builds one.
+
+    ``run`` and ``render.trace_from_json`` call it; each argument is the trace field of its name.
     """
-    p = params if params is not None else problem.params
-    cached_weights, cached_ratings = problem._averages
-    weights_bar = list(cached_weights)
-    ratings_bar = [list(row) for row in cached_ratings]
     with _stage("step 3 (normalization)"):
-        normalized = normalize(ratings_bar, problem.criteria)
+        normalized = normalize(aggregated_ratings, criteria)
     with _stage("step 4 (weighting)"):
-        weighted = weight(normalized, weights_bar)
+        weighted = weight(normalized, aggregated_weights)
     with _stage("step 5 (border approximation area)"):
-        baa_vector = baa(weighted, r=p.r, s=p.s, operator=p.baa_operator)
+        baa_vector = baa(weighted, r=params.r, s=params.s, operator=params.baa_operator)
     with _stage("step 6 (distance matrices)"):
-        q, g, delta = crisp_matrices(weighted, baa_vector, lam=p.lam)
+        q, g, delta = crisp_matrices(weighted, baa_vector, lam=params.lam)
     with _stage("step 7 (classification and ranking)"):
-        classification, scores, order = classify_and_score(delta, problem.alternatives)
-    return PipelineTrace(
-        name=problem.name,
-        alternatives=list(problem.alternatives),
-        criteria=list(problem.criteria),
-        params=p,
-        aggregated_weights=weights_bar,
-        aggregated_ratings=ratings_bar,
-        normalized=normalized,
-        weighted=weighted,
-        baa=baa_vector,
-        q=q,
-        g=g,
-        delta=delta,
-        classification=classification,
-        scores=scores,
-        order=order,
-    )
+        classification, scores, order = classify_and_score(delta, alternatives)
+    return PipelineTrace(name, alternatives, criteria, params, aggregated_weights, aggregated_ratings,
+                         normalized, weighted, baa_vector, q, g, delta, classification, scores, order)
 
 
 # --------------------------------------------------------------------------
@@ -498,10 +487,9 @@ def parse_scale(node, default_name: str = "custom") -> LinguisticScale:
     terms = node["terms"]
     if not isinstance(terms, dict) or not terms:
         raise ProblemSyntaxError("'terms' must be a non-empty mapping of term -> two 5-tuples")
-    _check_names(list(terms), "terms")
-    entries: dict[str, IT2TrFN] = {}
+    entries = {}
     for term, value in terms.items():
-        with _stage(f"scale term {term!r}"):
+        with _stage(f"scale term {_shown(term)}"):
             entries[term] = _parse_inline_value(value)
     return LinguisticScale(_name(node.get("name", default_name), "a scale's 'name'"), entries)
 
@@ -551,18 +539,14 @@ def _resolve_entry(node, scale: LinguisticScale, where: str) -> IT2TrFN:
 def _resolve_row(row, scale: LinguisticScale, where: str) -> tuple[IT2TrFN, ...]:
     """Resolve one row; cell ``j`` is labelled ``{where}[{j}]`` in errors.
 
-    A known term is one dict lookup, and an ``IT2TrFN`` is kept once its ten
-    numbers pass the one number rule of ``fuzzy._finite``, which a document's
-    inline values meet in ``make``; only inline values and refusals pay for
-    ``_resolve_entry`` and its label.
+    A known term is one dict lookup, and an ``IT2TrFN`` is kept once it passes
+    ``fuzzy._check_finite``, as a scale's entries do; only inline values and
+    refusals pay for ``_resolve_entry`` and its label.
     """
     known, resolved = scale.entries, []
     for j, entry in enumerate(row):
         if isinstance(entry, IT2TrFN):
-            for which, t in (("upper", entry.upper), ("lower", entry.lower)):
-                message = f"{where}[{j}]: {which} trapezoid: {{}} is not a finite number"
-                for x in (t.a1, t.a2, t.a3, t.a4, t.h):
-                    _finite(x, ProblemSyntaxError, message)
+            _check_finite(entry, f"{where}[{j}]")
         else:
             entry = (known[entry] if isinstance(entry, str) and entry in known
                      else _resolve_entry(entry, scale, f"{where}[{j}]"))

@@ -17,7 +17,6 @@ NaN and infinities raise ``ValueError`` as ``allow_nan=False`` does.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import typing
@@ -25,8 +24,8 @@ from json.encoder import encode_basestring_ascii
 
 from .errors import DimensionMismatch, ProblemSyntaxError
 from .fuzzy import IT2TrFN, make
-from .pipeline import CriterionSpec, Matrix, _check_names, classify_and_score, crisp_matrices
-from .problem import PARAM_KEYS, PipelineParams, PipelineTrace
+from .pipeline import CriterionSpec, Matrix, _check_names
+from .problem import PARAM_KEYS, PipelineParams, PipelineTrace, _name, _trace
 
 FORMATS = ("text", "machine")
 
@@ -183,50 +182,35 @@ def _fuzzy_json(values: list[IT2TrFN], indent: str) -> str:
     ])), indent)
 
 
-def _fuzzy_from_lists(node) -> IT2TrFN:
-    return make(node["upper"], node["lower"])
+def _as_is(value, indent: str) -> list[str]:
+    return [_json(value, indent)]
 
 
-_AS_IS = (lambda value, indent: [_json(value, indent)], lambda node: node)
-
-#: (to JSON, from JSON) for each trace field type that JSON does not carry
-#: as it is. The to-JSON side gives the pieces of the value's text when it
-#: starts at a given indent.
+#: For each trace field type that JSON does not carry as it is, the pieces of
+#: a value's text when it starts at a given indent.
 _CONVERSIONS = {
-    str: (_AS_IS[0], str),  # the trace's name, read as a problem document's is
-    list[IT2TrFN]: (
-        lambda vector, indent: [_fuzzy_json(vector, indent)],
-        lambda node: [_fuzzy_from_lists(v) for v in node],
-    ),
-    Matrix: (
-        lambda matrix, indent: _pieces([_fuzzy_json(row, indent + "  ") for row in matrix], indent),
-        lambda node: [[_fuzzy_from_lists(v) for v in row] for row in node],
-    ),
-    list[CriterionSpec]: (
-        lambda specs, indent: [_json([{"name": s.name, "sense": s.sense} for s in specs], indent)],
-        lambda node: [CriterionSpec(c["name"], c["sense"]) for c in node],
-    ),
-    PipelineParams: (
-        lambda params, indent: [_json(
-            {key: getattr(params, name) for key, name in PARAM_KEYS.items()}, indent
-        )],
-        lambda node: PipelineParams(**{name: node[key] for key, name in PARAM_KEYS.items()}),
+    list[IT2TrFN]: lambda vector, indent: [_fuzzy_json(vector, indent)],
+    Matrix: lambda matrix, indent: _pieces([_fuzzy_json(row, indent + "  ") for row in matrix], indent),
+    list[CriterionSpec]: lambda specs, indent: _as_is([{"name": s.name, "sense": s.sense}
+                                                       for s in specs], indent),
+    PipelineParams: lambda params, indent: _as_is(
+        {key: getattr(params, name) for key, name in PARAM_KEYS.items()}, indent
     ),
 }
 
-_TRACE_TYPES = typing.get_type_hints(PipelineTrace)
+#: The to-JSON function of every ``PipelineTrace`` field, in declaration order.
+_TO_JSON = {name: _CONVERSIONS.get(kind, _as_is)
+            for name, kind in typing.get_type_hints(PipelineTrace).items()}
 
-#: (name, to JSON, from JSON) of every ``PipelineTrace`` field, in declaration order.
-_TRACE_FIELDS = [
-    (f.name, *_CONVERSIONS.get(_TRACE_TYPES[f.name], _AS_IS))
-    for f in dataclasses.fields(PipelineTrace)
-]
-
-
-_TO_JSON = {name: to_json for name, to_json, _ in _TRACE_FIELDS}
-
-#: The trace fields that steps 6-7 compute from ``weighted``, ``baa`` and ``lambda``.
-_DERIVED = ("q", "g", "delta", "classification", "scores", "order")
+#: How ``trace_from_json`` reads each field that ``problem._trace`` takes; it derives the others.
+_FROM_JSON = {
+    "name": lambda node: _name(node, "'name'"),  # read as a problem document's is
+    "alternatives": lambda node: node,
+    "criteria": lambda node: [CriterionSpec(c["name"], c["sense"]) for c in node],
+    "params": lambda node: PipelineParams(**{name: node[key] for key, name in PARAM_KEYS.items()}),
+    "aggregated_weights": lambda node: [make(v["upper"], v["lower"]) for v in node],
+    "aggregated_ratings": lambda node: [[make(v["upper"], v["lower"]) for v in row] for row in node],
+}
 
 
 def _machine_json(trace: PipelineTrace, keys=(*_TO_JSON, "ranking")) -> str:
@@ -258,12 +242,24 @@ def render_section_machine(trace: PipelineTrace, table: str) -> str:
     return _machine_json(trace, _TABLES[table][1])
 
 
+def _same(a, b) -> bool:
+    """Whether JSON values ``a`` and ``b`` are equal, key order aside; ``1``, ``1.0``,
+    ``true`` and ``-0.0`` differ, as their ``repr`` does."""
+    if type(a) is dict and type(b) is dict:
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if type(a) is list and type(b) is list:
+        return len(a) == len(b) and all(map(_same, a, b))
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
 def trace_from_json(text: str) -> PipelineTrace:
     """Rebuild a trace from ``render_machine`` output (bit-exact floats).
 
-    Reads the fields steps 6-7 cannot derive, checks that the fuzzy ones are
-    p x q or q long, runs steps 6-7 again and refuses a document whose own
-    ``_DERIVED`` fields or ``ranking`` differ from theirs.
+    Reads only the ``_FROM_JSON`` fields, checks their names and that the aggregates
+    are q long and p x q, and runs steps 3-7 on them through ``run``'s own
+    ``problem._trace``, so loading re-runs the BAA, O(p^2) for Bonferroni.
+    The document must be ``render_machine`` of that trace as a JSON value;
+    a refusal names the first field that differs.
     """
     try:
         doc = json.loads(text)
@@ -272,8 +268,7 @@ def trace_from_json(text: str) -> PipelineTrace:
     except RecursionError as exc:
         raise ProblemSyntaxError("not a valid machine trace: nested too deeply") from exc
     try:
-        fields = {name: from_json(doc[name]) for name, _, from_json in _TRACE_FIELDS
-                  if name not in _DERIVED}
+        fields = {name: from_json(doc[name]) for name, from_json in _FROM_JSON.items()}
     except KeyError as exc:
         raise ProblemSyntaxError(f"machine trace is missing key {exc}") from exc
     except TypeError as exc:  # a list, number or null where a mapping or list belongs
@@ -281,18 +276,14 @@ def trace_from_json(text: str) -> PipelineTrace:
     _check_names(fields["alternatives"], "alternatives")
     _check_names([c.name for c in fields["criteria"]], "criteria")
     p, q = len(fields["alternatives"]), len(fields["criteria"])
-    for name, kind in _TRACE_TYPES.items():
-        if kind == list[IT2TrFN] and len(fields[name]) != q:
-            raise DimensionMismatch(f"machine trace: {name!r} must have {q} entries (criteria)")
-        if kind == Matrix and [len(row) for row in fields[name]] != [q] * p:
-            raise DimensionMismatch(
-                f"machine trace: {name!r} must be {p} x {q} (alternatives x criteria)"
-            )
-    q_matrix, g, delta = crisp_matrices(fields["weighted"], fields["baa"], fields["params"].lam)
-    derived = (q_matrix, g, delta, *classify_and_score(delta, fields["alternatives"]))
-    ranking = [fields["alternatives"][i] for i in derived[-1]]
-    for name, recomputed in zip((*_DERIVED, "ranking"), (*derived, ranking)):
-        if repr(doc.get(name)) != repr(recomputed):  # repr, not ==: True is not the index 1
-            raise ProblemSyntaxError(f"machine trace: {name!r} is not what steps 6-7 give "
-                                     "for its 'weighted', 'baa' and 'lambda'")
-    return PipelineTrace(**fields, **dict(zip(_DERIVED, derived)))
+    if len(fields["aggregated_weights"]) != q:
+        raise DimensionMismatch(f"machine trace: 'aggregated_weights' must have {q} entries (criteria)")
+    if [len(row) for row in fields["aggregated_ratings"]] != [q] * p:
+        raise DimensionMismatch(f"machine trace: 'aggregated_ratings' must be {p} x {q} "
+                                "(alternatives x criteria)")
+    trace = _trace(**fields)
+    written = json.loads(render_machine(trace))
+    for key in [*written, *doc]:
+        if key not in doc or key not in written or not _same(doc[key], written[key]):
+            raise ProblemSyntaxError(f"machine trace: {key!r} is not what a run of its inputs writes")
+    return trace

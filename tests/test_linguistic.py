@@ -5,6 +5,8 @@ import dataclasses
 import pytest
 
 from it2mabac import (
+    GeneralizedTrapezoid,
+    IT2TrFN,
     LinguisticScale,
     builtin_rating_scale,
     builtin_weight_scale,
@@ -14,7 +16,7 @@ from it2mabac import (
     parse_scale,
     resolve,
 )
-from it2mabac.errors import UnknownTerm
+from it2mabac.errors import ProblemSyntaxError, UnknownTerm
 
 WEIGHT_SCALE_VALUES = {
     "VL": ((0, 0, 0, 0.1, 1.0), (0, 0, 0, 0.05, 0.9)),
@@ -130,3 +132,35 @@ def test_scale_roundtrip_is_bit_exact():
         },
     }
     assert parse_scale(node) == scale
+
+
+_NAN_UPPER = IT2TrFN(GeneralizedTrapezoid(0.7, float("nan"), 0.9, 1.0, 1.0),
+                     GeneralizedTrapezoid(0.8, 0.9, 0.9, 0.95, 0.9))
+_INF_LOWER = IT2TrFN(GeneralizedTrapezoid(0.7, 0.9, 0.9, 1.0, 1.0),
+                     GeneralizedTrapezoid(float("-inf"), 0.9, 0.9, 0.95, 0.9))
+
+#: A directly built scale that is refused: its name, its entries (None: the
+#: builtin weight terms with "H" replaced by the given value) and the message.
+BAD_SCALES = {
+    "int-entry": ("w", 5, "scale 'w' term 'H': expected an IT2TrFN, got 5"),
+    "str-entry": ("w", "M", "scale 'w' term 'H': expected an IT2TrFN, got 'M'"),
+    "tuple-entry": ("w", WEIGHT_SCALE_VALUES["H"], "scale 'w' term 'H': expected an IT2TrFN, "
+                    "got ((0.7, 0.9, 0.9, 1.0, 1.0), (0.8, 0.9, 0.9, 0.95, 0.9))"),
+    "nan-endpoint": ("w", _NAN_UPPER, "scale 'w' term 'H': upper trapezoid: nan is not a finite number"),
+    "inf-endpoint": ("w", _INF_LOWER, "scale 'w' term 'H': lower trapezoid: -inf is not a finite number"),
+    "int-name-and-term": (5, {1: 2}, "a scale's 'name' must be a string, got 5"),
+    "int-term": ("w", {1: 2}, "'terms' entries must be non-empty strings, got 1"),
+    "empty-term": ("w", {"": 2}, "'terms' entries must be non-empty strings, got ''"),
+    "no-terms": ("w", {}, "'terms' must be a non-empty list of names"),
+    "not-a-mapping": ("w", [("H", _INF_LOWER)], "'terms' must be a non-empty list of names"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SCALES))
+def test_directly_built_scale_checks_itself(case):
+    name, value, message = BAD_SCALES[case]
+    if not isinstance(value, (dict, list)):
+        value = {**builtin_weight_scale().entries, "H": value}
+    with pytest.raises(ProblemSyntaxError) as info:
+        LinguisticScale(name, value)
+    assert str(info.value) == message

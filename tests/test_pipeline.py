@@ -211,6 +211,13 @@ class TestClassifyAndScore:
         with pytest.raises(ComputationError, match="row 1"):
             classify_and_score(delta)
 
+    @pytest.mark.parametrize("alternatives", [["A1"], ["A1", "A2", "A3"], []],
+                             ids=["too-few", "too-many", "none"])
+    def test_alternatives_name_each_row_once(self, alternatives):
+        with pytest.raises(DimensionMismatch) as info:
+            classify_and_score([[1.0], [float("nan")]], alternatives)
+        assert str(info.value) == f"2 rows of differences for {len(alternatives)} alternatives"
+
 
 def _sign(x, tol=1e-9):
     if abs(x) < tol:

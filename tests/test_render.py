@@ -126,7 +126,7 @@ def test_trace_from_json_rejects_garbage():
 
 def test_trace_from_json_rejects_an_integer_beyond_float_range(example_trace):
     doc = json.loads(render_machine(example_trace))
-    doc["baa"][0]["lower"][3] = 10**400
+    doc["aggregated_weights"][0]["lower"][3] = 10**400
     with pytest.raises(ProblemSyntaxError, match="lower trapezoid: 10{400} is not a finite number"):
         trace_from_json(json.dumps(doc))
 
@@ -152,9 +152,7 @@ def test_trace_from_json_requires_order_to_rank_each_alternative_once(example_tr
     doc["order"] = order
     with pytest.raises(ProblemSyntaxError) as info:
         trace_from_json(json.dumps(doc))
-    assert str(info.value) == (
-        "machine trace: 'order' is not what steps 6-7 give for its 'weighted', 'baa' and 'lambda'"
-    )
+    assert str(info.value) == "machine trace: 'order' is not what a run of its inputs writes"
 
 
 def test_trace_from_json_requires_the_ranking_of_its_order(example_trace):
@@ -162,9 +160,61 @@ def test_trace_from_json_requires_the_ranking_of_its_order(example_trace):
     doc["ranking"] = ["A1", "A1", "ZZ"]
     with pytest.raises(ProblemSyntaxError) as info:
         trace_from_json(json.dumps(doc))
-    assert str(info.value) == (
-        "machine trace: 'ranking' is not what steps 6-7 give for its 'weighted', 'baa' and 'lambda'"
-    )
+    assert str(info.value) == "machine trace: 'ranking' is not what a run of its inputs writes"
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+#: Edits of the example's machine JSON that the loader once accepted: the
+#: path edited, the value put there, and the field the refusal names.
+NOT_WRITTEN_BY_A_RUN = {
+    "normalized-cell": (["normalized", 0, 0, "upper", 0], 0.123, "normalized"),
+    "params-baa": (["params", "baa"], "geomean", "baa"),
+    "top-level-key": (["extra"], 1, "extra"),
+    "params-key": (["params", "extra"], 1, "params"),
+    "criterion-key": (["criteria", 0, "extra"], 1, "criteria"),
+    "fuzzy-value-key": (["aggregated_weights", 0, "extra"], 1, "aggregated_weights"),
+    "list-name": (["name"], [1, 2], None),
+}
+
+
+@pytest.mark.parametrize("case", list(NOT_WRITTEN_BY_A_RUN))
+def test_trace_from_json_refuses_what_a_run_does_not_write(example_trace, case):
+    path, value, field = NOT_WRITTEN_BY_A_RUN[case]
+    doc = json.loads(render_machine(example_trace))
+    _set(doc, path, value)
+    with pytest.raises(MabacError) as info:
+        trace_from_json(json.dumps(doc))
+    assert str(info.value) == (f"machine trace: {field!r} is not what a run of its inputs writes"
+                               if field else "'name' must be a string, got [1, 2]")
+
+
+@pytest.mark.parametrize("params", [
+    PipelineParams(lam=lam, **operator) for lam in (0.0, 0.3, 1.0)
+    for operator in ({}, {"r": 2.0, "s": 0.5}, {"baa_operator": "geomean"})
+], ids=lambda params: f"lam={params.lam}-r={params.r}-s={params.s}-{params.baa_operator}")
+def test_example_trace_round_trips_byte_identically(params):
+    text = render_machine(run(parse_problem(example_problem_text()), params))
+    assert render_machine(trace_from_json(text)) == text
+
+
+def test_trace_from_json_ignores_key_order_only(example_trace):
+    text = render_machine(example_trace)
+    doc = json.loads(text)
+    doc["params"] = dict(reversed(doc["params"].items()))
+    doc["baa"][0] = dict(reversed(doc["baa"][0].items()))
+    assert render_machine(trace_from_json(json.dumps(dict(reversed(doc.items()))))) == text
+    # 1 is not 1.0, and -0.0 is not 0.0
+    column = [row[0]["upper"][0] for row in json.loads(text)["normalized"]]
+    for path, value in [(["params", "r"], 1), (["normalized", column.index(0.0), 0, "upper", 0], -0.0)]:
+        doc = json.loads(text)
+        _set(doc, path, value)
+        with pytest.raises(ProblemSyntaxError, match=f"^machine trace: '{path[0]}' is not what"):
+            trace_from_json(json.dumps(doc))
 
 
 def test_scores_table_prints_each_score_beside_its_alternative(example_trace):

@@ -347,6 +347,10 @@ HUGE_INT_POSITIONS = {
     "weight_scale": ("weight_scale: builtin", f"weight_scale: [{HUGE_HEX}]", IN_A_LIST),
     "top_level_key": ("name: system-analyst", f"name: system-analyst\n? {HUGE_HEX}\n: 1", BITS),
     "params_key": ("  s: 1.0", f"  s: 1.0\n  ? {HUGE_HEX}\n  : 1", BITS),
+    "scale_term": ("weight_scale: builtin", f"weight_scale:\n  terms:\n    ? {HUGE_HEX}\n"
+                   "    : [[0, 1, 1, 2, 1], [0, 1, 1, 2, 0.9]]", BITS),
+    "scale_term_of_a_bad_value": ("weight_scale: builtin",
+                                  f"weight_scale:\n  terms:\n    ? {HUGE_HEX}\n    : [1]", BITS),
 }
 
 
