@@ -8,26 +8,37 @@ idempotent. A plain endpoint-wise geometric mean is provided alongside for
 comparison (it equals the Bonferroni mean with r=0, s=1). Both are scalar
 functions of one endpoint column, lifted by the ``fuzzy.endpointwise`` kernel.
 
-The Bonferroni column is bit-exact to the plain double loop over ordered
-pairs (``acc = 1.0``; i outer, j != i inner; ``acc *= max(r*x_i + s*x_j,
-0.0) ** e``) while running the inner loop in C:
+The Bonferroni column is accurate to the float factors it forms,
+``f = r*x_i + s*x_j``: its result is within 4 ulp of ``(prod f) ** (1/N) /
+(r+s)`` taken exactly, over the N ordered pairs i != j, and n equal values
+give that value back. It is exactly +0.0 wherever some factor is <= 0.
 
-- the same factors in the same order: row i maps ``operator.add`` over
-  ``r*x_i`` and ``s*x_j`` for j != i in index order, lazily, so no row or
-  column of factors is ever held as a list;
-- the same power: builtin ``pow(f, e)`` is the C routine behind ``f ** e``;
-- the same product: ``math.prod(row, start=acc)`` multiplies floats left to
-  right onto the running product, as ``acc *= ...`` did;
-- the clip ``max(f, 0.0)`` leaves every f >= 0 (and -0.0) as it is, so it
-  runs only where a factor can be negative: on a column with a negative
-  input, or with a negative r or s (which PipelineParams rejects). It
-  cannot be skipped there, because ``pow`` of a negative float is complex.
+- Half the pairs when r == s (the default and the paper's setting): factor
+  (i, j) is then bit-equal to factor (j, i), so the product over pairs
+  j > i is the square root of the whole. Otherwise all pairs j != i.
+- Blocks: the factors are formed lazily in C (``combinations``, or
+  ``product`` with the diagonal left out by ``compress``) and multiplied in
+  blocks of at most ``_BLOCK`` onto a running mantissa m in [0.5, 1);
+  ``frexp`` takes each block's power of two into an int exponent e. One log
+  is taken per column: the whole multiple of ln 2 in ``(log m + e ln 2) / N``
+  leaves it exactly, through ``ldexp``, so ``exp`` sees an argument below
+  ln 2 and the size of the mean does not scale its rounding.
+- The zero rule and the fallback: a block whose product is not a normal
+  float (it overflowed, or holds a zero) is looked at factor by factor. If
+  its least factor is <= 0, that factor counts as 0 and the result is +0.0;
+  otherwise its factors' ``frexp`` mantissas are multiplied instead. A
+  column where a factor can be negative or below ``_LEAST_FACTOR`` (a
+  negative or small input, or a negative r or s, which PipelineParams
+  rejects) has every block looked at that way: two negative factors can
+  multiply to a positive product in range, and a run of small factors can
+  take the product through subnormal floats, where it loses bits, before
+  later factors bring it back into range.
 
 Each distinct endpoint column is evaluated once per call. Builtin terms have
 a2 = a3 and share a2, a3 between the two trapezoids, so a criterion has 5
 distinct columns of 8. The pipeline's endpoints are floats, so columns that
 compare equal differ at most in the sign of a zero endpoint; that changes at
-most the sign of a zero factor, and ``pow`` maps both to +0.0.
+most the sign of a zero factor, and either sign gives +0.0.
 
 The geometric mean multiplies its n inputs before taking the root, which
 leaves the float range at large n (0.2 ** 500 underflows to 0, 1.9 ** 1200
@@ -42,14 +53,22 @@ checks them once, where it is built, and PipelineParams checks r and s.
 from __future__ import annotations
 
 import sys
-from itertools import repeat
-from math import exp, fsum, log, prod
+from itertools import combinations, compress, islice, product, repeat, starmap
+from math import exp, frexp, fsum, inf, ldexp, log, prod
 from operator import add
 
 from .errors import EmptyInput, TooFewValues
 from .fuzzy import IT2TrFN, _require_nonnegative, endpointwise, mean
 
 _NORMAL_MIN, _NORMAL_MAX = sys.float_info.min, sys.float_info.max
+
+#: The most factors of the Bonferroni mean multiplied before the product is split by
+#: ``frexp``; 128 factors within [2**-7.9, 2**7.9] keep it a normal float.
+_BLOCK = 128
+#: From a running mantissa >= 0.5, no prefix of a block of factors this large or
+#: larger falls below the normal range, where the product would lose bits.
+_LEAST_FACTOR = 2.0 ** -7.9
+_LN2 = log(2.0)
 
 
 def average_weights(vectors: list[list[IT2TrFN]]) -> list[IT2TrFN]:
@@ -70,14 +89,21 @@ def tit2fgbm(values: list[IT2TrFN], r: float = 1.0, s: float = 1.0) -> IT2TrFN:
         (1 / (r+s)) * prod over ordered pairs i != j of
             (r*a_i[e] + s*a_j[e]) ** (1 / (n*(n-1)))
 
-    Heights combine with min per level.
+    Heights combine with min per level. The module docstring gives the accuracy.
     """
     n = len(values)
     if n < 2:
         raise TooFewValues(f"the Bonferroni mean needs at least two values, got {n}")
     for v in values:
         _require_nonnegative(v, "the Bonferroni mean")
-    exponent = 1.0 / (n * (n - 1))
+    half = r == s  # factor (i, j) is then bit-equal to factor (j, i)
+    pairs = n * (n - 1) // 2 if half else n * (n - 1)
+    blocks = range(0, pairs, _BLOCK)
+    # One selector byte per pair (i, j), row by row: 0 on the diagonal, where j == i.
+    off_diagonal = None if half else (b"\0" + b"\1" * n) * n
+    total = r + s
+    # r*x_i + s*x_j >= (r+s) * min(x) when r, s >= 0; a negative r or s takes every block apart.
+    least_input = _LEAST_FACTOR / total if min(r, s) >= 0.0 else inf
 
     memo: dict[tuple[float, ...], float] = {}
 
@@ -85,16 +111,31 @@ def tit2fgbm(values: list[IT2TrFN], r: float = 1.0, s: float = 1.0) -> IT2TrFN:
         if x in memo:
             return memo[x]
         sx = [s * xj for xj in x]
-        clip = min(min(x), r, s) < 0.0
-        acc = 1.0
-        for i, xi in enumerate(x):
-            # operator.add, not a bound (r * xi).__add__: int.__add__(float) is NotImplemented.
-            factors = map(add, repeat(r * xi), sx[:i] + sx[i + 1:])
-            if clip:
-                factors = map(max, factors, repeat(0.0))
-            acc = prod(map(pow, factors, repeat(exponent)), start=acc)
-        memo[x] = acc / (r + s)
-        return memo[x]
+        if half:
+            factors = starmap(add, combinations(sx, 2))
+        else:
+            factors = starmap(add, compress(product([r * xi for xi in x], sx), off_diagonal))
+        take_apart = min(x) < least_input
+        m, e = 1.0, 0  # the product of the factors so far is m * 2**e
+        for _ in blocks:
+            block = list(islice(factors, _BLOCK))
+            partial = prod(block, start=m)
+            if take_apart or not _NORMAL_MIN <= partial <= _NORMAL_MAX:
+                if min(block) <= 0.0:
+                    memo[x] = 0.0
+                    return 0.0
+                mantissas, exponents = zip(*map(frexp, block))
+                partial = prod(mantissas, start=m)  # at least 2**-129: no underflow
+                e += sum(exponents)
+            m, shift = frexp(partial)
+            e += shift
+        # log of the mean factor = (log m + e ln 2) / pairs; the whole multiple k of
+        # ln 2 is taken out exactly, so exp's argument lies in (-ln 2 / pairs, ln 2).
+        k, rest = divmod(e, pairs)
+        root = exp((log(m) + rest * _LN2) / pairs)
+        # root < 2, so ldexp cannot overflow; the product by 2.0 gives inf where it would.
+        memo[x] = result = 2.0 * ldexp(root, k - 1) / total
+        return result
 
     return endpointwise(column, *values)
 

@@ -1,5 +1,10 @@
 """Tests for expert averaging and the geometric Bonferroni mean."""
 
+import math
+import random
+import sys
+from decimal import Decimal, localcontext
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +33,7 @@ from it2mabac.errors import (
     TooFewValues,
 )
 from it2mabac.fuzzy import EPS, endpointwise
+from oracle import CONTEXT, root_of_product
 from worked_example import TABLE4_UPPER
 
 
@@ -270,23 +276,6 @@ def test_bonferroni_monotonicity_and_boundedness(values, bump):
     assert out.upper.a1 == pytest.approx(base.upper.a1, abs=1e-12)
 
 
-def _loop_tit2fgbm(values, r=1.0, s=1.0):
-    """``tit2fgbm`` as the plain double loop over ordered pairs, kept as the reference."""
-    n = len(values)
-    exponent = 1.0 / (n * (n - 1))
-
-    def column(*x):
-        sx = [s * xj for xj in x]
-        acc = 1.0
-        for i, xi in enumerate(x):
-            rxi = r * xi
-            for sxj in sx[:i] + sx[i + 1:]:
-                acc *= max(rxi + sxj, 0.0) ** exponent
-        return acc / (r + s)
-
-    return endpointwise(column, *values)
-
-
 # Zeros of both signs, values in [-EPS, 0) (they take the max(., 0) clip) and
 # positive floats.
 def _signed_zero_endpoints(positive):
@@ -323,17 +312,96 @@ def _bonferroni_inputs(draw):
     return draw(_columns(endpoint, 2, 20)), r, s
 
 
+def _oracle_column(xs, r, s):
+    """The 50-digit Bonferroni mean of the float factors fl(fl(r*x_i) + fl(s*x_j)) that
+    ``tit2fgbm`` forms, so only its product and root are measured; 0 if a factor is <= 0."""
+    factors = [r * xi + s * xj for i, xi in enumerate(xs) for j, xj in enumerate(xs) if i != j]
+    with localcontext(CONTEXT):
+        return root_of_product(list(map(Decimal, factors)), Decimal(r) + Decimal(s))
+
+
+def _ulps(got, want):
+    """|got - want| in units in the last place of ``want`` rounded to a float."""
+    with localcontext(CONTEXT):
+        return float(abs(Decimal(got) - want) / Decimal(math.ulp(float(want))))
+
+
+def _assert_near_the_oracle(values, r, s, ulps=4):
+    """Every endpoint within ``ulps`` of the oracle, or exactly 0.0 where it is 0; heights are the min."""
+    got = tit2fgbm(values, r=r, s=s)
+    oracle = {}  # one oracle per distinct column
+    for x, column in zip(_endpoints(got), zip(*map(_endpoints, values))):
+        if column not in oracle:
+            oracle[column] = _oracle_column(column, r, s)
+        want = oracle[column]
+        if want == 0:
+            assert x == 0.0
+        else:
+            assert _ulps(x, want) <= ulps, (column, r, s)
+    assert got.upper.h == min(v.upper.h for v in values)
+    assert got.lower.h == min(v.lower.h for v in values)
+
+
 @settings(max_examples=300, deadline=None)
 @given(inputs=_bonferroni_inputs())
-def test_bonferroni_is_bit_identical_to_the_pair_loop(inputs):
-    values, r, s = inputs
-    assert _bits(tit2fgbm(values, r=r, s=s)) == _bits(_loop_tit2fgbm(values, r=r, s=s))
+def test_bonferroni_is_within_4_ulp_of_the_oracle(inputs):
+    _assert_near_the_oracle(*inputs)
 
 
-def test_bonferroni_with_a_negative_exponent_is_the_pair_loop():
-    # Outside the r, s >= 0 contract the clip still keeps pow away from negative floats.
+@pytest.mark.parametrize("r, s", [(-1.0, 0.5), (-0.5, 2.0)])
+def test_bonferroni_with_a_negative_exponent_matches_the_oracle(r, s):
+    # Outside the r, s >= 0 contract: every factor of (-1, 0.5) is <= 0, none of (-0.5, 2).
     values = [make((1, 2, 3, 4, 1.0), (1, 2, 3, 4, 1.0)), make((2, 3, 4, 5, 1.0), (2, 3, 4, 5, 1.0))]
-    assert _bits(tit2fgbm(values, r=-1.0, s=0.5)) == _bits(_loop_tit2fgbm(values, r=-1.0, s=0.5))
+    _assert_near_the_oracle(values, r, s)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 12, 40, 150, 300])
+def test_bonferroni_of_seeded_columns_is_within_4_ulp(n):
+    rng = random.Random(n)
+    for r, s in [(1.0, 1.0), (2.0, 0.5), (0.0, 1.0)]:
+        _assert_near_the_oracle([_flat(rng.uniform(0.0, 2.0)) for _ in range(n)], r, s)
+
+
+@pytest.mark.parametrize("n", [2, 3, 200, 300])
+@pytest.mark.parametrize("r, s", [(1.0, 1.0), (2.0, 0.5)])
+def test_bonferroni_of_equal_values_is_the_value(n, r, s):
+    value = make((1, 2, 3, 4, 1.0), (1.5, 2, 3, 3.5, 0.8))
+    out = tit2fgbm([value] * n, r=r, s=s)
+    for got, want in zip(_endpoints(out), _endpoints(value)):
+        assert abs(got - want) <= 2 * math.ulp(want)
+
+
+@pytest.mark.parametrize("r, s", [(1.0, 1.0), (1.0, 2.0)])
+def test_bonferroni_with_negative_factors_is_zero(r, s):
+    # With r != s the six negative factors multiply to a positive, in-range product.
+    out = tit2fgbm([_flat(x) for x in (-1e-10, -1e-10, 0.0, 5.0)], r=r, s=s)
+    assert _endpoints(out) == (0.0,) * 8
+
+
+@pytest.mark.parametrize("column, r, s", [
+    ([0.0, 0.0, 1.0], 1.0, 1.0), ([-0.0, -0.0, 1.0], 1.0, 1.0), ([0.0, 1.0, 2.0], 0.0, 1.0),
+])
+def test_bonferroni_with_a_zero_factor_is_positive_zero(column, r, s):
+    out = tit2fgbm([_flat(x) for x in column], r=r, s=s)
+    assert _endpoints(out) == (0.0,) * 8
+    assert all(math.copysign(1.0, x) == 1.0 for x in _endpoints(out))
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e3])
+def test_bonferroni_keeps_blocks_that_leave_the_float_range(scale):
+    # 300 factors near 2e-3 or 2e3: a block's product underflows or overflows.
+    rng = random.Random(7)
+    for r, s in [(1.0, 1.0), (2.0, 0.5)]:
+        _assert_near_the_oracle([_flat(scale)] * 300, r, s)
+        _assert_near_the_oracle([_flat(scale * rng.uniform(0.5, 2.0)) for _ in range(300)], r, s)
+
+
+def test_bonferroni_of_overflowing_factors_is_inf():
+    out = tit2fgbm([_flat(1e308), _flat(1e308)])
+    assert _endpoints(out) == (math.inf,) * 8
+    # 2 * (max / 2) is the largest float itself: no overflow.
+    half_max = sys.float_info.max / 2
+    assert _endpoints(tit2fgbm([_flat(half_max)] * 3)) == (half_max,) * 8
 
 
 # 0.01 ** 30 and 2 ** 30 stay normal floats, so the product never leaves the range.

@@ -7,6 +7,7 @@ strategy of problems built from the builtin scales' terms.
 """
 
 import importlib.util
+import math
 import sys
 from decimal import Decimal
 from pathlib import Path
@@ -36,11 +37,11 @@ BOUNDS = {
     "ratings": 1.5e-16,
     "normalized": 4.4e-16,
     "weighted": 3.7e-16,
-    "baa": 3.5e-15,
+    "baa": 3.5e-16,
     "q": 9.0e-16,
-    "g": 7.3e-15,
-    "delta": 7.6e-15,
-    "scores": 1.4e-14,
+    "g": 6.7e-16,
+    "delta": 9.1e-16,
+    "scores": 1.4e-15,
 }
 
 
@@ -110,3 +111,16 @@ def problems(draw):
 def test_small_problems_match_the_oracle(problem):
     _check(problem, None)
 
+
+def test_example_baa_rounds_to_the_oracle():
+    # The 160 BAA endpoints of the example at four (r, s): how many are the rounded
+    # oracle, and how far the others are from it. Neither number may get worse.
+    distances = []
+    problem = load_example_problem()
+    for r, s in [(1.0, 1.0), (2.0, 0.5), (0.0, 1.0), (1.0, 3.0)]:
+        params = PipelineParams(r=r, s=s)
+        got = [x for v in run(problem, params).baa for x in (*v.upper.endpoints, *v.lower.endpoints)]
+        want = [float(v[e]) for v in run_oracle(problem, params)["baa"] for e in (0, 1, 2, 3, 5, 6, 7, 8)]
+        distances += [abs(x - y) / math.ulp(y) for x, y in zip(got, want, strict=True)]
+    assert len(distances) == 160
+    assert distances.count(0.0) >= 53 and max(distances) <= 3
