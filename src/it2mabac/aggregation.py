@@ -132,9 +132,12 @@ def tit2fgbm(values: list[IT2TrFN], r: float = 1.0, s: float = 1.0) -> IT2TrFN:
         # log of the mean factor = (log m + e ln 2) / pairs; the whole multiple k of
         # ln 2 is taken out exactly, so exp's argument lies in (-ln 2 / pairs, ln 2).
         k, rest = divmod(e, pairs)
-        root = exp((log(m) + rest * _LN2) / pairs)
-        # root < 2, so ldexp cannot overflow; the product by 2.0 gives inf where it would.
-        memo[x] = result = 2.0 * ldexp(root, k - 1) / total
+        # Divide by r+s before the scaling by 2**k: a subnormal mean is then rounded once
+        # onto the subnormal grid, not rounded there and magnified by 1/(r+s) after.
+        mantissa, shift = frexp(exp((log(m) + rest * _LN2) / pairs) / total)
+        k += shift
+        # mantissa < 1, so ldexp overflows exactly when k > 1024; the mean is then inf.
+        memo[x] = result = ldexp(mantissa, k) if k <= 1024 else inf
         return result
 
     return endpointwise(column, *values)

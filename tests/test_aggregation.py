@@ -355,6 +355,14 @@ def test_bonferroni_with_a_negative_exponent_matches_the_oracle(r, s):
     _assert_near_the_oracle(values, r, s)
 
 
+@pytest.mark.parametrize("r, s", [(0.0, 0.1), (1.0, 1.0), (2.0, 0.5)])
+@pytest.mark.parametrize("x", [2.2250738585e-313, 5e-324, 2e-308])
+def test_bonferroni_of_subnormal_inputs_is_within_4_ulp(x, r, s):
+    # The mean is subnormal: 1/(r+s) must not magnify its rounding onto the subnormal grid.
+    _assert_near_the_oracle([_flat(x), _flat(x), _flat(3 * x)], r, s)
+    _assert_near_the_oracle([_flat(x)] * 2, r, s)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 12, 40, 150, 300])
 def test_bonferroni_of_seeded_columns_is_within_4_ulp(n):
     rng = random.Random(n)
