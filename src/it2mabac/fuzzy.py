@@ -233,8 +233,11 @@ def scale(a: IT2TrFN, k: float) -> IT2TrFN:
 
 def _require_nonnegative(value: IT2TrFN, context: str, shift: float = 0.0) -> None:
     """Reject ``value + shift`` (shift added to every endpoint) below -EPS."""
-    # a1 is the smallest endpoint of a valid trapezoid, so checking it suffices.
     lowest = min(value.upper.a1, value.lower.a1) + shift
+    # Each endpoint of a valid trapezoid may lie up to EPS below the one before it,
+    # so a4 may be 3*EPS below a1: an a1 of 2*EPS or more is enough on its own.
+    if lowest < 2 * EPS:
+        lowest = min(*value.upper.endpoints, *value.lower.endpoints) + shift
     if lowest < -EPS:
         raise NegativeOperand(
             f"{context} is only defined for non-negative values, got endpoints down to {lowest!r}"

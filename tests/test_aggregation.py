@@ -32,7 +32,7 @@ from it2mabac.errors import (
     NegativeOperand,
     TooFewValues,
 )
-from it2mabac.fuzzy import EPS, endpointwise
+from it2mabac.fuzzy import EPS
 from oracle import CONTEXT, root_of_product
 from worked_example import TABLE4_UPPER
 
@@ -100,9 +100,8 @@ def _endpoints(v):
     return v.upper.endpoints + v.lower.endpoints
 
 
-def _bits(v):
-    """Every endpoint and height of ``v``, bit for bit (the sign of zero included)."""
-    return [float(x).hex() for x in _endpoints(v) + (v.upper.h, v.lower.h)]
+#: Each endpoint up to EPS below the one before: a1 is 0.0, a4 is -2.8e-9, below -EPS.
+SLIDING = make((0.0, -1e-9, -1.9e-9, -2.8e-9, 1.0), (0.0, -1e-9, -1.9e-9, -2.8e-9, 1.0))
 
 
 def _flat(v):
@@ -144,6 +143,8 @@ class TestBonferroni:
         bad = make((-1, 0, 0, 1, 1.0), (-0.5, 0, 0, 0.5, 0.9))
         with pytest.raises(NegativeOperand):
             tit2fgbm([bad, _flat(1.0)])
+        with pytest.raises(NegativeOperand, match="down to -2.8e-09$"):
+            tit2fgbm([_flat(1.0), SLIDING])
 
     def test_param_validation(self):
         with pytest.raises(InvalidParams):
@@ -169,6 +170,13 @@ class TestGeometricMean:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             geometric_mean([])
+
+    def test_negative_operand(self):
+        bad = make((-1, 0, 0, 1, 1.0), (-0.5, 0, 0, 0.5, 0.9))
+        with pytest.raises(NegativeOperand, match="the geometric mean .* down to -1.0$"):
+            geometric_mean([bad, _flat(1.0)])
+        with pytest.raises(NegativeOperand, match="down to -2.8e-09$"):
+            geometric_mean([_flat(1.0), SLIDING])
 
     @pytest.mark.parametrize("copies", [500, 1000])
     def test_product_underflow_keeps_the_mean(self, copies):
@@ -213,13 +221,11 @@ def test_bonferroni_vs_geomean_on_worked_columns():
 
 @given(values=st.lists(it2trfns(), min_size=2, max_size=5))
 def test_bonferroni_with_r0_s1_is_geometric_mean(values):
+    # One kernel takes both roots; the Bonferroni factors hold each x_j n-1 times (2 ulp measured).
     bonf = tit2fgbm(values, r=0.0, s=1.0)
     geo = geometric_mean(values)
-    for a, b in zip(
-        bonf.upper.endpoints + bonf.lower.endpoints,
-        geo.upper.endpoints + geo.lower.endpoints,
-    ):
-        assert a == pytest.approx(b, abs=1e-9)
+    for a, b in zip(_endpoints(bonf), _endpoints(geo)):
+        assert abs(a - b) <= 4 * math.ulp(b)
 
 
 @given(
@@ -312,10 +318,14 @@ def _bonferroni_inputs(draw):
     return draw(_columns(endpoint, 2, 20)), r, s
 
 
-def _oracle_column(xs, r, s):
-    """The 50-digit Bonferroni mean of the float factors fl(fl(r*x_i) + fl(s*x_j)) that
-    ``tit2fgbm`` forms, so only its product and root are measured; 0 if a factor is <= 0."""
-    factors = [r * xi + s * xj for i, xi in enumerate(xs) for j, xj in enumerate(xs) if i != j]
+def _oracle_column(operator, xs, r, s):
+    """The 50-digit root of the float factors ``operator`` forms from the column ``xs``, so
+    only its product and root are measured; 0 if a factor is <= 0. ``tit2fgbm``'s factors are
+    fl(fl(r*x_i) + fl(s*x_j)) over the pairs i != j; ``geometric_mean``'s are ``xs`` (r=0, s=1)."""
+    if operator is geometric_mean:
+        factors = xs
+    else:
+        factors = [r * xi + s * xj for i, xi in enumerate(xs) for j, xj in enumerate(xs) if i != j]
     with localcontext(CONTEXT):
         return root_of_product(list(map(Decimal, factors)), Decimal(r) + Decimal(s))
 
@@ -326,16 +336,17 @@ def _ulps(got, want):
         return float(abs(Decimal(got) - want) / Decimal(math.ulp(float(want))))
 
 
-def _assert_near_the_oracle(values, r, s, ulps=4):
-    """Every endpoint within ``ulps`` of the oracle, or exactly 0.0 where it is 0; heights are the min."""
-    got = tit2fgbm(values, r=r, s=s)
+def _assert_near_the_oracle(operator, values, r=0.0, s=1.0, ulps=4):
+    """``operator`` (``tit2fgbm`` at r, s, or ``geometric_mean``) of ``values``: every endpoint
+    within ``ulps`` of the oracle, or exactly +0.0 where it is 0; heights are the min."""
+    got = tit2fgbm(values, r=r, s=s) if operator is tit2fgbm else geometric_mean(values)
     oracle = {}  # one oracle per distinct column
     for x, column in zip(_endpoints(got), zip(*map(_endpoints, values))):
         if column not in oracle:
-            oracle[column] = _oracle_column(column, r, s)
+            oracle[column] = _oracle_column(operator, column, r, s)
         want = oracle[column]
         if want == 0:
-            assert x == 0.0
+            assert x == 0.0 and math.copysign(1.0, x) == 1.0
         else:
             assert _ulps(x, want) <= ulps, (column, r, s)
     assert got.upper.h == min(v.upper.h for v in values)
@@ -345,29 +356,34 @@ def _assert_near_the_oracle(values, r, s, ulps=4):
 @settings(max_examples=300, deadline=None)
 @given(inputs=_bonferroni_inputs())
 def test_bonferroni_is_within_4_ulp_of_the_oracle(inputs):
-    _assert_near_the_oracle(*inputs)
+    values, r, s = inputs
+    _assert_near_the_oracle(tit2fgbm, values, r, s)
+    _assert_near_the_oracle(geometric_mean, values)
 
 
 @pytest.mark.parametrize("r, s", [(-1.0, 0.5), (-0.5, 2.0)])
 def test_bonferroni_with_a_negative_exponent_matches_the_oracle(r, s):
     # Outside the r, s >= 0 contract: every factor of (-1, 0.5) is <= 0, none of (-0.5, 2).
     values = [make((1, 2, 3, 4, 1.0), (1, 2, 3, 4, 1.0)), make((2, 3, 4, 5, 1.0), (2, 3, 4, 5, 1.0))]
-    _assert_near_the_oracle(values, r, s)
+    _assert_near_the_oracle(tit2fgbm, values, r, s)
 
 
 @pytest.mark.parametrize("r, s", [(0.0, 0.1), (1.0, 1.0), (2.0, 0.5)])
 @pytest.mark.parametrize("x", [2.2250738585e-313, 5e-324, 2e-308])
 def test_bonferroni_of_subnormal_inputs_is_within_4_ulp(x, r, s):
     # The mean is subnormal: 1/(r+s) must not magnify its rounding onto the subnormal grid.
-    _assert_near_the_oracle([_flat(x), _flat(x), _flat(3 * x)], r, s)
-    _assert_near_the_oracle([_flat(x)] * 2, r, s)
+    for values in ([_flat(x), _flat(x), _flat(3 * x)], [_flat(x)] * 2):
+        _assert_near_the_oracle(tit2fgbm, values, r, s)
+        _assert_near_the_oracle(geometric_mean, values)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 12, 40, 150, 300])
 def test_bonferroni_of_seeded_columns_is_within_4_ulp(n):
     rng = random.Random(n)
     for r, s in [(1.0, 1.0), (2.0, 0.5), (0.0, 1.0)]:
-        _assert_near_the_oracle([_flat(rng.uniform(0.0, 2.0)) for _ in range(n)], r, s)
+        values = [_flat(rng.uniform(0.0, 2.0)) for _ in range(n)]
+        _assert_near_the_oracle(tit2fgbm, values, r, s)
+        _assert_near_the_oracle(geometric_mean, values)
 
 
 @pytest.mark.parametrize("n", [2, 3, 200, 300])
@@ -379,6 +395,17 @@ def test_bonferroni_of_equal_values_is_the_value(n, r, s):
         assert abs(got - want) <= 2 * math.ulp(want)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 100, 600, 1200])
+def test_geometric_mean_of_equal_values_is_the_value(n):
+    rng = random.Random(n)
+    values = [make((1, 2, 3, 4, 1.0), (1.5, 2, 3, 3.5, 0.8)), _flat(1000.0), _flat(7e5)]
+    values += [_flat(10 ** rng.uniform(-6.0, 6.0)) for _ in range(40)]
+    for value in values:
+        out = geometric_mean([value] * n)
+        for got, want in zip(_endpoints(out), _endpoints(value)):
+            assert abs(got - want) <= 2 * math.ulp(want), (value, n)
+
+
 @pytest.mark.parametrize("r, s", [(1.0, 1.0), (1.0, 2.0)])
 def test_bonferroni_with_negative_factors_is_zero(r, s):
     # With r != s the six negative factors multiply to a positive, in-range product.
@@ -388,11 +415,13 @@ def test_bonferroni_with_negative_factors_is_zero(r, s):
 
 @pytest.mark.parametrize("column, r, s", [
     ([0.0, 0.0, 1.0], 1.0, 1.0), ([-0.0, -0.0, 1.0], 1.0, 1.0), ([0.0, 1.0, 2.0], 0.0, 1.0),
+    ([-1e-10, 1.0, 2.0], 0.0, 1.0),
 ])
 def test_bonferroni_with_a_zero_factor_is_positive_zero(column, r, s):
-    out = tit2fgbm([_flat(x) for x in column], r=r, s=s)
-    assert _endpoints(out) == (0.0,) * 8
-    assert all(math.copysign(1.0, x) == 1.0 for x in _endpoints(out))
+    values = [_flat(x) for x in column]
+    for out in (tit2fgbm(values, r=r, s=s), geometric_mean(values)):
+        assert _endpoints(out) == (0.0,) * 8
+        assert all(math.copysign(1.0, x) == 1.0 for x in _endpoints(out))
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1e3])
@@ -400,8 +429,10 @@ def test_bonferroni_keeps_blocks_that_leave_the_float_range(scale):
     # 300 factors near 2e-3 or 2e3: a block's product underflows or overflows.
     rng = random.Random(7)
     for r, s in [(1.0, 1.0), (2.0, 0.5)]:
-        _assert_near_the_oracle([_flat(scale)] * 300, r, s)
-        _assert_near_the_oracle([_flat(scale * rng.uniform(0.5, 2.0)) for _ in range(300)], r, s)
+        spread = [_flat(scale * rng.uniform(0.5, 2.0)) for _ in range(300)]
+        for values in ([_flat(scale)] * 300, spread):
+            _assert_near_the_oracle(tit2fgbm, values, r, s)
+            _assert_near_the_oracle(geometric_mean, values)
 
 
 def test_bonferroni_of_overflowing_factors_is_inf():
@@ -410,17 +441,3 @@ def test_bonferroni_of_overflowing_factors_is_inf():
     # 2 * (max / 2) is the largest float itself: no overflow.
     half_max = sys.float_info.max / 2
     assert _endpoints(tit2fgbm([_flat(half_max)] * 3)) == (half_max,) * 8
-
-
-# 0.01 ** 30 and 2 ** 30 stay normal floats, so the product never leaves the range.
-@given(values=_columns(_signed_zero_endpoints(finite(0.01, 2.0)), 1, 30))
-def test_geometric_mean_in_range_gives_the_loop_bits(values):
-    power = 1.0 / len(values)
-
-    def column(*x):
-        acc = 1.0
-        for xi in x:
-            acc *= max(xi, 0.0)
-        return acc ** power
-
-    assert _bits(geometric_mean(values)) == _bits(endpointwise(column, *values))

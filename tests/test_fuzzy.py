@@ -195,6 +195,10 @@ class TestArithmetic:
         negative = make((-2, -1, 0, 1, 1.0), (-1, 0, 0, 0.5, 0.9))
         with pytest.raises(NegativeOperand):
             mul(negative, GOOD)
+        # Each endpoint up to EPS below the one before: a1 is 0.0, a4 is -2.8e-9.
+        sliding = make((0.0, -1e-9, -1.9e-9, -2.8e-9, 1.0), (0.0, -1e-9, -1.9e-9, -2.8e-9, 1.0))
+        with pytest.raises(NegativeOperand, match="got endpoints down to -2.8e-09$"):
+            mul(sliding, GOOD)
 
 
 @given(a=it2trfns(), b=it2trfns(), k=finite(0.0, 5.0))
