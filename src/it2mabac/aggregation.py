@@ -5,15 +5,15 @@ into a single group matrix. The border approximation area later uses the
 trapezoidal interval type-2 fuzzy geometric Bonferroni mean, which couples
 every ordered pair of inputs; with the leading 1/(r+s) coefficient it is
 idempotent. A plain endpoint-wise geometric mean is provided alongside for
-comparison. Both run one kernel, ``_root_of_product``, lifted by the
-``fuzzy.endpointwise`` kernel: the N-th root of a product of N float factors,
+comparison. Both run one private kernel, ``_root_of_product``, lifted by
+``fuzzy.endpointwise``: the N-th root of a product of N float factors,
 divided by r+s. The Bonferroni mean's factors are ``f = r*x_i + s*x_j`` over
 the ordered pairs i != j; the geometric mean is the Bonferroni mean with r=0,
 s=1, and its factors are its n inputs. The result is within 4 ulp of ``(prod
 f) ** (1/N) / (r+s)`` taken exactly, n equal values come back within 2 ulp,
 and it is exactly +0.0 wherever some factor is <= 0.
 
-- Half the pairs when r == s (the default and the paper's setting): factor
+- Half the Bonferroni pairs when r == s (the default and the paper's setting): factor
   (i, j) is then bit-equal to factor (j, i), so the product over pairs
   j > i is the square root of the whole. Otherwise all pairs j != i.
 - Blocks: the factors are formed lazily in C (``combinations``, or
