@@ -13,9 +13,10 @@ s=1, and its factors are its n inputs. The result is within 4 ulp of ``(prod
 f) ** (1/N) / (r+s)`` taken exactly, n equal values come back within 2 ulp,
 and it is exactly +0.0 wherever some factor is <= 0.
 
-- Half the Bonferroni pairs when r == s (the default and the paper's setting): factor
-  (i, j) is then bit-equal to factor (j, i), so the product over pairs
-  j > i is the square root of the whole. Otherwise all pairs j != i.
+- Half the Bonferroni pairs when r == s (the default and the paper's
+  setting): factor (i, j) is then bit-equal to factor (j, i), so the product
+  over pairs j > i is the square root of the whole. Otherwise all pairs
+  j != i.
 - Blocks: the factors are formed lazily in C (``combinations``, or
   ``product`` with the diagonal left out by ``compress``, or the inputs
   themselves) and multiplied in blocks of at most ``_BLOCK`` onto a running
@@ -58,8 +59,8 @@ from .fuzzy import IT2TrFN, _require_nonnegative, endpointwise, mean
 
 _NORMAL_MIN, _NORMAL_MAX = sys.float_info.min, sys.float_info.max
 
-#: The most factors multiplied before the product is split by
-#: ``frexp``; 128 factors within [2**-7.9, 2**7.9] keep it a normal float.
+#: The most factors multiplied before the product is split by ``frexp``; 128
+#: factors within [2**-7.9, 2**7.9] keep it a normal float.
 _BLOCK = 128
 #: From a running mantissa >= 0.5, no prefix of a block of factors this large or
 #: larger falls below the normal range, where the product would lose bits.
