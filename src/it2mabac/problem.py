@@ -7,9 +7,10 @@ weights may be linguistic terms or inline values written as two 5-tuples
 (four endpoints and a height per trapezoid); ``DecisionProblem`` resolves
 them through the problem's own scales, and a direct build may give IT2TrFNs.
 
-``run`` executes the seven pipeline steps on a parsed problem and returns a
-trace holding every intermediate matrix. A problem is read-only, so steps
-1-2, which depend on it alone, are computed once and shared by every run.
+``run`` executes the seven pipeline steps on a problem and returns a trace
+holding every intermediate matrix; ``render.trace_from_json`` runs a machine
+trace's group decision as a problem of one expert. A problem is read-only, so
+steps 1-2, which depend on it alone, are computed once and shared by every run.
 """
 
 from __future__ import annotations
@@ -253,20 +254,15 @@ def _stage(label: str):
 
 
 def run(problem: DecisionProblem, params: PipelineParams | None = None) -> PipelineTrace:
-    """Execute steps 1-7 on ``problem``: its cached averages, then ``_trace`` on copies
-    of them, so mutating a trace reaches neither the problem nor a later trace."""
-    weights_bar, ratings_bar = problem._averages
-    return _trace(problem.name, list(problem.alternatives), list(problem.criteria),
-                  params if params is not None else problem.params,
-                  list(weights_bar), [list(row) for row in ratings_bar])
+    """Execute steps 1-7 on ``problem`` and return the trace; the only code that builds one.
 
-
-def _trace(name: str, alternatives: list[str], criteria: list[CriterionSpec], params: PipelineParams,
-           aggregated_weights: list[IT2TrFN], aggregated_ratings: Matrix) -> PipelineTrace:
-    """Steps 3-7 on the averages of steps 1-2, as a trace; the only code that builds one.
-
-    ``run`` and ``render.trace_from_json`` call it; each argument is the trace field of its name.
+    Steps 3-7 run on copies of the cached averages of steps 1-2, so mutating a
+    trace reaches neither the problem nor a later trace.
     """
+    weights_bar, ratings_bar = problem._averages
+    alternatives, criteria = list(problem.alternatives), list(problem.criteria)
+    params = params if params is not None else problem.params
+    aggregated_weights, aggregated_ratings = list(weights_bar), [list(row) for row in ratings_bar]
     with _stage("step 3 (normalization)"):
         normalized = normalize(aggregated_ratings, criteria)
     with _stage("step 4 (weighting)"):
@@ -277,7 +273,7 @@ def _trace(name: str, alternatives: list[str], criteria: list[CriterionSpec], pa
         q, g, delta = crisp_matrices(weighted, baa_vector, lam=params.lam)
     with _stage("step 7 (classification and ranking)"):
         classification, scores, order = classify_and_score(delta, alternatives)
-    return PipelineTrace(name, alternatives, criteria, params, aggregated_weights, aggregated_ratings,
+    return PipelineTrace(problem.name, alternatives, criteria, params, aggregated_weights, aggregated_ratings,
                          normalized, weighted, baa_vector, q, g, delta, classification, scores, order)
 
 

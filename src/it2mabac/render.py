@@ -22,10 +22,11 @@ import json
 import typing
 from json.encoder import encode_basestring_ascii
 
-from .errors import DimensionMismatch, ProblemSyntaxError
+from .errors import ProblemSyntaxError
 from .fuzzy import IT2TrFN, make
-from .pipeline import CriterionSpec, Matrix, _check_names
-from .problem import PARAM_KEYS, PipelineParams, PipelineTrace, _name, _trace
+from .linguistic import builtin_rating_scale, builtin_weight_scale
+from .pipeline import CriterionSpec, Matrix
+from .problem import PARAM_KEYS, DecisionProblem, PipelineParams, PipelineTrace, run
 
 FORMATS = ("text", "machine")
 
@@ -202,9 +203,9 @@ _CONVERSIONS = {
 _TO_JSON = {name: _CONVERSIONS.get(kind, _as_is)
             for name, kind in typing.get_type_hints(PipelineTrace).items()}
 
-#: How ``trace_from_json`` reads each field that ``problem._trace`` takes; it derives the others.
+#: How ``trace_from_json`` reads each field of the group decision it runs; ``run`` derives the others.
 _FROM_JSON = {
-    "name": lambda node: _name(node, "'name'"),  # read as a problem document's is
+    "name": lambda node: node,
     "alternatives": lambda node: node,
     "criteria": lambda node: [CriterionSpec(c["name"], c["sense"]) for c in node],
     "params": lambda node: PipelineParams(**{name: node[key] for key, name in PARAM_KEYS.items()}),
@@ -255,11 +256,13 @@ def _same(a, b) -> bool:
 def trace_from_json(text: str) -> PipelineTrace:
     """Rebuild a trace from ``render_machine`` output (bit-exact floats).
 
-    Reads only the ``_FROM_JSON`` fields, checks their names and that the aggregates
-    are q long and p x q, and runs steps 3-7 on them through ``run``'s own
-    ``problem._trace``, so loading re-runs the BAA, O(p^2) for Bonferroni.
-    The document must be ``render_machine`` of that trace as a JSON value;
-    a refusal names the first field that differs.
+    The ``_FROM_JSON`` fields are the group decision of steps 1-2. They are
+    ``run`` as a ``DecisionProblem`` of one expert, ``aggregated``, built as
+    any problem is, names and shapes checked; every entry is an IT2TrFN, so
+    the builtin scales go unused. The mean of one value keeps its bits, and
+    steps 3-7 re-run, the BAA's O(p^2) for Bonferroni included. The document
+    must be ``render_machine`` of that trace as a JSON value; a refusal
+    names the first field that differs.
     """
     try:
         doc = json.loads(text)
@@ -273,15 +276,11 @@ def trace_from_json(text: str) -> PipelineTrace:
         raise ProblemSyntaxError(f"machine trace is missing key {exc}") from exc
     except TypeError as exc:  # a list, number or null where a mapping or list belongs
         raise ProblemSyntaxError(f"machine trace has the wrong shape: {exc}") from exc
-    _check_names(fields["alternatives"], "alternatives")
-    _check_names([c.name for c in fields["criteria"]], "criteria")
-    p, q = len(fields["alternatives"]), len(fields["criteria"])
-    if len(fields["aggregated_weights"]) != q:
-        raise DimensionMismatch(f"machine trace: 'aggregated_weights' must have {q} entries (criteria)")
-    if [len(row) for row in fields["aggregated_ratings"]] != [q] * p:
-        raise DimensionMismatch(f"machine trace: 'aggregated_ratings' must be {p} x {q} "
-                                "(alternatives x criteria)")
-    trace = _trace(**fields)
+    trace = run(DecisionProblem(
+        fields["alternatives"], fields["criteria"], ["aggregated"], builtin_weight_scale(),
+        builtin_rating_scale(), {"aggregated": fields["aggregated_weights"]},
+        {"aggregated": fields["aggregated_ratings"]}, fields["params"], fields["name"],
+    ))
     written = json.loads(render_machine(trace))
     for key in [*written, *doc]:
         if key not in doc or key not in written or not _same(doc[key], written[key]):
