@@ -12,6 +12,10 @@ normalized entry can raise.
 class MabacError(Exception):
     """Base class for every error raised by this package."""
 
+    #: The cell at fault, where a stage function located it: (i, j) for row i and
+    #: criterion j of its matrix, or (None, j) for criterion j of its vector.
+    _cell: tuple[int | None, int] | None = None
+
 
 class ValidationError(MabacError):
     """Input data, a scale, or a configuration value is malformed."""

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .aggregation import geometric_mean, tit2fgbm
-from .errors import (ComputationError, DegenerateRange, DimensionMismatch, InvalidParams,
-                     ProblemSyntaxError, TooFewValues)
+from .errors import (ComputationError, DegenerateRange, DimensionMismatch, InvalidParams, MabacError,
+                     NegativeOperand, ProblemSyntaxError, TooFewValues, ZeroHeight)
 from .fuzzy import EPS, GeneralizedTrapezoid, IT2TrFN, _require_nonnegative, _shown, endpointwise
 from .ranking import rank_to_one
 
@@ -104,12 +104,33 @@ def normalize(matrix: Matrix, specs: list[CriterionSpec]) -> Matrix:
     return result
 
 
+def _locate(exc: MabacError, check, rows) -> MabacError:
+    """``exc``, its ``_cell`` set to the first (i, j) where ``check(row[j], *args)`` raises.
+
+    ``rows`` holds ``(i, row, *args)`` in the order the stage checked them, so
+    that is the cell ``exc`` came from; i is None for the criterion vector.
+    Only the error path pays for this second pass.
+    """
+    for i, row, *args in rows:
+        for j, entry in enumerate(row):
+            try:
+                check(entry, *args)
+            except MabacError:
+                exc._cell = i, j
+                return exc
+    return exc
+
+
 def weight(normalized: Matrix, weights: list[IT2TrFN]) -> Matrix:
-    """Weighted matrix: v_ij = w_j * (n_ij + 1)."""
+    """Weighted matrix: v_ij = w_j * (n_ij + 1); a NegativeOperand is located (``_locate``)."""
     _check_widths(normalized, len(weights), "weights")
-    for w in weights:  # both factors of w * (n + 1) must lie on the non-negative cone
-        _require_nonnegative(w, "multiplication")
-    return [[_weighted(w, entry) for w, entry in zip(weights, row)] for row in normalized]
+    try:
+        for w in weights:  # both factors of w * (n + 1) must lie on the non-negative cone
+            _require_nonnegative(w, "multiplication")
+        return [[_weighted(w, entry) for w, entry in zip(weights, row)] for row in normalized]
+    except NegativeOperand as exc:
+        rows = [(None, weights, 0.0), *((i, row, 1.0) for i, row in enumerate(normalized))]
+        raise _locate(exc, lambda v, shift: _require_nonnegative(v, "", shift), rows)
 
 
 def _weighted(w: IT2TrFN, n: IT2TrFN) -> IT2TrFN:
@@ -142,10 +163,13 @@ def baa(
 def crisp_matrices(
     weighted: Matrix, baa_vector: list[IT2TrFN], lam: float = 0.5
 ) -> tuple[list[list[float]], list[float], list[list[float]]]:
-    """Step 6: the crisp distance matrix Q, the BAA distances G, and Q - G."""
+    """Step 6: the crisp distance matrix Q, the BAA distances G, and Q - G; a ZeroHeight is located."""
     _check_widths(weighted, len(baa_vector), "BAA entries")
-    q_matrix = [[abs(rank_to_one(entry, lam)) for entry in row] for row in weighted]
-    g_vector = [abs(rank_to_one(g, lam)) for g in baa_vector]
+    try:
+        q_matrix = [[abs(rank_to_one(entry, lam)) for entry in row] for row in weighted]
+        g_vector = [abs(rank_to_one(g, lam)) for g in baa_vector]
+    except ZeroHeight as exc:
+        raise _locate(exc, lambda v: rank_to_one(v, lam), [*enumerate(weighted), (None, baa_vector)])
     delta = [[qij - gj for qij, gj in zip(row, g_vector)] for row in q_matrix]
     return q_matrix, g_vector, delta
 

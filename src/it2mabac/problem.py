@@ -245,11 +245,17 @@ class PipelineTrace:
 
 
 @contextmanager
-def _stage(label: str):
-    """Prefix any package error escaping a pipeline stage with its label."""
+def _stage(label: str, alternatives=(), criteria=(), vector: str = ""):
+    """Prefix any package error escaping a pipeline stage with its label, then with
+    the names of its ``_cell``: an alternative and a criterion, or "``vector`` of"
+    a criterion."""
     try:
         yield
     except MabacError as exc:
+        if exc._cell is not None:
+            i, j = exc._cell
+            where = f"alternative {alternatives[i]}, criterion" if i is not None else f"{vector} of"
+            label = f"{label}: {where} {criteria[j].name}"
         raise type(exc)(f"{label}: {exc}") from exc
 
 
@@ -265,11 +271,11 @@ def run(problem: DecisionProblem, params: PipelineParams | None = None) -> Pipel
     aggregated_weights, aggregated_ratings = list(weights_bar), [list(row) for row in ratings_bar]
     with _stage("step 3 (normalization)"):
         normalized = normalize(aggregated_ratings, criteria)
-    with _stage("step 4 (weighting)"):
+    with _stage("step 4 (weighting)", alternatives, criteria, "weight"):
         weighted = weight(normalized, aggregated_weights)
     with _stage("step 5 (border approximation area)"):
         baa_vector = baa(weighted, r=params.r, s=params.s, operator=params.baa_operator)
-    with _stage("step 6 (distance matrices)"):
+    with _stage("step 6 (distance matrices)", alternatives, criteria, "BAA"):
         q, g, delta = crisp_matrices(weighted, baa_vector, lam=params.lam)
     with _stage("step 7 (classification and ranking)"):
         classification, scores, order = classify_and_score(delta, alternatives)

@@ -12,8 +12,12 @@ vanishes exactly on the crisp unit, and equals 1 - c on any crisp constant c.
 
 from __future__ import annotations
 
+import sys
+
 from .errors import ZeroHeight
 from .fuzzy import IT2TrFN
+
+_NORMAL_MIN = sys.float_info.min
 
 
 def rank_to_one(value: IT2TrFN, lam: float = 0.5) -> float:
@@ -21,16 +25,19 @@ def rank_to_one(value: IT2TrFN, lam: float = 0.5) -> float:
 
     Callers that need the magnitude (as the decision pipeline does) take the
     absolute value themselves; the sign is kept so it can be inspected.
+    Heights whose divisor ``2*hu*hl`` is not a normal float, so that the
+    quotient would lose its bits or be infinite, are a ZeroHeight.
     """
     hu, hl = value.upper.h, value.lower.h
-    if hu * hl <= 0.0:
-        raise ZeroHeight(f"membership heights must be positive, got {hu!r} and {hl!r}")
+    divisor = 2.0 * hu * hl
+    if divisor < _NORMAL_MIN:
+        raise ZeroHeight(f"membership heights {hu!r} and {hl!r} are too small to divide by")
     a1u, a2u, a3u, a4u = value.upper.endpoints
     a1l, a2l, a3l, a4l = value.lower.endpoints
     bracket = hu * (lam * (a2l - a1l - a2u + a1u) - (a4l - a3l - a2l + a1l)) - hl * (
         a4u - a3u - a4l + a3l
     )
-    return 1.0 - a4l - lam * (a1l - a1u + a4u - a4l) - bracket / (2.0 * hu * hl)
+    return 1.0 - a4l - lam * (a1l - a1u + a4u - a4l) - bracket / divisor
 
 
 def distance(a: IT2TrFN, b: IT2TrFN, lam: float = 0.5) -> float:

@@ -146,17 +146,58 @@ def test_negative_weight_term_fails_at_weighting(tmp_path, capsys):
 
     assert _solve_edited_doc(edit, tmp_path) == 2
     err = capsys.readouterr().err
-    assert err.startswith("computation error: step 4 (weighting)")
+    assert err.startswith("computation error: step 4 (weighting): weight of C1: ")
     assert "-0.5" in err
 
 
 def test_rating_normalized_below_minus_one_fails_at_weighting(tmp_path, capsys):
+    # valid, as a lower trapezoid may start below its upper one, but (A1, C1)
+    # normalizes to endpoints below -1
+    for rating, lowest in [([[5, 7, 7, 9, 1.0], [-100, 7, 7, 8, 0.9]], "-21.500000000000004"),
+                           ([[5, 6, 7, 8, 1], [-10, 6, 7, 8, 0.9]], "-2.214285714285715")]:
+        def edit(doc):
+            for matrix in doc["ratings"].values():
+                matrix[0][0] = rating
+
+        assert _solve_edited_doc(edit, tmp_path) == 2
+        assert capsys.readouterr().err == (
+            "computation error: step 4 (weighting): alternative A1, criterion C1: multiplication is "
+            f"only defined for non-negative values, got endpoints down to {lowest}\n"
+        )
+
+
+#: Heights on ratings of the example, and where step 6 refuses them: the
+#: divisor 2*hu*hl underflows to 0 at 1e-200 and is subnormal at 1e-155. The
+#: BAA takes the least of each height down its column, so two cells whose
+#: own divisors are normal can give a BAA whose divisor underflows.
+TINY_HEIGHTS = {
+    "underflow": ({(0, 0): (1e-200, 1e-200)}, "alternative A1, criterion C1", "1e-200 and 1e-200"),
+    "subnormal": ({(1, 2): (1e-155, 1e-155)}, "alternative A2, criterion C3", "1e-155 and 1e-155"),
+    "baa": ({(0, 3): (1.0, 1e-200), (2, 3): (1e-150, 1e-150)}, "BAA of C4", "1e-150 and 1e-200"),
+}
+
+
+@pytest.mark.parametrize("case", list(TINY_HEIGHTS))
+def test_heights_too_small_to_divide_by_fail_at_step_6_naming_the_cell(case, tmp_path, capsys):
+    cells, where, heights = TINY_HEIGHTS[case]
+
     def edit(doc):
-        for matrix in doc["ratings"].values():
-            matrix[0][0] = [[5, 7, 7, 9, 1.0], [-100, 7, 7, 8, 0.9]]
+        for (i, j), (hu, hl) in cells.items():
+            doc["ratings"]["DM1"][i][j] = [[5, 6, 7, 8, hu], [5, 6, 7, 8, hl]]
 
     assert _solve_edited_doc(edit, tmp_path) == 2
-    assert capsys.readouterr().err.startswith("computation error: step 4 (weighting)")
+    assert capsys.readouterr().err == (
+        f"computation error: step 6 (distance matrices): {where}: membership heights {heights} "
+        "are too small to divide by\n"
+    )
+
+
+def test_small_heights_with_a_normal_divisor_are_solved(tmp_path, capsys):
+    def edit(doc):
+        doc["ratings"]["DM1"][0][0] = [[5, 6, 7, 8, 1e-100], [5, 6, 7, 8, 1e-100]]
+
+    assert _solve_edited_doc(edit, tmp_path) == 0
+    assert "ranking:" in capsys.readouterr().out
 
 
 def test_experts_sharing_a_tolerated_value_average_cleanly(tmp_path, capsys):

@@ -29,6 +29,7 @@ from it2mabac.errors import (
     NegativeOperand,
     ProblemSyntaxError,
     TooFewValues,
+    ZeroHeight,
 )
 from it2mabac.pipeline import column_range
 from worked_example import CRITERIA, TABLE11_A2_DELTAS, table6_matrix
@@ -119,8 +120,12 @@ class TestWeight:
         # Cell (0, 0) plus one reaches down to -2; the weight of column 1 to -0.5.
         below = make((-3, 0, 0, 1, 1.0), (-2.5, 0, 0, 0.5, 0.9))
         negative = make((-0.5, 0.5, 0.5, 0.7, 1.0), (0.4, 0.5, 0.5, 0.6, 0.9))
-        with pytest.raises(NegativeOperand, match="got endpoints down to -0.5$"):
+        with pytest.raises(NegativeOperand, match="got endpoints down to -0.5$") as info:
             weight([[below, crisp(0.0)]], [crisp(1.0), negative])
+        assert info.value._cell == (None, 1)
+        with pytest.raises(NegativeOperand, match="got endpoints down to -2.0$") as info:
+            weight([[crisp(0.0), crisp(0.0)], [crisp(0.0), below]], [crisp(1.0), crisp(1.0)])
+        assert info.value._cell == (1, 1)
 
 
 @pytest.mark.parametrize(
@@ -183,6 +188,19 @@ class TestCrispMatrices:
         low_q, _, _ = crisp_matrices([[cell], [cell]], [cell], lam=0.0)
         high_q, _, _ = crisp_matrices([[cell], [cell]], [cell], lam=1.0)
         assert low_q != high_q
+
+
+    def test_heights_too_small_to_divide_by_name_the_cell(self):
+        tiny = make((1, 2, 2, 3, 1e-160), (1, 2, 2, 3, 1e-160))  # 2*hu*hl is subnormal
+        cell = crisp(1.0)
+        for weighted, baa_vector, at in [
+            ([[cell, cell], [cell, tiny]], [cell, cell], (1, 1)),
+            ([[cell, tiny], [cell, tiny]], [cell, tiny], (0, 1)),  # the first cell, not the BAA
+            ([[cell], [cell]], [tiny], (None, 0)),
+        ]:
+            with pytest.raises(ZeroHeight, match="^membership heights 1e-160 and 1e-160 are too") as info:
+                crisp_matrices(weighted, baa_vector)
+            assert info.value._cell == at
 
 
 class TestClassifyAndScore:

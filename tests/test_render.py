@@ -23,8 +23,9 @@ from it2mabac import (
     run,
     trace_from_json,
 )
-from it2mabac.errors import InvalidParams, MabacError, ProblemSyntaxError
+from it2mabac.errors import DimensionMismatch, InvalidParams, MabacError, ProblemSyntaxError
 from it2mabac.render import TABLES, render_section_machine
+from test_oracle import _GEN
 from test_problem import _generated_document
 
 
@@ -198,8 +199,10 @@ def test_trace_from_json_refuses_what_a_run_does_not_write(example_trace, case):
     for operator in ({}, {"r": 2.0, "s": 0.5}, {"baa_operator": "geomean"})
 ], ids=lambda params: f"lam={params.lam}-r={params.r}-s={params.s}-{params.baa_operator}")
 def test_example_trace_round_trips_byte_identically(params):
-    text = render_machine(run(parse_problem(example_problem_text()), params))
-    assert render_machine(trace_from_json(text)) == text
+    # the example's criteria are all benefits; the benchmark template has a cost criterion
+    for document in (example_problem_text(), _GEN.emit(_GEN.template("cli-small", 0))):
+        text = render_machine(run(parse_problem(document), params))
+        assert render_machine(trace_from_json(text)) == text
 
 
 def test_trace_from_json_ignores_key_order_only(example_trace):
@@ -239,6 +242,28 @@ def test_trace_from_json_applies_the_name_rule(example_trace):
     with pytest.raises(ProblemSyntaxError) as info:
         trace_from_json(json.dumps(doc))
     assert str(info.value) == "'alternatives' must be a non-empty list of names"
+
+
+#: Shape faults in the aggregates of the example's machine JSON, as the one
+#: expert ``aggregated`` of a problem: the edit and the refusal it gives.
+AGGREGATE_SHAPES = {
+    "weights-short": (lambda doc: doc["aggregated_weights"].pop(),
+                      "weights[aggregated]: expected 5 entries (one per criterion), got 4"),
+    "ratings-row-short": (lambda doc: doc["aggregated_ratings"][1].pop(),
+                          "ratings[aggregated] row 1 ('A2'): expected 5 entries, got 4"),
+    "ratings-row-missing": (lambda doc: doc["aggregated_ratings"].pop(),
+                            "ratings[aggregated]: expected 3 rows (one per alternative), got 2"),
+}
+
+
+@pytest.mark.parametrize("case", list(AGGREGATE_SHAPES))
+def test_trace_from_json_applies_the_expert_shape_rule(example_trace, case):
+    edit, message = AGGREGATE_SHAPES[case]
+    doc = json.loads(render_machine(example_trace))
+    edit(doc)
+    with pytest.raises(DimensionMismatch) as info:
+        trace_from_json(json.dumps(doc))
+    assert str(info.value) == message
 
 
 def test_trace_from_json_rejects_wrong_shapes(example_trace):

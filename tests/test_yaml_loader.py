@@ -152,6 +152,7 @@ CONSTRUCTS = {
     "merge_of_a_scalar": ("a: {<<: 1}", ProblemSyntaxError),
     "merge_list_of_a_scalar": ("a: {<<: [1]}", ProblemSyntaxError),
     "merge_key_as_a_value": ("a: <<", ProblemSyntaxError),
+    "merge_key_alias_as_a_value": ("x: {&m <<: {a: 1}}\ny: *m", ProblemSyntaxError),
     "tag_str": ("a: !!str 12", {"a": "12"}),
     "tag_int": ("a: !!int '0x1F'", {"a": 31}),
     "tag_float": ("a: !!float 1", {"a": 1.0}),
