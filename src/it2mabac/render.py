@@ -256,13 +256,13 @@ def _same(a, b) -> bool:
 def trace_from_json(text: str) -> PipelineTrace:
     """Rebuild a trace from ``render_machine`` output (bit-exact floats).
 
-    The ``_FROM_JSON`` fields are the group decision of steps 1-2. They are
-    ``run`` as a ``DecisionProblem`` of one expert, ``aggregated``, built as
-    any problem is, names and shapes checked; every entry is an IT2TrFN, so
-    the builtin scales go unused. The mean of one value keeps its bits, and
-    steps 3-7 re-run, the BAA's O(p^2) for Bonferroni included. The document
-    must be ``render_machine`` of that trace as a JSON value; a refusal
-    names the first field that differs.
+    The ``_FROM_JSON`` fields are the group decision of steps 1-2. ``run``
+    takes them as a ``DecisionProblem`` of one expert, ``aggregated``, which
+    checks their names and shapes as it checks any problem's; every entry is
+    an IT2TrFN, so the builtin scales go unused. The mean of one value keeps
+    its bits, and steps 3-7 re-run, the BAA's O(p^2) for Bonferroni included.
+    The document must be ``render_machine`` of that trace as a JSON value; a
+    refusal names the first field that differs.
     """
     try:
         doc = json.loads(text)
