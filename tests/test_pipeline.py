@@ -189,7 +189,6 @@ class TestCrispMatrices:
         high_q, _, _ = crisp_matrices([[cell], [cell]], [cell], lam=1.0)
         assert low_q != high_q
 
-
     def test_heights_too_small_to_divide_by_name_the_cell(self):
         tiny = make((1, 2, 2, 3, 1e-160), (1, 2, 2, 3, 1e-160))  # 2*hu*hl is subnormal
         cell = crisp(1.0)
