@@ -8,11 +8,24 @@ The machine JSON is written by one emitter here, byte for byte as
 ``json.dumps(doc, indent=2, allow_nan=False)`` would write it. On CPython
 3.11 ``json.dumps`` with ``indent`` takes the pure-Python encoder, which
 builds the text from a small chunk per token; the emitter instead formats
-each IT2TrFN through one ``%r`` template of its ten numbers, joins
+each list of IT2TrFNs (a vector, or a matrix row) through one ``%s``
+template of their numbers (``str`` of a float is its ``repr``), joins
 float-only lists with ``float.__repr__`` and joins the document once from
-its pieces: about three times as fast, with a third of the peak memory.
-Strings and keys go through ``json``'s own ``encode_basestring_ascii``, and
-NaN and infinities raise ``ValueError`` as ``allow_nan=False`` does.
+its pieces: about three times as fast, with a third of the peak memory. Strings and keys go through
+``json``'s own ``encode_basestring_ascii``, and NaN and infinities raise
+``ValueError`` as ``allow_nan=False`` does.
+
+The three fuzzy matrices (``aggregated_ratings``, ``normalized`` and
+``weighted``) of a term-rated problem repeat their floats: a builtin term's
+endpoints are multiples of 0.5, and each later stage maps a column's equal
+values to equal values. So where at least half of a matrix's numbers
+repeat, a set collects its distinct floats, ``float.__repr__`` formats
+each once, and the cells fill the template from that memo. Keys that
+compare equal merge: 0.0 and -0.0 hash alike, so zeros stay out of the memo
+and the template writes each with its own sign; 1 and 1.0 merge too, so a
+matrix holding any non-float takes the plain template. A matrix of mostly
+distinct numbers, as inline values give, takes the plain template, where a
+lookup per number would cost more than it saves.
 """
 
 from __future__ import annotations
@@ -20,6 +33,8 @@ from __future__ import annotations
 import functools
 import json
 import typing
+from collections.abc import Iterator
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 
 from .errors import ProblemSyntaxError
@@ -168,19 +183,44 @@ def _json(value, indent: str) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-@functools.cache
-def _fuzzy_template(indent: str) -> str:
-    """An IT2TrFN starting at ``indent``: %r for the upper a1..a4, h, then the lower ones."""
-    numbers = _wrap(_sep(indent + "  ").join(["%r"] * 5), indent + "  ")
-    return _wrap(_sep(indent).join([f'"upper": {numbers}', f'"lower": {numbers}']), indent, "{}")
+@functools.lru_cache(maxsize=256)
+def _fuzzy_template(indent: str, count: int) -> str:
+    """A list of ``count`` IT2TrFNs starting at ``indent``: for each, %s for the upper
+    a1..a4, h, then the lower ones."""
+    numbers = _wrap(_sep(indent + "    ").join(["%s"] * 5), indent + "    ")
+    value = _wrap(_sep(indent + "  ").join([f'"upper": {numbers}', f'"lower": {numbers}']),
+                  indent + "  ", "{}")
+    return _wrap(_sep(indent).join([value] * count), indent)
 
 
-def _fuzzy_json(values: list[IT2TrFN], indent: str) -> str:
-    template = _fuzzy_template(indent + "  ")
-    return _wrap(_finite(_sep(indent).join([
-        template % (u.a1, u.a2, u.a3, u.a4, u.h, lo.a1, lo.a2, lo.a3, lo.a4, lo.h)
-        for u, lo in [(v.upper, v.lower) for v in values]
-    ])), indent)
+def _numbers(values: list[IT2TrFN]) -> Iterator:
+    """The ten numbers of each value, in the order the template writes them."""
+    return chain.from_iterable([(u.a1, u.a2, u.a3, u.a4, u.h, lo.a1, lo.a2, lo.a3, lo.a4, lo.h)
+                                for u, lo in [(v.upper, v.lower) for v in values]])
+
+
+def _float_texts(numbers: list) -> dict | None:
+    """Each distinct float of ``numbers`` with its text, zeros left out; None where fewer
+    than half of them repeat, or where one is not a float.
+
+    Equal numbers share a key: 0.0 and -0.0, so a zero is left to %s, which keeps its
+    sign; and 1 and 1.0, so a list holding a non-float is written by %s throughout.
+    """
+    distinct = set(numbers)
+    if 2 * len(distinct) > len(numbers) or set(map(type, numbers)) != {float}:
+        return None
+    texts = dict(zip(distinct, map(float.__repr__, distinct)))
+    texts.pop(0.0, None)
+    return texts
+
+
+def _fuzzy_matrix_json(matrix: Matrix, indent: str) -> list[str]:
+    """``_pieces`` of the matrix's rows, its floats formatted through ``_float_texts``."""
+    numbers = [*chain.from_iterable(map(_numbers, matrix))]
+    texts = _float_texts(numbers)
+    numbers = iter(numbers if texts is None else map(texts.get, numbers, numbers))
+    return _pieces([_finite(_fuzzy_template(indent + "  ", len(row))
+                            % tuple(islice(numbers, 10 * len(row)))) for row in matrix], indent)
 
 
 def _as_is(value, indent: str) -> list[str]:
@@ -190,8 +230,10 @@ def _as_is(value, indent: str) -> list[str]:
 #: For each trace field type that JSON does not carry as it is, the pieces of
 #: a value's text when it starts at a given indent.
 _CONVERSIONS = {
-    list[IT2TrFN]: lambda vector, indent: [_fuzzy_json(vector, indent)],
-    Matrix: lambda matrix, indent: _pieces([_fuzzy_json(row, indent + "  ") for row in matrix], indent),
+    list[IT2TrFN]: lambda vector, indent: [
+        _finite(_fuzzy_template(indent, len(vector)) % tuple(_numbers(vector)))
+    ],
+    Matrix: _fuzzy_matrix_json,
     list[CriterionSpec]: lambda specs, indent: _as_is([{"name": s.name, "sense": s.sense}
                                                        for s in specs], indent),
     PipelineParams: lambda params, indent: _as_is(

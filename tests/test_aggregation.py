@@ -4,6 +4,7 @@ import math
 import random
 import sys
 from decimal import Decimal, localcontext
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from it2mabac import (
     resolve,
     tit2fgbm,
 )
+from it2mabac import aggregation
 from it2mabac.errors import (
     DimensionMismatch,
     EmptyInput,
@@ -441,3 +443,95 @@ def test_bonferroni_of_overflowing_factors_is_inf():
     # 2 * (max / 2) is the largest float itself: no overflow.
     half_max = sys.float_info.max / 2
     assert _endpoints(tit2fgbm([_flat(half_max)] * 3)) == (half_max,) * 8
+
+
+@pytest.mark.parametrize("r, s, match", [
+    (0.0, 0.0, r"needs r \+ s != 0, got r=0.0, s=0.0$"),
+    (1.0, -1.0, r"needs r \+ s != 0, got r=1.0, s=-1.0$"),
+    (math.nan, 1.0, "needs a finite r, got nan$"),
+    (1.0, math.inf, "needs a finite s, got inf$"),
+    (1.0, -math.inf, "needs a finite s, got -inf$"),
+    ("one", 1.0, "needs a finite r, got 'one'$"),
+    (True, 1.0, "needs a finite r, got True$"),
+])
+def test_bonferroni_refuses_exponents_it_cannot_use(r, s, match):
+    with pytest.raises(InvalidParams, match=match):
+        tit2fgbm([_flat(1.0), _flat(2.0)], r=r, s=s)
+
+
+def _counts_the_column(values, r, s):
+    """Whether ``tit2fgbm`` takes the counted form, the one caller of ``_distinct_factors``."""
+    with mock.patch.object(aggregation, "_distinct_factors",
+                           wraps=aggregation._distinct_factors) as spy:
+        tit2fgbm(values, r=r, s=s)
+    return spy.called
+
+
+def _repeated_column(n, d, seed, lo=-6.0, hi=6.0):
+    """n values that take d distinct ones, each at least once, in a shuffled order."""
+    rng = random.Random(seed)
+    pool = [10 ** rng.uniform(lo, hi) for _ in range(d)]
+    column = pool + [rng.choice(pool) for _ in range(n - d)]
+    rng.shuffle(column)
+    return [_flat(x) for x in column]
+
+
+COUNTED_EXPONENTS = [(1.0, 1.0), (2.0, 0.5), (0.0, 1.0)]
+
+
+@pytest.mark.parametrize("r, s", COUNTED_EXPONENTS)
+@pytest.mark.parametrize("d", [1, 2, 5, 40])
+def test_bonferroni_of_repeated_values_is_within_4_ulp(d, r, s):
+    values = _repeated_column(300, d, seed=d)
+    assert _counts_the_column(values, r, s)
+    _assert_near_the_oracle(tit2fgbm, values, r, s)
+
+
+def _most_counted(n):
+    """The largest d for which a column of n values takes the counted form; 0 if none."""
+    if n < aggregation._LEAST_COUNTED:
+        return 0
+    d = 0
+    while aggregation._COUNTED_COST * (d + 1) * (d + 2) < n * (n - 1):
+        d += 1
+    return d
+
+
+@pytest.mark.parametrize("r, s", COUNTED_EXPONENTS)
+def test_bonferroni_on_both_sides_of_the_switch_is_within_4_ulp(r, s):
+    n = 300
+    d = _most_counted(n)
+    for distinct, counted in [(d, True), (d + 1, False)]:
+        values = _repeated_column(n, distinct, seed=distinct, lo=-1.0, hi=1.0)
+        assert _counts_the_column(values, r, s) is counted, distinct
+        _assert_near_the_oracle(tit2fgbm, values, r, s)
+    # Too few values to be counted, then just enough.
+    for n, counted in [(aggregation._LEAST_COUNTED - 1, False), (aggregation._LEAST_COUNTED, True)]:
+        values = [_flat(0.7)] * n
+        assert _counts_the_column(values, r, s) is counted, n
+        _assert_near_the_oracle(tit2fgbm, values, r, s)
+
+
+def test_bonferroni_with_a_negative_exponent_keeps_the_block_form():
+    values = _repeated_column(300, 2, seed=3, lo=0.0, hi=1.0)
+    for r, s in [(-0.5, 2.0), (2.0, -0.5)]:
+        assert not _counts_the_column(values, r, s)
+        _assert_near_the_oracle(tit2fgbm, values, r, s)
+
+
+@pytest.mark.parametrize("r, s", COUNTED_EXPONENTS)
+def test_bonferroni_diagonal_of_a_value_seen_once_is_no_factor(r, s):
+    # Three values form no zero factor with r == s: a lone 0.0 pairs only with 1.0 and 2.0.
+    assert tit2fgbm([_flat(x) for x in (0.0, 1.0, 2.0)]).upper.a1 == 0.9085602964160698
+    many = [_flat(1.0)] * 150 + [_flat(2.0)] * 149
+    lone_zero = many + [_flat(0.0)]
+    assert _counts_the_column(lone_zero, r, s)
+    _assert_near_the_oracle(tit2fgbm, lone_zero, r, s)
+    if r:  # with r = 0 the factor 0*x + 0.0 is a zero factor of weight 299
+        assert tit2fgbm(lone_zero, r=r, s=s).upper.a1 > 0.0
+    for zeros in ([0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]):
+        values = many[:-1] + [_flat(z) for z in zeros]
+        assert _counts_the_column(values, r, s)
+        out = tit2fgbm(values, r=r, s=s)
+        assert _endpoints(out) == (0.0,) * 8
+        assert all(math.copysign(1.0, x) == 1.0 for x in _endpoints(out))

@@ -1,16 +1,22 @@
 """Tests for text and machine rendering of traces."""
 
+import contextlib
 import dataclasses
+import importlib
 import json
 import math
+import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import it2trfns
+from conftest import finite, it2trfns
 from it2mabac import (
     CriterionSpec,
+    GeneralizedTrapezoid,
+    IT2TrFN,
     PipelineParams,
     PipelineTrace,
     crisp,
@@ -27,6 +33,8 @@ from it2mabac.errors import DimensionMismatch, InvalidParams, MabacError, Proble
 from it2mabac.render import TABLES, render_section_machine
 from test_oracle import _GEN
 from test_problem import _generated_document
+
+render_module = importlib.import_module("it2mabac.render")  # the package attribute is the function
 
 
 def test_text_report_has_expected_section_headers(example_trace):
@@ -361,11 +369,27 @@ _numbers = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def _traces(draw):
-    """Small traces of arbitrary names and finite numbers (not a pipeline's output)."""
+def _pooled_it2trfns(draw, pool):
+    """An IT2TrFN whose endpoints are drawn from ``pool``; heights 1, and 1 or 0.5."""
+    upper, lower = (sorted(draw(st.lists(st.sampled_from(pool), min_size=4, max_size=4)))
+                    for _ in range(2))
+    return IT2TrFN(GeneralizedTrapezoid(*upper, 1.0),
+                   GeneralizedTrapezoid(*lower, draw(st.sampled_from([1.0, 0.5]))))
+
+
+@st.composite
+def _traces(draw, pooled=False):
+    """Small traces of arbitrary names and finite numbers (not a pipeline's output). With
+    ``pooled``, the fuzzy matrices' endpoints come from at most 4 values, zeros of either
+    sign among them, so that most of a matrix's numbers repeat."""
     p, q = draw(st.integers(0, 3)), draw(st.integers(0, 3))
-    fuzzy_rows = st.lists(st.lists(it2trfns(-1e6, 1e6), min_size=q, max_size=q),
-                          min_size=p, max_size=p)
+    if pooled:
+        pool = draw(st.lists(st.sampled_from([0.0, -0.0]) | finite(-1e6, 1e6),
+                             min_size=1, max_size=4))
+        cells = _pooled_it2trfns(pool)
+    else:
+        cells = it2trfns(-1e6, 1e6)
+    fuzzy_rows = st.lists(st.lists(cells, min_size=q, max_size=q), min_size=p, max_size=p)
     crisp_rows = st.lists(st.lists(_numbers, min_size=q, max_size=q), min_size=p, max_size=p)
     return PipelineTrace(
         name=draw(_names),
@@ -393,6 +417,12 @@ def _traces(draw):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(trace=_traces())
 def test_machine_json_of_any_trace_is_what_json_dumps_writes(trace):
+    _assert_written_as_json_dumps(trace)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(trace=_traces(pooled=True))
+def test_machine_json_of_any_trace_of_repeated_numbers_is_what_json_dumps_writes(trace):
     _assert_written_as_json_dumps(trace)
 
 
@@ -442,3 +472,71 @@ def test_mutated_machine_trace_loads_and_renders_or_is_refused(text):
         return
     render_text(trace)
     render_machine(trace)
+
+
+#: Two cells with zeros of both signs, as an inline rating endpoint of -0.0 puts beside 0.0.
+SIGNED_ZEROS = [
+    IT2TrFN(GeneralizedTrapezoid(-0.0, 0.5, 0.5, 1.0, 1.0), GeneralizedTrapezoid(-0.0, 0.5, 0.5, 0.75, 0.8)),
+    IT2TrFN(GeneralizedTrapezoid(0.0, -0.0, 0.5, 1.0, 1.0), GeneralizedTrapezoid(0.0, 0.25, 0.5, 0.75, 0.8)),
+]
+
+
+def _pooled_rows(cells, p, q, seed):
+    """p rows of q cells drawn from ``cells``, each cell at least once."""
+    rng = random.Random(seed)
+    drawn = list(cells) + [rng.choice(cells) for _ in range(p * q - len(cells))]
+    rng.shuffle(drawn)
+    return [drawn[i * q:(i + 1) * q] for i in range(p)]
+
+
+def _pooled_trace(trace, cells, fields=("aggregated_ratings", "normalized", "weighted"), p=60):
+    """``trace`` with p alternatives, and the fuzzy matrices ``fields`` drawn from ``cells``."""
+    q = len(trace.criteria)
+    return dataclasses.replace(
+        trace, alternatives=[f"A{i}" for i in range(p)],
+        **{field: _pooled_rows(cells, p, q, seed) for seed, field in enumerate(fields)},
+    )
+
+
+@contextlib.contextmanager
+def _memos():
+    """A list that gets, for each fuzzy matrix written inside, whether a memo of its
+    distinct floats wrote it."""
+    texts_of, memos = render_module._float_texts, []
+
+    def spy(numbers):
+        texts = texts_of(numbers)
+        memos.append(texts is not None)
+        return texts
+
+    with mock.patch.object(render_module, "_float_texts", spy):
+        yield memos
+
+
+def test_machine_json_of_repeated_signed_zeros_is_what_json_dumps_writes(example_trace):
+    trace = _pooled_trace(example_trace, [*SIGNED_ZEROS, *example_trace.weighted[0]])
+    with _memos() as memos:
+        _assert_written_as_json_dumps(trace)
+    assert memos == [True] * 6  # the three matrices, in the whole document and in their sections
+    text = render_machine(trace)
+    assert " -0.0," in text and " 0.0," in text
+
+
+def test_machine_json_of_repeated_ints_beside_equal_floats_is_what_json_dumps_writes(example_trace):
+    # 1 == 1.0 and they hash alike: a memo of distinct floats would write the int as 1.0.
+    ints = IT2TrFN(GeneralizedTrapezoid(0, 1, 1, 2, 1), GeneralizedTrapezoid(0, 1, 1, 2, 1))
+    floats = IT2TrFN(GeneralizedTrapezoid(0.0, 1.0, 1.0, 2.0, 1.0),
+                     GeneralizedTrapezoid(0.0, 1.0, 1.0, 2.0, 1.0))
+    for cells in ([floats, ints], [ints, floats]):
+        _assert_written_as_json_dumps(_pooled_trace(example_trace, cells))
+
+
+def test_machine_rendering_refuses_non_finite_numbers_in_a_repeated_matrix(example_trace):
+    for value in (math.nan, math.inf, -math.inf):
+        for field, table in [("aggregated_ratings", "ratings"), ("normalized", "normalized"),
+                             ("weighted", "weighted")]:
+            trace = _pooled_trace(example_trace, [*SIGNED_ZEROS, crisp(value)], fields=[field])
+            for render_fn in (render_machine, lambda t: render_section_machine(t, table)):
+                with _memos() as memos, pytest.raises(ValueError, match="^Out of range float"):
+                    render_fn(trace)
+                assert memos[-1]  # the matrix at fault went through the memo
