@@ -30,38 +30,36 @@ and it is exactly +0.0 wherever some factor is <= 0.
   its least factor is <= 0, that factor counts as 0 and the result is +0.0;
   otherwise its factors' ``frexp`` mantissas are multiplied instead. A
   column where a factor can be negative or below ``_LEAST_FACTOR`` (a
-  negative or small input, or a negative r or s, which PipelineParams
-  rejects) has every block looked at that way: two negative factors can
-  multiply to a positive product in range, and a run of small factors can
-  take the product through subnormal floats, where it loses bits, before
-  later factors bring it back into range.
-- The counted form (Bonferroni only). The mean is symmetric: it depends
-  only on the multiset of a column's values (Yager, "On generalized
-  Bonferroni mean operators for multi-criteria aggregation", IJAR 2009).
-  Let the column's n values hold d distinct ones v, each m_v times. With
-  r == s its factors are ``s*v + s*w`` of weight m_v*m_w for each v < w,
-  and ``s*v + s*v`` of weight C(m_v, 2); with r != s, ``r*v + s*w`` of
-  weight m_v*m_w for v != w and m_v*(m_v-1) for v == w. These are the
-  block form's own float factors, each formed once. The weights sum to N. A
-  value seen once forms no factor with itself (its weight would be 0), so a
-  lone 0.0 forms no zero factor; two do. ``frexp`` splits each factor; the
-  exponents are summed exactly as weighted ints, the weighted mantissa logs
-  with ``fsum``, and the block form's tail takes the root. Both sums are
-  exact or correctly rounded, so the order of the factors does not matter.
-  Accuracy: each mantissa log is within an ulp of a number below ln 2 in
-  size, and the weights sum to N, so the sum divided by N is off by about
-  an ulp of ln 2 at most: the block form's bound holds.
+  negative or small input) has every block looked at that way: two negative
+  factors can multiply to a positive product in range, and a run of small
+  factors can take the product through subnormal floats, where it loses
+  bits, before later factors bring it back into range.
+- The counted form (r == s only). The mean is symmetric: it depends only on
+  the multiset of a column's values (Yager, "On generalized Bonferroni mean
+  operators for multi-criteria aggregation", IJAR 2009). Let the column's n
+  values hold d distinct ones v, each m_v times. Its factors are
+  ``s*v + s*w`` of weight m_v*m_w for each v < w, and ``s*v + s*v`` of
+  weight C(m_v, 2). These are the block form's own float factors, each
+  formed once. The weights sum to N. A value seen once forms no factor with
+  itself (its weight would be 0), so a lone 0.0 forms no zero factor; two
+  do. ``frexp`` splits each factor; the exponents are summed exactly as
+  weighted ints, the weighted mantissa logs with ``fsum``, and the block
+  form's tail takes the root. Both sums are exact or correctly rounded, so
+  the order of the factors does not matter. Accuracy: each mantissa log is
+  within an ulp of a number below ln 2 in size, and the weights sum to N, so
+  the sum divided by N is off by about an ulp of ln 2 at most: the block
+  form's bound holds.
 - Which form: a counted factor costs a ``frexp``, a log and an ``fsum``
   term, about ``_COUNTED_COST`` block-form factors on term-rated columns
   (measured), and finding d costs a set of the column. Both forms' factor
-  counts go as n*(n-1) and d*(d+1) (halved when r == s), so a Bonferroni
-  column of n >= ``_LEAST_COUNTED`` values takes the counted form when
-  ``_COUNTED_COST * d*(d+1) < n*(n-1)``. Shorter columns are never counted:
-  the set costs 2/n or more of the block form, and they seldom have few
-  enough distinct values to pay it back (on benchmark templates, none of
-  200 weighted endpoint columns at p = 64, 57 of 200 at p = 100). Nor is a
-  mean with a negative r or s, whose factors can be negative, nor the
-  geometric mean, whose N = n factors cost O(n) already.
+  counts go as n*(n-1)/2 and d*(d+1)/2, so a column of n >=
+  ``_LEAST_COUNTED`` values takes the counted form when ``_COUNTED_COST *
+  d*(d+1) < n*(n-1)``. Shorter columns are never counted: the set costs 2/n
+  or more of the block form, and they seldom have few enough distinct
+  values to pay it back (on benchmark templates, none of 200 weighted
+  endpoint columns at p = 64, 57 of 200 at p = 100). Nor is a mean with
+  r != s, which no benchmark workload runs on columns that long, nor the
+  geometric mean (r = 0, s = 1), whose N = n factors cost O(n) already.
 
 Each distinct endpoint column is evaluated once per call. Builtin terms have
 a2 = a3 and share a2, a3 between the two trapezoids, so a criterion has 5
@@ -71,8 +69,9 @@ most the sign of a zero factor, and either sign gives +0.0. The counted
 form's tally merges 0.0 and -0.0 in the same way.
 
 The averaging functions trust the shapes they are given: a DecisionProblem
-checks them once, where it is built. PipelineParams checks r and s for a
-run; ``tit2fgbm`` refuses a non-finite r or s, and r + s == 0, on its own.
+checks them once, where it is built. The Bonferroni exponents have one rule,
+``_check_exponents``, which PipelineParams applies to a run and ``tit2fgbm``
+to each call: r, s >= 0 with a finite, normal sum r + s.
 """
 
 from __future__ import annotations
@@ -111,8 +110,15 @@ def average_ratings(matrices: list[list[list[IT2TrFN]]]) -> list[list[IT2TrFN]]:
     return [[mean(cell) for cell in zip(*rows)] for rows in zip(*matrices)]
 
 
+def _check_exponents(r: float, s: float) -> None:
+    """The one rule for the Bonferroni exponents: r, s >= 0 with a finite, normal sum."""
+    if not (r >= 0.0 and s >= 0.0 and _NORMAL_MIN <= r + s <= _NORMAL_MAX):
+        raise InvalidParams("Bonferroni exponents must be non-negative with a finite, "
+                            f"normal sum r + s, got r={r!r}, s={s!r}")
+
+
 def tit2fgbm(values: list[IT2TrFN], r: float = 1.0, s: float = 1.0) -> IT2TrFN:
-    """Geometric Bonferroni mean of n >= 2 non-negative values; r, s >= 0, r+s > 0.
+    """Geometric Bonferroni mean of n >= 2 non-negative values; r, s >= 0, r+s finite, normal.
 
     Every endpoint position e is aggregated independently:
 
@@ -120,15 +126,14 @@ def tit2fgbm(values: list[IT2TrFN], r: float = 1.0, s: float = 1.0) -> IT2TrFN:
             (r*a_i[e] + s*a_j[e]) ** (1 / (n*(n-1)))
 
     Heights combine with min per level. The module docstring gives the accuracy.
-    A non-finite r or s, or r + s == 0, raises InvalidParams.
+    A non-finite r or s, or exponents ``_check_exponents`` refuses, raise InvalidParams.
     """
     n = len(values)
     if n < 2:
         raise TooFewValues(f"the Bonferroni mean needs at least two values, got {n}")
     r = _finite(r, InvalidParams, "the Bonferroni mean needs a finite r, got {}")
     s = _finite(s, InvalidParams, "the Bonferroni mean needs a finite s, got {}")
-    if r + s == 0.0:
-        raise InvalidParams(f"the Bonferroni mean needs r + s != 0, got r={r!r}, s={s!r}")
+    _check_exponents(r, s)
     if r == s:  # factor (i, j) is then bit-equal to factor (j, i): take the pairs j > i
         count = n * (n - 1) // 2
         factors = lambda x: starmap(add, combinations([s * xj for xj in x], 2))
@@ -139,26 +144,17 @@ def tit2fgbm(values: list[IT2TrFN], r: float = 1.0, s: float = 1.0) -> IT2TrFN:
         factors = lambda x: starmap(
             add, compress(product([r * xi for xi in x], [s * xj for xj in x]), off_diagonal)
         )
-    return _root_of_product(values, "the Bonferroni mean", factors, count, r, s, pairs=True)
+    return _root_of_product(values, "the Bonferroni mean", factors, count, r, s)
 
 
-def _distinct_factors(
-    r: float, s: float, v: list[float], m: list[int]
-) -> tuple[list[float], list[int]]:
-    """The distinct Bonferroni factors of a column whose distinct values v occur m times
-    each, and the number of times each occurs among the pairs ``tit2fgbm`` forms. A value
-    seen once forms no factor with itself, so no weight is 0."""
-    if r == s:
-        sv = [s * y for y in v]
-        same = [k * (k - 1) // 2 for k in m]
-        return ([*starmap(add, combinations(sv, 2)), *compress(map(add, sv, sv), same)],
-                [*starmap(mul, combinations(m, 2)), *filter(None, same)])
-    off_diagonal = (b"\0" + b"\1" * len(v)) * len(v)
-    rv, sv = [r * y for y in v], [s * y for y in v]
-    same = [k * (k - 1) for k in m]
-    return ([*starmap(add, compress(product(rv, sv), off_diagonal)),
-             *compress(map(add, rv, sv), same)],
-            [*compress(starmap(mul, product(m, m)), off_diagonal), *filter(None, same)])
+def _distinct_factors(s: float, v: list[float], m: list[int]) -> tuple[list[float], list[int]]:
+    """The distinct Bonferroni factors, at r == s, of a column whose distinct values v occur
+    m times each, and the number of times each occurs among the pairs ``tit2fgbm`` forms. A
+    value seen once forms no factor with itself, so no weight is 0."""
+    sv = [s * y for y in v]
+    same = [k * (k - 1) // 2 for k in m]
+    return ([*starmap(add, combinations(sv, 2)), *compress(map(add, sv, sv), same)],
+            [*starmap(mul, combinations(m, 2)), *filter(None, same)])
 
 
 def geometric_mean(values: list[IT2TrFN]) -> IT2TrFN:
@@ -171,25 +167,24 @@ def geometric_mean(values: list[IT2TrFN]) -> IT2TrFN:
 
 def _root_of_product(
     values: list[IT2TrFN], name: str, factors: Callable[[tuple], Iterator[float]], count: int,
-    r: float, s: float, pairs: bool = False,
+    r: float, s: float,
 ) -> IT2TrFN:
     """``(prod factors(x)) ** (1/count) / (r+s)`` of each endpoint column x of ``values``.
 
     ``factors`` forms the ``count`` factors of x lazily; ``name`` names the operator in errors.
-    With ``pairs`` they are the Bonferroni mean's, and a column of few distinct values forms
-    each distinct one once, by ``_distinct_factors`` (see the module docstring).
+    r and s obey ``_check_exponents``. With r == s (the Bonferroni mean's pairs j > i), a
+    long column of few distinct values forms each distinct factor once, by
+    ``_distinct_factors`` (see the module docstring).
     """
     for v in values:
         _require_nonnegative(v, name)
     blocks = range(0, count, _BLOCK)
     total = r + s
-    # r*x_i + s*x_j >= (r+s) * min(x) when r, s >= 0; a negative r or s takes every block apart.
-    least_input = _LEAST_FACTOR / total if min(r, s) >= 0.0 else inf
+    least_input = _LEAST_FACTOR / total  # r*x_i + s*x_j >= (r+s) * min(x) as r, s >= 0
 
-    # A column of d distinct values takes the counted form when d*(d+1) is below the budget;
-    # none does where a negative r or s can make factors negative.
+    # A column of d distinct values takes the counted form when d*(d+1) is below the budget.
     n = len(values)
-    counted = pairs and n >= _LEAST_COUNTED and min(r, s) >= 0.0
+    counted = r == s and n >= _LEAST_COUNTED
     budget = n * (n - 1) / _COUNTED_COST
 
     memo: dict[tuple[float, ...], float] = {}
@@ -200,7 +195,7 @@ def _root_of_product(
         d = counted and len(set(x))  # a set is the cheapest count; Counter only where it pays
         if d and d * (d + 1) < budget:
             tally = Counter(x)
-            distinct, weights = _distinct_factors(r, s, list(tally), list(tally.values()))
+            distinct, weights = _distinct_factors(s, list(tally), list(tally.values()))
             if min(distinct) <= 0.0:
                 memo[x] = 0.0
                 return 0.0

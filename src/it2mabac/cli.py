@@ -36,8 +36,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("problem", help="path to a problem document")
     parser.add_argument("--lambda", dest="lam", type=float, default=None,
                         help="rank attitude parameter in [0, 1] (default: from file or 0.5)")
-    parser.add_argument("--r", type=float, default=None, help="Bonferroni exponent r")
-    parser.add_argument("--s", type=float, default=None, help="Bonferroni exponent s")
+    rule = "; r, s >= 0 with a finite, normal sum r + s"
+    parser.add_argument("--r", type=float, default=None, help="Bonferroni exponent r" + rule)
+    parser.add_argument("--s", type=float, default=None, help="Bonferroni exponent s" + rule)
     parser.add_argument("--baa", dest="baa_operator", choices=BAA_OPERATORS,
                         default=None, help="border approximation area operator")
     parser.add_argument("--format", choices=list(FORMATS), default="text")

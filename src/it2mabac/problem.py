@@ -37,7 +37,7 @@ from yaml.events import (
 )
 from yaml.nodes import ScalarNode
 
-from .aggregation import average_ratings, average_weights
+from .aggregation import _check_exponents, average_ratings, average_weights
 from .errors import (
     DimensionMismatch,
     InvalidParams,
@@ -68,8 +68,8 @@ from .pipeline import (
 class PipelineParams:
     """Tuning knobs: rank attitude, Bonferroni exponents, BAA operator.
 
-    The only place these values are checked, ``lam``, ``r`` and ``s`` by the one
-    number rule of ``fuzzy._finite``; the stage functions take them as plain keywords.
+    The only place these are checked for a run, by ``fuzzy._finite`` and, for ``r`` and
+    ``s``, ``aggregation._check_exponents``; the stage functions take them as plain keywords.
     """
 
     lam: float = 0.5
@@ -84,10 +84,7 @@ class PipelineParams:
                 object.__setattr__(self, name, _finite(getattr(self, name), InvalidParams, message))
         if not 0.0 <= self.lam <= 1.0:
             raise InvalidParams(f"lambda must lie in [0, 1], got {self.lam!r}")
-        if self.r < 0 or self.s < 0:
-            raise InvalidParams(f"Bonferroni exponents must be non-negative, got r={self.r!r}, s={self.s!r}")
-        if self.r + self.s <= 0:
-            raise InvalidParams("Bonferroni exponents must satisfy r + s > 0")
+        _check_exponents(self.r, self.s)
         if self.baa_operator not in BAA_OPERATORS:
             raise InvalidParams(
                 f"baa operator must be one of {BAA_OPERATORS}, got {_shown(self.baa_operator)}"

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import sys
 from decimal import Decimal, localcontext
 from unittest import mock
@@ -363,13 +364,6 @@ def test_bonferroni_is_within_4_ulp_of_the_oracle(inputs):
     _assert_near_the_oracle(geometric_mean, values)
 
 
-@pytest.mark.parametrize("r, s", [(-1.0, 0.5), (-0.5, 2.0)])
-def test_bonferroni_with_a_negative_exponent_matches_the_oracle(r, s):
-    # Outside the r, s >= 0 contract: every factor of (-1, 0.5) is <= 0, none of (-0.5, 2).
-    values = [make((1, 2, 3, 4, 1.0), (1, 2, 3, 4, 1.0)), make((2, 3, 4, 5, 1.0), (2, 3, 4, 5, 1.0))]
-    _assert_near_the_oracle(tit2fgbm, values, r, s)
-
-
 @pytest.mark.parametrize("r, s", [(0.0, 0.1), (1.0, 1.0), (2.0, 0.5)])
 @pytest.mark.parametrize("x", [2.2250738585e-313, 5e-324, 2e-308])
 def test_bonferroni_of_subnormal_inputs_is_within_4_ulp(x, r, s):
@@ -445,9 +439,25 @@ def test_bonferroni_of_overflowing_factors_is_inf():
     assert _endpoints(tit2fgbm([_flat(half_max)] * 3)) == (half_max,) * 8
 
 
+#: Finite exponents outside the one rule: a negative r or s (with a normal sum too), or
+#: a sum r + s that is zero, subnormal or infinite, each with r and s as shown.
+OUTSIDE_THE_RULE = [
+    (0.0, 0.0, "r=0.0, s=0.0"),
+    (1.0, -1.0, "r=1.0, s=-1.0"),
+    (-1.0, 0.5, "r=-1.0, s=0.5"),
+    (0.5, -1.0, "r=0.5, s=-1.0"),
+    (-0.5, 2.0, "r=-0.5, s=2.0"),
+    (2.0, -0.5, "r=2.0, s=-0.5"),
+    (5e-324, 5e-324, "r=5e-324, s=5e-324"),
+    (1e-310, 1e-310, "r=1e-310, s=1e-310"),
+    (0.0, sys.float_info.min / 2, "r=0.0, s=1.1125369292536007e-308"),
+    (1e308, 1e308, "r=1e+308, s=1e+308"),
+]
+EXPONENT_RULE = r"^Bonferroni exponents must be non-negative with a finite, normal sum r \+ s, got "
+
+
 @pytest.mark.parametrize("r, s, match", [
-    (0.0, 0.0, r"needs r \+ s != 0, got r=0.0, s=0.0$"),
-    (1.0, -1.0, r"needs r \+ s != 0, got r=1.0, s=-1.0$"),
+    *((r, s, EXPONENT_RULE + re.escape(shown) + "$") for r, s, shown in OUTSIDE_THE_RULE),
     (math.nan, 1.0, "needs a finite r, got nan$"),
     (1.0, math.inf, "needs a finite s, got inf$"),
     (1.0, -math.inf, "needs a finite s, got -inf$"),
@@ -457,6 +467,21 @@ def test_bonferroni_of_overflowing_factors_is_inf():
 def test_bonferroni_refuses_exponents_it_cannot_use(r, s, match):
     with pytest.raises(InvalidParams, match=match):
         tit2fgbm([_flat(1.0), _flat(2.0)], r=r, s=s)
+
+
+@pytest.mark.parametrize("r, s, shown", OUTSIDE_THE_RULE)
+def test_params_refuse_exponents_under_the_same_rule(r, s, shown):
+    with pytest.raises(InvalidParams, match=EXPONENT_RULE + re.escape(shown) + "$"):
+        PipelineParams(r=r, s=s)
+
+
+@pytest.mark.parametrize("r, s", [
+    (sys.float_info.min / 2, sys.float_info.min / 2), (0.0, sys.float_info.min),
+    (sys.float_info.max / 2, sys.float_info.max / 2), (0.0, sys.float_info.max), (-0.0, 1.0),
+])
+def test_exponents_at_the_edges_of_the_rule_are_admitted(r, s):
+    assert PipelineParams(r=r, s=s).r == r
+    tit2fgbm([_flat(1.0), _flat(2.0)], r=r, s=s)
 
 
 def _counts_the_column(values, r, s):
@@ -483,7 +508,7 @@ COUNTED_EXPONENTS = [(1.0, 1.0), (2.0, 0.5), (0.0, 1.0)]
 @pytest.mark.parametrize("d", [1, 2, 5, 40])
 def test_bonferroni_of_repeated_values_is_within_4_ulp(d, r, s):
     values = _repeated_column(300, d, seed=d)
-    assert _counts_the_column(values, r, s)
+    assert _counts_the_column(values, r, s) is (r == s)
     _assert_near_the_oracle(tit2fgbm, values, r, s)
 
 
@@ -503,19 +528,12 @@ def test_bonferroni_on_both_sides_of_the_switch_is_within_4_ulp(r, s):
     d = _most_counted(n)
     for distinct, counted in [(d, True), (d + 1, False)]:
         values = _repeated_column(n, distinct, seed=distinct, lo=-1.0, hi=1.0)
-        assert _counts_the_column(values, r, s) is counted, distinct
+        assert _counts_the_column(values, r, s) is (counted and r == s), distinct
         _assert_near_the_oracle(tit2fgbm, values, r, s)
     # Too few values to be counted, then just enough.
     for n, counted in [(aggregation._LEAST_COUNTED - 1, False), (aggregation._LEAST_COUNTED, True)]:
         values = [_flat(0.7)] * n
-        assert _counts_the_column(values, r, s) is counted, n
-        _assert_near_the_oracle(tit2fgbm, values, r, s)
-
-
-def test_bonferroni_with_a_negative_exponent_keeps_the_block_form():
-    values = _repeated_column(300, 2, seed=3, lo=0.0, hi=1.0)
-    for r, s in [(-0.5, 2.0), (2.0, -0.5)]:
-        assert not _counts_the_column(values, r, s)
+        assert _counts_the_column(values, r, s) is (counted and r == s), n
         _assert_near_the_oracle(tit2fgbm, values, r, s)
 
 
@@ -525,13 +543,13 @@ def test_bonferroni_diagonal_of_a_value_seen_once_is_no_factor(r, s):
     assert tit2fgbm([_flat(x) for x in (0.0, 1.0, 2.0)]).upper.a1 == 0.9085602964160698
     many = [_flat(1.0)] * 150 + [_flat(2.0)] * 149
     lone_zero = many + [_flat(0.0)]
-    assert _counts_the_column(lone_zero, r, s)
+    assert _counts_the_column(lone_zero, r, s) is (r == s)
     _assert_near_the_oracle(tit2fgbm, lone_zero, r, s)
     if r:  # with r = 0 the factor 0*x + 0.0 is a zero factor of weight 299
         assert tit2fgbm(lone_zero, r=r, s=s).upper.a1 > 0.0
     for zeros in ([0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]):
         values = many[:-1] + [_flat(z) for z in zeros]
-        assert _counts_the_column(values, r, s)
+        assert _counts_the_column(values, r, s) is (r == s)
         out = tit2fgbm(values, r=r, s=s)
         assert _endpoints(out) == (0.0,) * 8
         assert all(math.copysign(1.0, x) == 1.0 for x in _endpoints(out))

@@ -376,6 +376,18 @@ def test_non_finite_flag_is_validation_failure(problem_file, capsys):
         )
 
 
+@pytest.mark.parametrize("value, shown", [("1e-310", "1e-310"), ("1e308", "1e+308")])
+def test_exponents_with_a_subnormal_or_infinite_sum_are_validation_failures(
+    value, shown, problem_file, capsys
+):
+    # Before the one exponent rule both ran to a NaN score at step 7 (exit 2).
+    assert main(["solve", problem_file, "--r", value, "--s", value]) == 1
+    assert capsys.readouterr().err == (
+        "validation error: Bonferroni exponents must be non-negative with a finite, "
+        f"normal sum r + s, got r={shown}, s={shown}\n"
+    )
+
+
 @pytest.mark.parametrize("fmt", ["text", "machine"])
 def test_overflowing_average_exits_two_naming_the_alternative(fmt, tmp_path, capsys):
     doc = yaml.safe_load(example_problem_text())
