@@ -380,7 +380,6 @@ def test_non_finite_flag_is_validation_failure(problem_file, capsys):
 def test_exponents_with_a_subnormal_or_infinite_sum_are_validation_failures(
     value, shown, problem_file, capsys
 ):
-    # Before the one exponent rule both ran to a NaN score at step 7 (exit 2).
     assert main(["solve", problem_file, "--r", value, "--s", value]) == 1
     assert capsys.readouterr().err == (
         "validation error: Bonferroni exponents must be non-negative with a finite, "
