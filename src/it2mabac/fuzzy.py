@@ -6,11 +6,9 @@ operations are pure functions, so values can be shared across threads freely.
 
 Arithmetic follows the usual convention for this number type: operations act
 endpoint by endpoint on both trapezoids and combine heights with min. The
-private kernel :func:`endpointwise` is the only code that does this lifting,
-here and in the aggregation and pipeline stages; it builds only the result.
-One or two values, as in normalization, weighting and the binary operations,
-take a fast path that hands their endpoints to the scalar function directly;
-three or more are lifted through ``map``, in the same call order.
+private kernel :func:`endpointwise` does this lifting through ``map`` for the
+operations here and for both BAA operators; it builds only the result. The
+pipeline's normalization and weighting write their endpoint formulas out.
 Multiplication is only defined on the non-negative cone, which is the only
 region the decision pipeline ever visits.
 """
@@ -188,27 +186,7 @@ def endpointwise(fn, *values: IT2TrFN) -> IT2TrFN:
     ``fn`` receives one endpoint position of every value (a1 of each, then a2,
     ...), first over the upper trapezoids, then over the lower ones; heights
     combine with min. Only the result is built and validated.
-
-    One value (normalization, ``scale``) and two values (weighting, ``add``,
-    ``mul``) take a fast path that passes the endpoints to ``fn`` directly;
-    it calls ``fn`` in the same order and gives the same result as ``map``.
     """
-    if len(values) == 1:
-        u, l = values[0].upper, values[0].lower
-        return IT2TrFN(
-            GeneralizedTrapezoid(fn(u.a1), fn(u.a2), fn(u.a3), fn(u.a4), u.h),
-            GeneralizedTrapezoid(fn(l.a1), fn(l.a2), fn(l.a3), fn(l.a4), l.h),
-        )
-    if len(values) == 2:
-        u, v, l, m = values[0].upper, values[1].upper, values[0].lower, values[1].lower
-        return IT2TrFN(
-            GeneralizedTrapezoid(
-                fn(u.a1, v.a1), fn(u.a2, v.a2), fn(u.a3, v.a3), fn(u.a4, v.a4), min(u.h, v.h)
-            ),
-            GeneralizedTrapezoid(
-                fn(l.a1, m.a1), fn(l.a2, m.a2), fn(l.a3, m.a3), fn(l.a4, m.a4), min(l.h, m.h)
-            ),
-        )
     return IT2TrFN(
         GeneralizedTrapezoid(
             *map(fn, *[v.upper.endpoints for v in values]), min([v.upper.h for v in values])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .aggregation import geometric_mean, tit2fgbm
 from .errors import (ComputationError, DegenerateRange, DimensionMismatch, InvalidParams, MabacError,
                      NegativeOperand, ProblemSyntaxError, TooFewValues, ZeroHeight)
-from .fuzzy import EPS, GeneralizedTrapezoid, IT2TrFN, _require_nonnegative, _shown, endpointwise
+from .fuzzy import EPS, GeneralizedTrapezoid, IT2TrFN, _require_nonnegative, _shown
 from .ranking import rank_to_one
 
 #: Classification labels: upper, border, and lower approximation areas.
@@ -79,10 +79,15 @@ def column_range(matrix: Matrix, j: int, name: str) -> tuple[float, float]:
     return a_minus, a_plus
 
 
-def _reflect_scale(t: GeneralizedTrapezoid, a_plus: float, rng: float) -> GeneralizedTrapezoid:
-    e = t.endpoints
-    # Reversed differences: the largest endpoint maps to the smallest result.
-    return GeneralizedTrapezoid(*((a_plus - x) / rng for x in reversed(e)), t.h)
+def _normalized(t: GeneralizedTrapezoid, sense: str, a_minus: float, a_plus: float,
+                rng: float) -> GeneralizedTrapezoid:
+    """(x - a_minus) / rng per endpoint for a benefit criterion; for a cost criterion
+    (a_plus - x) / rng with the endpoints reversed, so the largest maps to the smallest."""
+    if sense == "benefit":
+        return GeneralizedTrapezoid((t.a1 - a_minus) / rng, (t.a2 - a_minus) / rng,
+                                    (t.a3 - a_minus) / rng, (t.a4 - a_minus) / rng, t.h)
+    return GeneralizedTrapezoid((a_plus - t.a4) / rng, (a_plus - t.a3) / rng,
+                                (a_plus - t.a2) / rng, (a_plus - t.a1) / rng, t.h)
 
 
 def normalize(matrix: Matrix, specs: list[CriterionSpec]) -> Matrix:
@@ -92,15 +97,10 @@ def normalize(matrix: Matrix, specs: list[CriterionSpec]) -> Matrix:
     for j, spec in enumerate(specs):
         a_minus, a_plus = column_range(matrix, j, spec.name)
         rng = a_plus - a_minus
-        if spec.sense == "benefit":
-            scaled = lambda x: (x - a_minus) / rng  # one closure per column
-            for out, row in zip(result, matrix):
-                out.append(endpointwise(scaled, row[j]))
-        else:
-            for out, row in zip(result, matrix):
-                v = row[j]
-                out.append(IT2TrFN(_reflect_scale(v.upper, a_plus, rng),
-                                   _reflect_scale(v.lower, a_plus, rng)))
+        for out, row in zip(result, matrix):
+            v = row[j]
+            out.append(IT2TrFN(_normalized(v.upper, spec.sense, a_minus, a_plus, rng),
+                               _normalized(v.lower, spec.sense, a_minus, a_plus, rng)))
     return result
 
 
@@ -135,11 +135,13 @@ def weight(normalized: Matrix, weights: list[IT2TrFN]) -> Matrix:
 
 def _weighted(w: IT2TrFN, n: IT2TrFN) -> IT2TrFN:
     _require_nonnegative(n, "multiplication", shift=1.0)
-    return endpointwise(_weighted_endpoint, w, n)
-
-
-def _weighted_endpoint(we: float, ne: float) -> float:
-    return we * (ne + 1.0)
+    u, v, l, m = w.upper, n.upper, w.lower, n.lower
+    return IT2TrFN(
+        GeneralizedTrapezoid(u.a1 * (v.a1 + 1.0), u.a2 * (v.a2 + 1.0), u.a3 * (v.a3 + 1.0),
+                             u.a4 * (v.a4 + 1.0), min(u.h, v.h)),
+        GeneralizedTrapezoid(l.a1 * (m.a1 + 1.0), l.a2 * (m.a2 + 1.0), l.a3 * (m.a3 + 1.0),
+                             l.a4 * (m.a4 + 1.0), min(l.h, m.h)),
+    )
 
 
 def baa(
