@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .aggregation import geometric_mean, tit2fgbm
 from .errors import (ComputationError, DegenerateRange, DimensionMismatch, InvalidParams, MabacError,
-                     NegativeOperand, ProblemSyntaxError, TooFewValues, ZeroHeight)
+                     NegativeOperand, ProblemSyntaxError, TooFewValues, ValidationError, ZeroHeight)
 from .fuzzy import EPS, GeneralizedTrapezoid, IT2TrFN, _require_nonnegative, _shown
 from .ranking import rank_to_one
 
@@ -91,16 +91,20 @@ def _normalized(t: GeneralizedTrapezoid, sense: str, a_minus: float, a_plus: flo
 
 
 def normalize(matrix: Matrix, specs: list[CriterionSpec]) -> Matrix:
-    """Scale every column into the unit range, respecting its sense."""
+    """Scale every column into the unit range, respecting its sense; an invalid cell sets ``_cell``."""
     _check_widths(matrix, len(specs), "criteria")
     result: Matrix = [[] for _ in matrix]
     for j, spec in enumerate(specs):
         a_minus, a_plus = column_range(matrix, j, spec.name)
         rng = a_plus - a_minus
-        for out, row in zip(result, matrix):
+        for i, (out, row) in enumerate(zip(result, matrix)):
             v = row[j]
-            out.append(IT2TrFN(_normalized(v.upper, spec.sense, a_minus, a_plus, rng),
-                               _normalized(v.lower, spec.sense, a_minus, a_plus, rng)))
+            try:
+                out.append(IT2TrFN(_normalized(v.upper, spec.sense, a_minus, a_plus, rng),
+                                   _normalized(v.lower, spec.sense, a_minus, a_plus, rng)))
+            except ValidationError as exc:
+                exc._cell = i, j
+                raise
     return result
 
 
@@ -149,17 +153,31 @@ def baa(
 ) -> list[IT2TrFN]:
     """Border approximation area per criterion, aggregated down each column.
 
-    ``operator`` is one of BAA_OPERATORS; any other name is a KeyError.
+    ``operator`` is one of BAA_OPERATORS; any other name is a KeyError. An error for column
+    j carries ``_cell = (None, j)``, as does an entry that overflows on finite values.
     """
     aggregate = _BAA_AGGREGATES[operator]
     if len(weighted) < 2:
         raise TooFewValues(
             f"the border approximation area needs at least two alternatives, got {len(weighted)}"
         )
-    q = len(weighted[0])
-    _check_widths(weighted, q, "criteria")
-    columns = [[row[j] for row in weighted] for j in range(q)]
-    return [aggregate(col, r, s) for col in columns]
+    _check_widths(weighted, len(weighted[0]), "criteria")
+    result = []
+    for j, column in enumerate(zip(*weighted)):
+        try:
+            g = aggregate(list(column), r, s)
+            if not _all_finite(g) and _all_finite(*column):
+                raise ComputationError(f"the {operator} operator overflows with r={r!r}, s={s!r}")
+        except MabacError as exc:
+            exc._cell = None, j
+            raise
+        result.append(g)
+    return result
+
+
+def _all_finite(*values: IT2TrFN) -> bool:
+    """Whether every endpoint of ``values`` is a finite number; a valid height always is."""
+    return all(math.isfinite(x) for v in values for x in (*v.upper.endpoints, *v.lower.endpoints))
 
 
 def crisp_matrices(

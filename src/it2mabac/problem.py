@@ -266,11 +266,11 @@ def run(problem: DecisionProblem, params: PipelineParams | None = None) -> Pipel
     alternatives, criteria = list(problem.alternatives), list(problem.criteria)
     params = params if params is not None else problem.params
     aggregated_weights, aggregated_ratings = list(weights_bar), [list(row) for row in ratings_bar]
-    with _stage("step 3 (normalization)"):
+    with _stage("step 3 (normalization)", alternatives, criteria):
         normalized = normalize(aggregated_ratings, criteria)
     with _stage("step 4 (weighting)", alternatives, criteria, "weight"):
         weighted = weight(normalized, aggregated_weights)
-    with _stage("step 5 (border approximation area)"):
+    with _stage("step 5 (border approximation area)", alternatives, criteria, "BAA"):
         baa_vector = baa(weighted, r=params.r, s=params.s, operator=params.baa_operator)
     with _stage("step 6 (distance matrices)", alternatives, criteria, "BAA"):
         q, g, delta = crisp_matrices(weighted, baa_vector, lam=params.lam)

@@ -330,7 +330,8 @@ def test_validation_error_raised_while_computing_exits_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(
-        "computation error: step 3 (normalization): a1=0.44999999999999996 exceeds a2=0.0; "
+        "computation error: step 3 (normalization): alternative A1, criterion C1: "
+        "a1=0.44999999999999996 exceeds a2=0.0; "
     )
 
 
@@ -399,6 +400,15 @@ def test_overflowing_average_exits_two_naming_the_alternative(fmt, tmp_path, cap
     assert captured.out == ""
     assert captured.err.startswith("computation error: step 7")
     assert "alternative A1" in captured.err
+
+
+def test_overflowing_bonferroni_exits_two_naming_the_criterion(problem_file, capsys):
+    # r + s is normal, but every factor r*x_i + s*x_j of the weighted matrix overflows
+    assert main(["solve", problem_file, "--r", "1e308", "--s", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "computation error: step 5 (border approximation area): BAA of C1: "
+        "the bonferroni operator overflows with r=1e+308, s=1.0\n"
+    )
 
 
 BEYOND_FLOAT = "1" + "0" * 400  # a YAML integer that float() cannot hold

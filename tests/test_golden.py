@@ -3,7 +3,9 @@
 ``data/example_stdout_sha256.json`` maps each command line (without the
 problem path) to the sha256 of its stdout: ``solve`` in both formats and
 ``trace <table>`` for every table in both formats. A change to any digit,
-header, key order or whitespace of these reports fails here.
+header, key order or whitespace of these reports fails here. One more digest
+covers the machine reports of every benchmark template, which reach cost
+criteria, r != s, the geometric mean and the counted Bonferroni BAA of p = 150.
 """
 
 import hashlib
@@ -12,9 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from it2mabac import example_problem_text
+from it2mabac import example_problem_text, parse_problem, render_machine, run
 from it2mabac.cli import main
 from it2mabac.render import TABLES
+from test_oracle import _GEN
 
 DIGESTS = json.loads((Path(__file__).parent / "data" / "example_stdout_sha256.json").read_text())
 
@@ -34,3 +37,16 @@ def test_stdout_is_byte_identical(command, tmp_path, capsys):
     assert main([subcommand, str(path), *rest]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[command]
+
+
+#: sha256 of the concatenated machine reports of the benchmark templates, each run with its own params.
+TEMPLATES_SHA256 = "f66e7319278d81e94d1e92c9387200ef46117ff229ae84c8c3388b0e2db69bbc"
+
+
+def test_benchmark_templates_are_byte_identical():
+    digest = hashlib.sha256()
+    for workload, count in _GEN.TEMPLATE_COUNTS.items():
+        for index in range(count):
+            problem = parse_problem(_GEN.emit(_GEN.template(workload, index)))
+            digest.update(render_machine(run(problem)).encode())
+    assert digest.hexdigest() == TEMPLATES_SHA256

@@ -33,6 +33,7 @@ from it2mabac.errors import (
     HeightOutOfRange,
     InvalidParams,
     MabacError,
+    NegativeOperand,
     ProblemSyntaxError,
     UnknownTerm,
 )
@@ -470,6 +471,11 @@ BOUNDARY_FAULTS = {
         ["criteria", 4], {"name": "C5", "sense": "maximize"}, InvalidParams,
         "criterion 'C5': sense must be 'benefit' or 'cost', got 'maximize'",
     ),
+    "problem-name": (["name"], [1, 2], ProblemSyntaxError, "'name' must be a string, got [1, 2]"),
+    "scale-name": (
+        ["rating_scale"], {"name": ["x"], "terms": {"OK": [[0, 1, 1, 2, 1.0], [0.5, 1, 1, 1.5, 0.9]]}},
+        ProblemSyntaxError, "rating_scale: a scale's 'name' must be a string, got ['x']",
+    ),
 }
 
 
@@ -489,6 +495,31 @@ def test_boundary_messages(fault, tmp_path):
         parse_problem(_dump(doc), base_dir=tmp_path)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+# id -> (a line of the bundled example, its replacement, the first line of the message);
+# a YAML dump of a parsed document writes none of these
+TEXT_FAULTS = {
+    "name-too-long-to-print": ("name: system-analyst", "name: 0x" + "f" * 4000,
+                               "'name' must be a string, got an int of 16000 bits"),
+    "bool-tag": ("name: system-analyst", "name: system-analyst\nx: !!bool maybe",
+                 "not a valid problem document: cannot read 'maybe' as 'tag:yaml.org,2002:bool'"),
+    "int-tag": ("name: system-analyst", "name: system-analyst\nx: !!int ''",
+                "not a valid problem document: cannot read '' as 'tag:yaml.org,2002:int'"),
+    "timestamp-tag": ("name: system-analyst", "name: system-analyst\nx: !!timestamp x",
+                      "not a valid problem document: cannot read 'x' as 'tag:yaml.org,2002:timestamp'"),
+}
+
+
+@pytest.mark.parametrize("fault", list(TEXT_FAULTS))
+def test_boundary_messages_of_text_edits(fault, yaml_loader):
+    old, new, message = TEXT_FAULTS[fault]
+    text = example_problem_text()
+    assert old in text
+    with pytest.raises(ProblemSyntaxError) as info:
+        parse_problem(text.replace(old, new, 1))
+    assert type(info.value) is ProblemSyntaxError
+    assert str(info.value).splitlines()[0] == message
 
 
 @st.composite
@@ -642,7 +673,8 @@ class TestRun:
             for row in doc["ratings"][expert]:
                 row[2] = [[5, 5, 5, 5, 1.0], [5, 5, 5, 5, 1.0]]
         problem = parse_problem(_dump(doc))
-        with pytest.raises(DegenerateRange, match=r"step 3.*C3"):
+        message = r"^step 3 \(normalization\): criterion C3: all upper endpoints coincide"
+        with pytest.raises(DegenerateRange, match=message):
             run(problem)
 
     def test_value_tolerated_in_order_can_break_it_once_scaled(self):
@@ -655,8 +687,20 @@ class TestRun:
             for e, rows in _EXAMPLE.expert_ratings.items()
         }
         problem = dataclasses.replace(_EXAMPLE, expert_ratings=ratings)
-        with pytest.raises(EndpointOrderViolation, match=r"^step 3 \(normalization\): a1=\S+ exceeds a2="):
+        message = r"^step 3 \(normalization\): alternative A1, criterion C1: a1=\S+ exceeds a2="
+        with pytest.raises(EndpointOrderViolation, match=message):
             run(problem)
+
+    def test_negative_baa_input_names_its_criterion(self):
+        # -1e-9 passes step 4's check of the weight, but not once multiplied by n + 1 > 1
+        w = make((-1e-9, 0, 0, 0.1, 1), (-1e-9, 0, 0, 0.05, 0.9))
+        weights = {e: (w, *row[1:]) for e, row in _EXAMPLE.expert_weights.items()}
+        with pytest.raises(NegativeOperand) as info:
+            run(dataclasses.replace(_EXAMPLE, expert_weights=weights))
+        assert str(info.value) == (
+            "step 5 (border approximation area): BAA of C1: the Bonferroni mean is only defined "
+            "for non-negative values, got endpoints down to -1.25e-09"
+        )
 
     def test_cli_style_params_override(self, example_problem):
         base = run(example_problem)
