@@ -91,7 +91,8 @@ def _normalized(t: GeneralizedTrapezoid, sense: str, a_minus: float, a_plus: flo
 
 
 def normalize(matrix: Matrix, specs: list[CriterionSpec]) -> Matrix:
-    """Scale every column into the unit range, respecting its sense; an invalid cell sets ``_cell``."""
+    """Scale every column into the unit range, respecting its sense; a ValidationError
+    raised for cell (i, j) carries ``_cell = (i, j)``."""
     _check_widths(matrix, len(specs), "criteria")
     result: Matrix = [[] for _ in matrix]
     for j, spec in enumerate(specs):
