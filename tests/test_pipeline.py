@@ -10,6 +10,8 @@ from it2mabac import (
     LAA,
     UAA,
     CriterionSpec,
+    GeneralizedTrapezoid,
+    IT2TrFN,
     PipelineParams,
     baa,
     classify_and_score,
@@ -25,6 +27,7 @@ from it2mabac.errors import (
     ComputationError,
     DegenerateRange,
     DimensionMismatch,
+    EndpointOrderViolation,
     InvalidParams,
     NegativeOperand,
     ProblemSyntaxError,
@@ -360,3 +363,60 @@ def test_ranking_is_permutation_with_descending_scores(delta):
     assert sorted(order) == list(range(len(delta)))
     ordered = [scores[i] for i in order]
     assert all(a >= b for a, b in zip(ordered, ordered[1:]))
+
+
+def _tolerated(lo, hi):
+    """A value whose a1 exceeds a2 by 9e-10: inside EPS, but not once scaled up."""
+    t = GeneralizedTrapezoid(lo + 9e-10, lo, lo, hi, 1.0)
+    return IT2TrFN(t, t)
+
+
+_LOW = make((0, 0, 0, 1e-3, 1.0), (0, 0, 0, 1e-3, 0.9))
+_BELOW = make((-3, 0, 0, 1, 1.0), (-2.5, 0, 0, 0.5, 0.9))  # plus one, down to -2
+_ORDER = "a1={} exceeds a2={}; endpoints must satisfy a1 <= a2 <= a3 <= a4"
+_NEGATIVE = "multiplication is only defined for non-negative values, got endpoints down to -2.0"
+_TINY = "membership heights 1e-160 and 1e-160 are too small to divide by"
+
+#: Matrices with faults in two cells of different rows and columns, and the fault reported:
+#: step 3 scans column by column, steps 4 and 6 row by row, and a fault of step 4's product
+#: names no cell.
+FIRST_FAULTS = {
+    "step 3, two columns": (
+        lambda: normalize([[_LOW, _tolerated(5e-4, 1e-3)], [_tolerated(5e-4, 1e-3), _LOW], [_LOW, _LOW]],
+                          [CriterionSpec("c0"), CriterionSpec("c1", "cost")]),
+        EndpointOrderViolation, (1, 0), _ORDER.format("0.5000009", "0.5"),
+    ),
+    "step 3, a cell before a degenerate column": (
+        lambda: normalize([[_tolerated(5e-4, 1e-3), crisp(2.0)], [_LOW, crisp(2.0)]],
+                          [CriterionSpec("c0"), CriterionSpec("c1")]),
+        EndpointOrderViolation, (0, 0), _ORDER.format("0.5000009", "0.5"),
+    ),
+    "step 4, two negative cells": (
+        lambda: weight([[crisp(0.0), _BELOW], [_BELOW, crisp(0.0)]], [crisp(1.0)] * 2),
+        NegativeOperand, (0, 1), _NEGATIVE,
+    ),
+    "step 4, a product out of order before a negative cell": (
+        lambda: weight([[crisp(0.0), _tolerated(0.5, 1.0)], [_BELOW, crisp(0.0)]], [crisp(1000.0)] * 2),
+        EndpointOrderViolation, None, _ORDER.format("1500.0000009", "1500.0"),
+    ),
+    "step 4, a negative cell before a product out of order": (
+        lambda: weight([[crisp(0.0), _BELOW], [_tolerated(0.5, 1.0), crisp(0.0)]], [crisp(1000.0)] * 2),
+        NegativeOperand, (0, 1), _NEGATIVE,
+    ),
+    "step 6, two cells": (
+        lambda: crisp_matrices([[crisp(1.0), make((1, 2, 2, 3, 1e-160), (1, 2, 2, 3, 1e-160))],
+                                [make((1, 2, 2, 3, 1e-170), (1, 2, 2, 3, 1e-170)), crisp(1.0)]],
+                               [crisp(1.0)] * 2),
+        ZeroHeight, (0, 1), _TINY,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(FIRST_FAULTS))
+def test_a_matrix_with_two_faults_reports_the_first_in_stage_order(case):
+    call, error, cell, message = FIRST_FAULTS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert info.value._cell == cell
+    assert str(info.value) == message
