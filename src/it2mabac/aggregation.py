@@ -5,11 +5,12 @@ into a single group matrix. The border approximation area later uses the
 trapezoidal interval type-2 fuzzy geometric Bonferroni mean, which couples
 every ordered pair of inputs; with the leading 1/(r+s) coefficient it is
 idempotent. A plain endpoint-wise geometric mean is provided alongside for
-comparison. Both run one private kernel, ``_root_of_product``, lifted by
-``fuzzy.endpointwise``: the N-th root of a product of N float factors,
-divided by r+s. The Bonferroni mean's factors are ``f = r*x_i + s*x_j`` over
-the ordered pairs i != j; the geometric mean is the Bonferroni mean with r=0,
-s=1, and its factors are its n inputs. The result is within 4 ulp of ``(prod
+comparison. Both run one private kernel, ``_root_of_product``, on the ten
+float columns of their inputs (``fuzzy.Matrix``'s layout), so the BAA takes a
+weighted matrix's columns as they are: per endpoint column, the N-th root of
+a product of N float factors, divided by r+s. The Bonferroni mean's factors
+are ``f = r*x_i + s*x_j`` over the ordered pairs i != j; the geometric mean
+is the Bonferroni mean with r=0, s=1, and its factors are its n inputs. The result is within 4 ulp of ``(prod
 f) ** (1/N) / (r+s)`` taken exactly, n equal values come back within 2 ulp,
 and it is exactly +0.0 wherever some factor is <= 0.
 
@@ -68,23 +69,29 @@ compare equal differ at most in the sign of a zero endpoint; that changes at
 most the sign of a zero factor, and either sign gives +0.0. The counted
 form's tally merges 0.0 and -0.0 in the same way.
 
-The averaging functions trust the shapes they are given: a DecisionProblem
-checks them once, where it is built. The Bonferroni exponents have one rule,
-``_check_exponents``, which PipelineParams applies to a run and ``tit2fgbm``
-to each call: r, s >= 0 with a finite, normal sum r + s.
+Step 2 averages endpoint-major too: ``average_ratings`` folds the experts'
+float columns left to right with ``map(add, ...)`` and scales by 1/k, the
+expression ``mean`` applies per cell, so no bit moves; it returns a
+``fuzzy.Matrix``. The averaging functions trust the shapes they are given:
+a DecisionProblem checks them once, where it is built. The Bonferroni
+exponents have one rule, ``_check_exponents``, which PipelineParams applies
+to a run and ``tit2fgbm`` to each call: r, s >= 0 with a finite, normal sum
+r + s.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import Counter
-from collections.abc import Callable, Iterator
-from itertools import combinations, compress, islice, product, starmap
+from collections.abc import Callable, Iterator, Sequence
+from functools import reduce
+from itertools import combinations, compress, islice, product, repeat, starmap
 from math import exp, frexp, fsum, inf, ldexp, log, prod
 from operator import add, mul
 
 from .errors import EmptyInput, InvalidParams, TooFewValues
-from .fuzzy import IT2TrFN, _finite, _require_nonnegative, endpointwise, mean
+from .fuzzy import (IT2TrFN, GeneralizedTrapezoid, Matrix, _below_cone, _columns, _finite, _ordered,
+                    _require_nonnegative, _value, mean)
 
 _NORMAL_MIN, _NORMAL_MAX = sys.float_info.min, sys.float_info.max
 
@@ -105,9 +112,32 @@ def average_weights(vectors: list[list[IT2TrFN]]) -> list[IT2TrFN]:
     return [mean(column) for column in zip(*vectors)]
 
 
-def average_ratings(matrices: list[list[list[IT2TrFN]]]) -> list[list[IT2TrFN]]:
-    """Component-wise mean of the experts' p x q rating matrices (one per expert)."""
-    return [[mean(cell) for cell in zip(*rows)] for rows in zip(*matrices)]
+def average_ratings(matrices: Sequence[Sequence[Sequence[IT2TrFN]]]) -> Matrix:
+    """Component-wise mean of the experts' p x q rating matrices (one per expert), each
+    entry the bits of ``mean`` of its cell; a mean that breaks the endpoint order is
+    refused, row by row, as ``mean`` refuses it."""
+    if not matrices:
+        return Matrix([], 0)
+    p = len(matrices[0])
+    width = len(matrices[0][0]) if p else 0
+    experts = [Matrix.of(m, width, "criteria").columns for m in matrices]
+    factor = 1.0 / len(matrices)
+    columns = []
+    for per_expert in zip(*experts):  # one criterion: each expert's ten columns
+        ten = [tuple(map(mul, reduce(_add, position), repeat(factor))) if e % 5 != 4
+               else tuple(map(min, zip(*position)))  # heights
+               for e, position in enumerate(zip(*per_expert))]
+        columns.append(ten)
+    if not all(map(_ordered, columns)):
+        for i in range(p):
+            for ten in columns:
+                _value(*[c[i] for c in ten])
+    return Matrix(columns, p)
+
+
+def _add(a: Iterator[float], b: Iterator[float]) -> Iterator[float]:
+    """One step of step 2's left fold: two columns added entry by entry."""
+    return map(add, a, b)
 
 
 def _check_exponents(r: float, s: float) -> None:
@@ -117,7 +147,7 @@ def _check_exponents(r: float, s: float) -> None:
                             f"normal sum r + s, got r={r!r}, s={s!r}")
 
 
-def tit2fgbm(values: list[IT2TrFN], r: float = 1.0, s: float = 1.0) -> IT2TrFN:
+def tit2fgbm(values: Sequence[IT2TrFN], r: float = 1.0, s: float = 1.0) -> IT2TrFN:
     """Geometric Bonferroni mean of n >= 2 non-negative values; r, s >= 0, r+s finite, normal.
 
     Every endpoint position e is aggregated independently:
@@ -128,7 +158,12 @@ def tit2fgbm(values: list[IT2TrFN], r: float = 1.0, s: float = 1.0) -> IT2TrFN:
     Heights combine with min per level. The module docstring gives the accuracy.
     A non-finite r or s, or exponents ``_check_exponents`` refuses, raise InvalidParams.
     """
-    n = len(values)
+    return _bonferroni(_columns(values), r, s)
+
+
+def _bonferroni(columns: Sequence[tuple], r: float, s: float) -> IT2TrFN:
+    """``tit2fgbm`` of the values whose ten columns are ``columns``."""
+    n = len(columns[0])
     if n < 2:
         raise TooFewValues(f"the Bonferroni mean needs at least two values, got {n}")
     r = _finite(r, InvalidParams, "the Bonferroni mean needs a finite r, got {}")
@@ -144,7 +179,7 @@ def tit2fgbm(values: list[IT2TrFN], r: float = 1.0, s: float = 1.0) -> IT2TrFN:
         factors = lambda x: starmap(
             add, compress(product([r * xi for xi in x], [s * xj for xj in x]), off_diagonal)
         )
-    return _root_of_product(values, "the Bonferroni mean", factors, count, r, s)
+    return _root_of_product(columns, "the Bonferroni mean", factors, count, r, s)
 
 
 def _distinct_factors(s: float, v: list[float], m: list[int]) -> tuple[list[float], list[int]]:
@@ -157,39 +192,46 @@ def _distinct_factors(s: float, v: list[float], m: list[int]) -> tuple[list[floa
             [*starmap(mul, combinations(m, 2)), *filter(None, same)])
 
 
-def geometric_mean(values: list[IT2TrFN]) -> IT2TrFN:
+def geometric_mean(values: Sequence[IT2TrFN]) -> IT2TrFN:
     """Endpoint-wise geometric mean of n >= 1 non-negative values."""
-    n = len(values)
+    return _geometric(_columns(values))
+
+
+def _geometric(columns: Sequence[tuple]) -> IT2TrFN:
+    """``geometric_mean`` of the values whose ten columns are ``columns``."""
+    n = len(columns[0])
     if n == 0:
         raise EmptyInput("the geometric mean needs at least one value")
-    return _root_of_product(values, "the geometric mean", iter, n, 0.0, 1.0)
+    return _root_of_product(columns, "the geometric mean", iter, n, 0.0, 1.0)
 
 
 def _root_of_product(
-    values: list[IT2TrFN], name: str, factors: Callable[[tuple], Iterator[float]], count: int,
+    columns: Sequence[tuple], name: str, factors: Callable[[tuple], Iterator[float]], count: int,
     r: float, s: float,
 ) -> IT2TrFN:
-    """``(prod factors(x)) ** (1/count) / (r+s)`` of each endpoint column x of ``values``.
+    """``(prod factors(x)) ** (1/count) / (r+s)`` of each endpoint column x of ``columns``,
+    the ten columns of the values; heights take the least of each height column.
 
     ``factors`` forms the ``count`` factors of x lazily; ``name`` names the operator in errors.
     r and s obey ``_check_exponents``. With r == s (the Bonferroni mean's pairs j > i), a
     long column of few distinct values forms each distinct factor once, by
     ``_distinct_factors`` (see the module docstring).
     """
-    for v in values:
-        _require_nonnegative(v, name)
+    if _below_cone(columns):
+        for numbers in zip(*columns):
+            _require_nonnegative(_value(*numbers), name)
     blocks = range(0, count, _BLOCK)
     total = r + s
     least_input = _LEAST_FACTOR / total  # r*x_i + s*x_j >= (r+s) * min(x) as r, s >= 0
 
     # A column of d distinct values takes the counted form when d*(d+1) is below the budget.
-    n = len(values)
+    n = len(columns[0])
     counted = r == s and n >= _LEAST_COUNTED
     budget = n * (n - 1) / _COUNTED_COST
 
     memo: dict[tuple[float, ...], float] = {}
 
-    def column(*x: float) -> float:
+    def column(x: tuple[float, ...]) -> float:
         if x in memo:
             return memo[x]
         d = counted and len(set(x))  # a set is the cheapest count; Counter only where it pays
@@ -230,4 +272,5 @@ def _root_of_product(
         memo[x] = result = ldexp(mantissa, k) if k <= 1024 else inf
         return result
 
-    return endpointwise(column, *values)
+    return IT2TrFN(GeneralizedTrapezoid(*map(column, columns[:4]), min(columns[4])),
+                   GeneralizedTrapezoid(*map(column, columns[5:9]), min(columns[9])))

@@ -1,4 +1,4 @@
-"""Interval type-2 trapezoidal fuzzy numbers and their arithmetic.
+"""Interval type-2 trapezoidal fuzzy numbers, their arithmetic, and matrices of them.
 
 A value is a pair of generalized trapezoids: the upper and lower membership
 functions, each written (a1, a2, a3, a4; h). Instances are immutable and all
@@ -7,21 +7,27 @@ operations are pure functions, so values can be shared across threads freely.
 Arithmetic follows the usual convention for this number type: operations act
 endpoint by endpoint on both trapezoids and combine heights with min. The
 private kernel :func:`endpointwise` does this lifting through ``map`` for the
-operations here and for both BAA operators; it builds only the result. The
-pipeline's normalization and weighting write their endpoint formulas out.
-Multiplication is only defined on the non-negative cone, which is the only
-region the decision pipeline ever visits.
+operations on single values here. Multiplication is only defined on the
+non-negative cone, which is the only region the decision pipeline ever visits.
+
+Because the arithmetic is endpoint by endpoint, the pipeline holds a p x q
+matrix endpoint-major: a :class:`Matrix` keeps, per criterion, ten float
+columns of length p (upper a1-a4 and h, then lower a1-a4 and h), and steps
+2-6 compute on those columns. It reads as a read-only sequence of rows of
+IT2TrFNs, built when read. ``Matrix.of`` is the one adapter from rows.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Sequence
+from itertools import chain, repeat
 
 from .errors import (
+    DimensionMismatch,
     EmptyInput,
     EndpointOrderViolation,
     HeightOrderViolation,
@@ -85,6 +91,91 @@ class IT2TrFN:
             raise HeightOrderViolation(
                 f"lower height {self.lower.h!r} exceeds upper height {self.upper.h!r}"
             )
+
+
+def _numbers(values: Iterable[IT2TrFN]) -> list[tuple]:
+    """The ten numbers of each value, in the order a ``Matrix`` column holds them: upper
+    a1-a4 and h, then lower a1-a4 and h."""
+    return [(u.a1, u.a2, u.a3, u.a4, u.h, lo.a1, lo.a2, lo.a3, lo.a4, lo.h)
+            for u, lo in [(v.upper, v.lower) for v in values]]
+
+
+def _value(u1, u2, u3, u4, uh, l1, l2, l3, l4, lh) -> IT2TrFN:
+    """The IT2TrFN of ten numbers in ``_numbers``' order, built and validated."""
+    return IT2TrFN(GeneralizedTrapezoid(u1, u2, u3, u4, uh), GeneralizedTrapezoid(l1, l2, l3, l4, lh))
+
+
+def _columns(values: Iterable[IT2TrFN]) -> tuple[tuple, ...]:
+    """The ten columns of ``values``: each of the ten numbers of every value, in ``_numbers``' order."""
+    return tuple(zip(*_numbers(values))) or ((),) * 10
+
+
+def _ordered(columns: Sequence[tuple]) -> bool:
+    """Whether every value of ``columns`` (ten of them) keeps a1 <= a2 + EPS, a2 <= a3 + EPS
+    and a3 <= a4 + EPS on both trapezoids, as ``GeneralizedTrapezoid`` requires."""
+    for lo, hi in ((0, 1), (1, 2), (2, 3), (5, 6), (6, 7), (7, 8)):
+        a, b = columns[lo], columns[hi]
+        # x > y + EPS implies x > y, so the exact test runs only where the plain one fires
+        if any(map(operator.gt, a, b)) and any(map(operator.gt, a, map(operator.add, b, repeat(EPS)))):
+            return False
+    return True
+
+
+class Matrix(Sequence):
+    """A read-only p x q matrix of IT2TrFNs, held endpoint-major.
+
+    ``columns[j]`` holds criterion j as ten tuples of p numbers, in ``_numbers``'
+    order. As a sequence it has p rows: ``m[i]`` is a tuple of q IT2TrFNs, built
+    when read and not kept. ``==`` compares the columns of two matrices, and
+    row by row against any other sequence of rows. The stages build one from
+    columns they have checked; ``Matrix.of`` reads one from rows.
+    """
+
+    __slots__ = ("columns", "_p")
+
+    def __init__(self, columns: Sequence[Sequence[tuple]], p: int) -> None:
+        self.columns, self._p = tuple(columns), p
+
+    @classmethod
+    def of(cls, rows: Sequence[Sequence[IT2TrFN]], width: int, what: str) -> Matrix:
+        """``rows`` as a Matrix, after a DimensionMismatch for a row that is not ``width``
+        entries wide; ``zip`` would cut a long row short without a word. A Matrix is kept."""
+        if isinstance(rows, Matrix):
+            widths = {len(rows.columns)} if len(rows) else set()
+        else:
+            widths = set(map(len, rows))
+        if widths - {width}:
+            raise DimensionMismatch(f"matrix rows have widths {sorted(widths)}, expected {width} {what}")
+        if isinstance(rows, Matrix):
+            return rows
+        cells = [*chain.from_iterable(rows)]
+        return cls([_columns(cells[j::width]) for j in range(width)], len(rows))
+
+    def __len__(self) -> int:
+        return self._p
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(self._p)[i]]
+        i = range(self._p)[i]
+        return tuple(_value(*[c[i] for c in column]) for column in self.columns)
+
+    def __iter__(self):
+        if not self.columns:
+            return iter([()] * self._p)
+        return zip(*[map(_value, *column) for column in self.columns])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Matrix):
+            return self._p == other._p and self.columns == other.columns
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return len(other) == self._p and all(map(operator.eq, self, map(tuple, other)))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Matrix({[list(row) for row in self]!r})"
 
 
 def _as_trapezoid(value: Sequence[float], which: str) -> GeneralizedTrapezoid:
@@ -220,6 +311,13 @@ def _require_nonnegative(value: IT2TrFN, context: str, shift: float = 0.0) -> No
         raise NegativeOperand(
             f"{context} is only defined for non-negative values, got endpoints down to {lowest!r}"
         )
+
+
+def _below_cone(columns: Sequence[tuple], shift: float = 0.0) -> bool:
+    """Whether some value of ``columns`` (ten of them) may have an endpoint, plus ``shift``,
+    below -EPS. False means ``_require_nonnegative`` passes every one; a column whose
+    ``min`` is NaN counts as below."""
+    return not all(min(c, default=0.0) + shift >= -EPS for c in (*columns[:4], *columns[5:9]))
 
 
 def mul(a: IT2TrFN, b: IT2TrFN) -> IT2TrFN:

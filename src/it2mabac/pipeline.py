@@ -1,22 +1,33 @@
 """MABAC stages: normalization, weighting, border area, and ranking.
 
-All stage functions are pure transformations of fuzzy matrices (lists of
-rows, one row per alternative). Reference points for normalization come from
-the upper trapezoids only; lower endpoints are scaled against the same range,
-which may push them slightly outside [0, 1]. That is intentional and the
-downstream stages do not clip.
+All stage functions are pure transformations of fuzzy matrices. They take a
+``fuzzy.Matrix`` or any sequence of rows (one row per alternative), read
+through ``Matrix.of``, and steps 3-4 return a ``Matrix``: each computes one
+float column per endpoint of each criterion, with the per-cell formula in the
+same order, so no bit moves. The rules a value must keep run as scans over
+those columns; where one fails, the cells are rebuilt as IT2TrFNs in the
+stage's order, so the first fault is reported with its own class and text.
+
+Reference points for normalization come from the upper trapezoids only;
+lower endpoints are scaled against the same range, which may push them
+slightly outside [0, 1]. That is intentional and the downstream stages do
+not clip.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import add, mul, sub
 
-from .aggregation import geometric_mean, tit2fgbm
+from .aggregation import _bonferroni, _geometric
 from .errors import (ComputationError, DegenerateRange, DimensionMismatch, InvalidParams, MabacError,
-                     NegativeOperand, ProblemSyntaxError, TooFewValues, ValidationError, ZeroHeight)
-from .fuzzy import EPS, GeneralizedTrapezoid, IT2TrFN, _require_nonnegative, _shown
-from .ranking import rank_to_one
+                     ProblemSyntaxError, TooFewValues, ZeroHeight)
+from .fuzzy import (EPS, IT2TrFN, Matrix, _below_cone, _ordered, _numbers, _require_nonnegative,
+                    _shown, _value)
+from .ranking import _rank, rank_to_one
 
 #: Classification labels: upper, border, and lower approximation areas.
 UAA = "UAA"
@@ -26,11 +37,12 @@ LAA = "LAA"
 #: |q_ij - g_j| below this counts as sitting on the border area itself.
 CLASSIFICATION_TOLERANCE = 1e-9
 
-#: Each BAA operator as a function of (column, r, s); geomean ignores r and s.
-_BAA_AGGREGATES = {"bonferroni": tit2fgbm, "geomean": lambda col, r, s: geometric_mean(col)}
+#: Each BAA operator as a function of (a column's ten float columns, r, s); geomean ignores r and s.
+_BAA_AGGREGATES = {"bonferroni": _bonferroni, "geomean": lambda columns, r, s: _geometric(columns)}
 BAA_OPERATORS = tuple(_BAA_AGGREGATES)
 
-Matrix = list[list[IT2TrFN]]
+#: What the stage functions take: a Matrix, or any sequence of rows of IT2TrFNs.
+Rows = Sequence[Sequence[IT2TrFN]]
 
 
 def _check_names(names, key: str) -> None:
@@ -60,17 +72,13 @@ class CriterionSpec:
             )
 
 
-def _check_widths(matrix: Matrix, width: int, what: str) -> None:
-    """Reject a matrix with a row that is not ``width`` entries wide."""
-    if any(len(row) != width for row in matrix):
-        widths = sorted({len(row) for row in matrix})
-        raise DimensionMismatch(f"matrix rows have widths {widths}, expected {width} {what}")
-
-
-def column_range(matrix: Matrix, j: int, name: str) -> tuple[float, float]:
+def column_range(matrix: Rows, j: int, name: str) -> tuple[float, float]:
     """Reference endpoints of column ``j``, criterion ``name``: (min upper a1, max upper a4)."""
-    a_minus = min(row[j].upper.a1 for row in matrix)
-    a_plus = max(row[j].upper.a4 for row in matrix)
+    return _range([row[j].upper.a1 for row in matrix], [row[j].upper.a4 for row in matrix], name)
+
+
+def _range(a1: Sequence[float], a4: Sequence[float], name: str) -> tuple[float, float]:
+    a_minus, a_plus = min(a1), max(a4)
     if a_plus - a_minus <= EPS:
         raise DegenerateRange(
             f"criterion {name}: all upper endpoints coincide at {a_plus:g}, "
@@ -79,78 +87,97 @@ def column_range(matrix: Matrix, j: int, name: str) -> tuple[float, float]:
     return a_minus, a_plus
 
 
-def _normalized(t: GeneralizedTrapezoid, sense: str, a_minus: float, a_plus: float,
-                rng: float) -> GeneralizedTrapezoid:
-    """(x - a_minus) / rng per endpoint for a benefit criterion; for a cost criterion
-    (a_plus - x) / rng with the endpoints reversed, so the largest maps to the smallest."""
-    if sense == "benefit":
-        return GeneralizedTrapezoid((t.a1 - a_minus) / rng, (t.a2 - a_minus) / rng,
-                                    (t.a3 - a_minus) / rng, (t.a4 - a_minus) / rng, t.h)
-    return GeneralizedTrapezoid((a_plus - t.a4) / rng, (a_plus - t.a3) / rng,
-                                (a_plus - t.a2) / rng, (a_plus - t.a1) / rng, t.h)
-
-
-def normalize(matrix: Matrix, specs: list[CriterionSpec]) -> Matrix:
-    """Scale every column into the unit range, respecting its sense; a ValidationError
-    raised for cell (i, j) carries ``_cell = (i, j)``."""
-    _check_widths(matrix, len(specs), "criteria")
-    result: Matrix = [[] for _ in matrix]
-    for j, spec in enumerate(specs):
-        a_minus, a_plus = column_range(matrix, j, spec.name)
+def normalize(matrix: Rows, specs: list[CriterionSpec]) -> Matrix:
+    """Scale every column into the unit range, respecting its sense: (x - a_minus) / rng per
+    endpoint for a benefit criterion; for a cost criterion (a_plus - x) / rng with the
+    endpoints reversed, so the largest maps to the smallest. Columns go in order, each
+    checked before the next; a ValidationError raised for cell (i, j) carries ``_cell = (i, j)``."""
+    m = Matrix.of(matrix, len(specs), "criteria")
+    columns = []
+    for j, (spec, (u1, u2, u3, u4, uh, l1, l2, l3, l4, lh)) in enumerate(zip(specs, m.columns)):
+        a_minus, a_plus = _range(u1, u4, spec.name)
         rng = a_plus - a_minus
-        for i, (out, row) in enumerate(zip(result, matrix)):
-            v = row[j]
-            try:
-                out.append(IT2TrFN(_normalized(v.upper, spec.sense, a_minus, a_plus, rng),
-                                   _normalized(v.lower, spec.sense, a_minus, a_plus, rng)))
-            except ValidationError as exc:
-                exc._cell = i, j
-                raise
-    return result
+        if spec.sense == "benefit":
+            ten = [*[tuple([(x - a_minus) / rng for x in c]) for c in (u1, u2, u3, u4)], uh,
+                   *[tuple([(x - a_minus) / rng for x in c]) for c in (l1, l2, l3, l4)], lh]
+        else:
+            ten = [*[tuple([(a_plus - x) / rng for x in c]) for c in (u4, u3, u2, u1)], uh,
+                   *[tuple([(a_plus - x) / rng for x in c]) for c in (l4, l3, l2, l1)], lh]
+        if not _ordered(ten):
+            for i, numbers in enumerate(zip(*ten)):
+                try:
+                    _value(*numbers)
+                except MabacError as exc:
+                    exc._cell = i, j
+                    raise
+        columns.append(ten)
+    return Matrix(columns, len(m))
 
 
-def _locate(exc: MabacError, check, rows) -> MabacError:
-    """``exc``, its ``_cell`` set to the first (i, j) where ``check(row[j], *args)`` raises.
+def _raise_first(check, rows) -> None:
+    """Raise the first package error of ``check(entry)``, its ``_cell`` set to (i, j).
 
-    ``rows`` holds ``(i, row, *args)`` in the order the stage checked them, so
-    that is the cell ``exc`` came from; i is None for the criterion vector.
-    Only the error path pays for this second pass.
+    ``rows`` holds ``(i, row)`` in the order the stage meets its cells; i is None
+    for the criterion vector. Only the error path pays for this second pass.
     """
-    for i, row, *args in rows:
+    for i, row in rows:
         for j, entry in enumerate(row):
             try:
-                check(entry, *args)
-            except MabacError:
+                check(entry)
+            except MabacError as exc:
                 exc._cell = i, j
-                return exc
-    return exc
+                raise
 
 
-def weight(normalized: Matrix, weights: list[IT2TrFN]) -> Matrix:
-    """Weighted matrix: v_ij = w_j * (n_ij + 1); a NegativeOperand is located (``_locate``)."""
-    _check_widths(normalized, len(weights), "weights")
-    try:
-        for w in weights:  # both factors of w * (n + 1) must lie on the non-negative cone
+def weight(normalized: Rows, weights: list[IT2TrFN]) -> Matrix:
+    """Weighted matrix: v_ij = w_j * (n_ij + 1) per endpoint, heights min(w_j, n_ij).
+
+    Both factors must lie on the non-negative cone: the weights are checked first, then
+    the cells row by row. An endpoint that overflows while both its factors are finite
+    is a ComputationError. Either error names its cell (``_cell``); a product out of
+    order raises as its IT2TrFN does, naming none.
+    """
+    n = Matrix.of(normalized, len(weights), "weights")
+    for j, w in enumerate(weights):
+        try:
             _require_nonnegative(w, "multiplication")
-        return [[_weighted(w, entry) for w, entry in zip(weights, row)] for row in normalized]
-    except NegativeOperand as exc:
-        rows = [(None, weights, 0.0), *((i, row, 1.0) for i, row in enumerate(normalized))]
-        raise _locate(exc, lambda v, shift: _require_nonnegative(v, "", shift), rows)
+        except MabacError as exc:
+            exc._cell = None, j
+            raise
+    w_numbers = _numbers(weights)
+    columns = [[tuple(map(mul, repeat(we), map(add, c, repeat(1.0)))) if e % 5 != 4
+                else tuple(map(min, repeat(we), c))  # heights
+                for e, (we, c) in enumerate(zip(w, ten))]
+               for w, ten in zip(w_numbers, n.columns)]
+    # sum(c) is finite where every entry is; it may overflow where none does
+    if (any(_below_cone(ten, 1.0) for ten in n.columns) or not all(map(_ordered, columns))
+            or not all(math.isfinite(sum(c)) for ten in columns for c in ten)):
+        _first_weighting_fault(n, w_numbers, columns)
+    return Matrix(columns, len(n))
 
 
-def _weighted(w: IT2TrFN, n: IT2TrFN) -> IT2TrFN:
-    _require_nonnegative(n, "multiplication", shift=1.0)
-    u, v, l, m = w.upper, n.upper, w.lower, n.lower
-    return IT2TrFN(
-        GeneralizedTrapezoid(u.a1 * (v.a1 + 1.0), u.a2 * (v.a2 + 1.0), u.a3 * (v.a3 + 1.0),
-                             u.a4 * (v.a4 + 1.0), min(u.h, v.h)),
-        GeneralizedTrapezoid(l.a1 * (m.a1 + 1.0), l.a2 * (m.a2 + 1.0), l.a3 * (m.a3 + 1.0),
-                             l.a4 * (m.a4 + 1.0), min(l.h, m.h)),
-    )
+def _first_weighting_fault(n: Matrix, w_numbers: list[tuple], columns: list) -> None:
+    """Raise the first fault of ``weight``, if any, cell by cell in row order, as the
+    cells' own checks raise it: a factor n + 1 below the cone, a product that overflows
+    on finite factors, then a product out of order, which names no cell."""
+    for i in range(len(n)):
+        for j, (w, ten, out) in enumerate(zip(w_numbers, n.columns, columns)):
+            cell, product = [c[i] for c in ten], [c[i] for c in out]
+            try:
+                _require_nonnegative(_value(*cell), "multiplication", 1.0)
+                for x, we, ne in zip(product, w, cell):
+                    if not math.isfinite(x) and math.isfinite(we) and math.isfinite(ne):
+                        raise ComputationError(
+                            f"w * (n + 1) = {we!r} * ({ne!r} + 1.0) overflows on finite factors"
+                        )
+            except MabacError as exc:
+                exc._cell = i, j
+                raise
+            _value(*product)
 
 
 def baa(
-    weighted: Matrix, *, r: float = 1.0, s: float = 1.0, operator: str = "bonferroni"
+    weighted: Rows, *, r: float = 1.0, s: float = 1.0, operator: str = "bonferroni"
 ) -> list[IT2TrFN]:
     """Border approximation area per criterion, aggregated down each column.
 
@@ -162,12 +189,12 @@ def baa(
         raise TooFewValues(
             f"the border approximation area needs at least two alternatives, got {len(weighted)}"
         )
-    _check_widths(weighted, len(weighted[0]), "criteria")
+    width = len(weighted.columns) if isinstance(weighted, Matrix) else len(weighted[0])
     result = []
-    for j, column in enumerate(zip(*weighted)):
+    for j, ten in enumerate(Matrix.of(weighted, width, "criteria").columns):
         try:
-            g = aggregate(list(column), r, s)
-            if not _all_finite(g) and _all_finite(*column):
+            g = aggregate(ten, r, s)
+            if not _all_finite(_numbers([g])[0]) and _all_finite(chain.from_iterable(ten)):
                 raise ComputationError(f"the {operator} operator overflows with r={r!r}, s={s!r}")
         except MabacError as exc:
             exc._cell = None, j
@@ -176,22 +203,25 @@ def baa(
     return result
 
 
-def _all_finite(*values: IT2TrFN) -> bool:
-    """Whether every endpoint of ``values`` is a finite number; a valid height always is."""
-    return all(math.isfinite(x) for v in values for x in (*v.upper.endpoints, *v.lower.endpoints))
+def _all_finite(numbers: Iterable[float]) -> bool:
+    """Whether every one of ``numbers`` is finite; a valid height always is."""
+    return all(map(math.isfinite, numbers))
 
 
 def crisp_matrices(
-    weighted: Matrix, baa_vector: list[IT2TrFN], lam: float = 0.5
+    weighted: Rows, baa_vector: list[IT2TrFN], lam: float = 0.5
 ) -> tuple[list[list[float]], list[float], list[list[float]]]:
-    """Step 6: the crisp distance matrix Q, the BAA distances G, and Q - G; a ZeroHeight is located."""
-    _check_widths(weighted, len(baa_vector), "BAA entries")
+    """Step 6: the crisp distance matrix Q, the BAA distances G, and Q - G; a ZeroHeight is
+    located, row by row and then the BAA, as ``rank_to_one`` would meet it."""
+    m = Matrix.of(weighted, len(baa_vector), "BAA entries")
     try:
-        q_matrix = [[abs(rank_to_one(entry, lam)) for entry in row] for row in weighted]
+        q_columns = [list(map(abs, map(_rank, *ten, repeat(lam)))) for ten in m.columns]
         g_vector = [abs(rank_to_one(g, lam)) for g in baa_vector]
-    except ZeroHeight as exc:
-        raise _locate(exc, lambda v: rank_to_one(v, lam), [*enumerate(weighted), (None, baa_vector)])
-    delta = [[qij - gj for qij, gj in zip(row, g_vector)] for row in q_matrix]
+    except ZeroHeight:
+        _raise_first(lambda v: rank_to_one(v, lam), [*enumerate(m), (None, baa_vector)])
+        raise
+    q_matrix = [list(row) for row in zip(*q_columns)] if q_columns else [[] for _ in range(len(m))]
+    delta = [list(map(sub, row, g_vector)) for row in q_matrix]
     return q_matrix, g_vector, delta
 
 

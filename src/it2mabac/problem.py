@@ -11,6 +11,8 @@ them through the problem's own scales, and a direct build may give IT2TrFNs.
 holding every intermediate matrix; ``render.trace_from_json`` runs a machine
 trace's group decision as a problem of one expert. A problem is read-only, so
 steps 1-2, which depend on it alone, are computed once and shared by every run.
+The fuzzy matrices of steps 2-4 are ``fuzzy.Matrix`` columns, read-only, so a
+trace holds them as the stages return them.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .errors import (
     MabacError,
     ProblemSyntaxError,
 )
-from .fuzzy import IT2TrFN, _check_finite, _finite, _shown, make
+from .fuzzy import IT2TrFN, Matrix, _check_finite, _finite, _shown, make
 from .linguistic import (
     LinguisticScale,
     builtin_rating_scale,
@@ -54,7 +56,6 @@ from .linguistic import (
 from .pipeline import (
     BAA_OPERATORS,
     CriterionSpec,
-    Matrix,
     _check_names,
     baa,
     classify_and_score,
@@ -204,8 +205,8 @@ class DecisionProblem:
         }))
 
     @cached_property
-    def _averages(self) -> tuple[tuple[IT2TrFN, ...], tuple[tuple[IT2TrFN, ...], ...]]:
-        """Steps 1-2: the group weight vector and the group decision matrix.
+    def _averages(self) -> tuple[tuple[IT2TrFN, ...], Matrix]:
+        """Steps 1-2: the group weight vector and the group decision matrix, as columns.
 
         An error is not cached; it is raised, with its step label, by every
         ``run``.
@@ -214,12 +215,16 @@ class DecisionProblem:
             weights_bar = average_weights([self.expert_weights[e] for e in self.experts])
         with _stage("step 2 (average decision matrix)"):
             ratings_bar = average_ratings([self.expert_ratings[e] for e in self.experts])
-        return tuple(weights_bar), tuple(map(tuple, ratings_bar))
+        return tuple(weights_bar), ratings_bar
 
 
 @dataclass
 class PipelineTrace:
-    """Every intermediate of one pipeline execution."""
+    """Every intermediate of one pipeline execution.
+
+    The three fuzzy matrices are read-only ``Matrix`` columns: ``trace.weighted[i][j]``
+    builds the IT2TrFN of cell (i, j), and a matrix compares equal to its rows as lists.
+    """
 
     name: str
     alternatives: list[str]
@@ -259,13 +264,14 @@ def _stage(label: str, alternatives=(), criteria=(), vector: str = ""):
 def run(problem: DecisionProblem, params: PipelineParams | None = None) -> PipelineTrace:
     """Execute steps 1-7 on ``problem`` and return the trace; the only code that builds one.
 
-    Steps 3-7 run on copies of the cached averages of steps 1-2, so mutating a
-    trace reaches neither the problem nor a later trace.
+    Steps 3-7 run on the cached averages of steps 1-2. The trace gets its own list
+    of the weights and shares the read-only matrix of ratings, so mutating a trace
+    reaches neither the problem nor a later trace.
     """
-    weights_bar, ratings_bar = problem._averages
+    weights_bar, aggregated_ratings = problem._averages
     alternatives, criteria = list(problem.alternatives), list(problem.criteria)
     params = params if params is not None else problem.params
-    aggregated_weights, aggregated_ratings = list(weights_bar), [list(row) for row in ratings_bar]
+    aggregated_weights = list(weights_bar)
     with _stage("step 3 (normalization)", alternatives, criteria):
         normalized = normalize(aggregated_ratings, criteria)
     with _stage("step 4 (weighting)", alternatives, criteria, "weight"):

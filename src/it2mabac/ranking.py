@@ -28,12 +28,17 @@ def rank_to_one(value: IT2TrFN, lam: float = 0.5) -> float:
     Heights whose divisor ``2*hu*hl`` is not a normal float, so that the
     quotient would lose its bits or be infinite, are a ZeroHeight.
     """
-    hu, hl = value.upper.h, value.lower.h
+    u, lo = value.upper, value.lower
+    return _rank(*u.endpoints, u.h, *lo.endpoints, lo.h, lam)
+
+
+def _rank(a1u: float, a2u: float, a3u: float, a4u: float, hu: float,
+          a1l: float, a2l: float, a3l: float, a4l: float, hl: float, lam: float) -> float:
+    """``rank_to_one`` of the value of these ten numbers, in ``fuzzy._numbers``' order; step 6
+    maps it over a weighted matrix's columns."""
     divisor = 2.0 * hu * hl
     if divisor < _NORMAL_MIN:
         raise ZeroHeight(f"membership heights {hu!r} and {hl!r} are too small to divide by")
-    a1u, a2u, a3u, a4u = value.upper.endpoints
-    a1l, a2l, a3l, a4l = value.lower.endpoints
     bracket = hu * (lam * (a2l - a1l - a2u + a1u) - (a4l - a3l - a2l + a1l)) - hl * (
         a4u - a3u - a4l + a3l
     )

@@ -16,11 +16,16 @@ its pieces: about three times as fast, with a third of the peak memory. Strings 
 ``ValueError`` as ``allow_nan=False`` does.
 
 The three fuzzy matrices (``aggregated_ratings``, ``normalized`` and
-``weighted``) of a term-rated problem repeat their floats: a builtin term's
-endpoints are multiples of 0.5, and each later stage maps a column's equal
-values to equal values. So where at least half of a matrix's numbers
-repeat, a set collects its distinct floats, ``float.__repr__`` formats
-each once, and the cells fill the template from that memo. Keys that
+``weighted``) are ``fuzzy.Matrix`` columns, and both emitters format them
+from the columns without building an IT2TrFN: a text table takes one
+criterion's ten columns at a time, and a machine row zips the ten columns of
+every criterion. A trace holding plain rows instead (``dataclasses.replace``
+gives one) is read through ``Matrix.of`` first. The matrices of a term-rated
+problem repeat their floats: a builtin term's endpoints are multiples of
+0.5, and each later stage maps a column's equal values to equal values. So
+where at least half of a matrix's numbers repeat, a set collects its
+distinct floats, ``float.__repr__`` formats each once, and the cells fill
+the template from that memo. Keys that
 compare equal merge: 0.0 and -0.0 hash alike, so zeros stay out of the memo
 and the template writes each with its own sign; 1 and 1.0 merge too, so a
 matrix holding any non-float takes the plain template. A matrix of mostly
@@ -33,43 +38,45 @@ from __future__ import annotations
 import functools
 import json
 import typing
-from collections.abc import Iterator
-from itertools import chain, islice
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 from .errors import ProblemSyntaxError
-from .fuzzy import IT2TrFN, make
+from .fuzzy import IT2TrFN, Matrix, _numbers, make
 from .linguistic import builtin_rating_scale, builtin_weight_scale
-from .pipeline import CriterionSpec, Matrix
+from .pipeline import CriterionSpec, Rows
 from .problem import PARAM_KEYS, DecisionProblem, PipelineParams, PipelineTrace, run
 
 FORMATS = ("text", "machine")
 
 
-def _fuzzy_text(v: IT2TrFN) -> str:
-    u, lo = v.upper, v.lower
-    return (
-        f"[({u.a1:.2f}, {u.a2:.2f}, {u.a3:.2f}, {u.a4:.2f}; {u.h:.2f}), "
-        f"({lo.a1:.2f}, {lo.a2:.2f}, {lo.a3:.2f}, {lo.a4:.2f}; {lo.h:.2f})]"
-    )
+#: A value's text, filled from its ten numbers in ``fuzzy._numbers``' order.
+_FUZZY_TEXT = ("[({:.2f}, {:.2f}, {:.2f}, {:.2f}; {:.2f}), "
+               "({:.2f}, {:.2f}, {:.2f}, {:.2f}; {:.2f})]").format
 
 
-def _fuzzy_lines(names, values, indent="  "):
+def _fuzzy_lines(names, texts, indent="  "):
     width = max(map(len, names), default=0)
-    return [f"{indent}{n:<{width}}  {_fuzzy_text(v)}" for n, v in zip(names, values)]
+    return [f"{indent}{n:<{width}}  {t}" for n, t in zip(names, texts)]
 
 
 def _fuzzy_vector_lines(trace, vector):
-    return _fuzzy_lines([s.name for s in trace.criteria], vector)
+    return _fuzzy_lines([s.name for s in trace.criteria], [_FUZZY_TEXT(*x) for x in _numbers(vector)])
 
 
 def _fuzzy_matrix_lines(trace, matrix):
     lines = []
-    for j, spec in enumerate(trace.criteria):
+    for spec, ten in zip(trace.criteria, _as_matrix(matrix).columns):
         lines.append(f"  {spec.name}:")
-        column = [row[j] for row in matrix]
-        lines.extend(_fuzzy_lines(trace.alternatives, column, indent="    "))
+        lines.extend(_fuzzy_lines(trace.alternatives, map(_FUZZY_TEXT, *ten), indent="    "))
     return lines
+
+
+def _as_matrix(matrix: Rows) -> Matrix:
+    """A trace's fuzzy matrix as a Matrix; rows, as ``dataclasses.replace`` may give, are read."""
+    if isinstance(matrix, Matrix):
+        return matrix
+    return Matrix.of(matrix, len(matrix[0]) if matrix else 0, "entries")
 
 
 def _crisp_matrix_lines(trace, matrix, fmt="{:8.2f}"):
@@ -193,34 +200,33 @@ def _fuzzy_template(indent: str, count: int) -> str:
     return _wrap(_sep(indent).join([value] * count), indent)
 
 
-def _numbers(values: list[IT2TrFN]) -> Iterator:
-    """The ten numbers of each value, in the order the template writes them."""
-    return chain.from_iterable([(u.a1, u.a2, u.a3, u.a4, u.h, lo.a1, lo.a2, lo.a3, lo.a4, lo.h)
-                                for u, lo in [(v.upper, v.lower) for v in values]])
-
-
-def _float_texts(numbers: list) -> dict | None:
-    """Each distinct float of ``numbers`` with its text, zeros left out; None where fewer
-    than half of them repeat, or where one is not a float.
+def _float_texts(columns: list[tuple]) -> dict | None:
+    """Each distinct float of ``columns`` with its text, zeros left out; None where fewer
+    than half of their numbers repeat, or where one is not a float.
 
     Equal numbers share a key: 0.0 and -0.0, so a zero is left to %s, which keeps its
     sign; and 1 and 1.0, so a list holding a non-float is written by %s throughout.
     """
-    distinct = set(numbers)
-    if 2 * len(distinct) > len(numbers) or set(map(type, numbers)) != {float}:
+    distinct = set().union(*columns)
+    if (2 * len(distinct) > sum(map(len, columns))
+            or set(map(type, chain.from_iterable(columns))) != {float}):
         return None
     texts = dict(zip(distinct, map(float.__repr__, distinct)))
     texts.pop(0.0, None)
     return texts
 
 
-def _fuzzy_matrix_json(matrix: Matrix, indent: str) -> list[str]:
-    """``_pieces`` of the matrix's rows, its floats formatted through ``_float_texts``."""
-    numbers = [*chain.from_iterable(map(_numbers, matrix))]
-    texts = _float_texts(numbers)
-    numbers = iter(numbers if texts is None else map(texts.get, numbers, numbers))
-    return _pieces([_finite(_fuzzy_template(indent + "  ", len(row))
-                            % tuple(islice(numbers, 10 * len(row)))) for row in matrix], indent)
+def _fuzzy_matrix_json(matrix: Rows, indent: str) -> list[str]:
+    """``_pieces`` of the matrix's rows, each zipped from the ten columns of every criterion
+    and its floats formatted through ``_float_texts``."""
+    m = _as_matrix(matrix)
+    columns = [*chain.from_iterable(m.columns)]
+    texts = _float_texts(columns)
+    if texts is not None:
+        columns = [map(texts.get, c, c) for c in columns]
+    template = _fuzzy_template(indent + "  ", len(m.columns))
+    rows = zip(*columns) if columns else repeat((), len(m))
+    return _pieces([_finite(template % row) for row in rows], indent)
 
 
 def _as_is(value, indent: str) -> list[str]:
@@ -231,7 +237,7 @@ def _as_is(value, indent: str) -> list[str]:
 #: a value's text when it starts at a given indent.
 _CONVERSIONS = {
     list[IT2TrFN]: lambda vector, indent: [
-        _finite(_fuzzy_template(indent, len(vector)) % tuple(_numbers(vector)))
+        _finite(_fuzzy_template(indent, len(vector)) % tuple(chain.from_iterable(_numbers(vector))))
     ],
     Matrix: _fuzzy_matrix_json,
     list[CriterionSpec]: lambda specs, indent: _as_is([{"name": s.name, "sense": s.sense}

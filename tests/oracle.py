@@ -19,6 +19,7 @@ from __future__ import annotations
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
 from it2mabac import PipelineParams
+from it2mabac.fuzzy import Matrix
 from it2mabac.pipeline import BAA, CLASSIFICATION_TOLERANCE, LAA, UAA
 
 CONTEXT = Context(prec=50, Emax=MAX_EMAX, Emin=MIN_EMIN)
@@ -127,8 +128,9 @@ def run_oracle(problem, params: PipelineParams | None = None) -> dict:
 
 
 def _flat(x) -> list:
-    """Every number of a stage, in order: fuzzy values as their ten numbers."""
-    if isinstance(x, (list, tuple)):
+    """Every number of a stage, in order: fuzzy values as their ten numbers, and a
+    matrix (a list of rows, or a ``Matrix``) row by row."""
+    if isinstance(x, (list, tuple, Matrix)):
         return [y for item in x for y in _flat(item)]
     if hasattr(x, "upper"):
         return list(_exact(x))

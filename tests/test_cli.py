@@ -402,6 +402,28 @@ def test_overflowing_average_exits_two_naming_the_alternative(fmt, tmp_path, cap
     assert "alternative A1" in captured.err
 
 
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_weighting_that_overflows_on_finite_values_exits_two_naming_the_cell(fmt, tmp_path, capsys):
+    # One expert, so the weight of C1 averages to itself: every factor is finite, but
+    # 1.7e308 * (n + 1) is not once the normalized n of (A1, C1) passes 0.06.
+    doc = yaml.safe_load(example_problem_text())
+    doc["experts"] = ["DM1"]
+    doc["weights"] = {"DM1": doc["weights"]["DM1"]}
+    doc["ratings"] = {"DM1": doc["ratings"]["DM1"]}
+    doc["weights"]["DM1"][0] = [[0, 1e308, 1e308, 1.7e308, 1], [0, 1e308, 1e308, 1.7e308, 0.9]]
+    path = tmp_path / "huge.problem"
+    path.write_text(yaml.safe_dump(doc))
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["solve", str(path), "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "computation error: step 4 (weighting): alternative A1, criterion C1: "
+        "w * (n + 1) = 1.7e+308 * (0.8 + 1.0) overflows on finite factors\n"
+    )
+
+
 def test_overflowing_bonferroni_exits_two_naming_the_criterion(problem_file, capsys):
     # r + s is normal, but every factor r*x_i + s*x_j of the weighted matrix overflows
     assert main(["solve", problem_file, "--r", "1e308", "--s", "1"]) == 2

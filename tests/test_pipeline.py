@@ -1,5 +1,7 @@
 """Tests for the MABAC stages on matrices of fuzzy values."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,8 +9,10 @@ from hypothesis import strategies as st
 from conftest import bits, finite, it2trfns
 from it2mabac import (
     BAA,
+    EPS,
     LAA,
     UAA,
+    average_ratings,
     CriterionSpec,
     GeneralizedTrapezoid,
     IT2TrFN,
@@ -18,6 +22,7 @@ from it2mabac import (
     crisp,
     crisp_matrices,
     make,
+    mean,
     mul,
     normalize,
     rank_to_one,
@@ -343,6 +348,90 @@ def test_weight_is_w_times_n_plus_one_per_endpoint(rows, weights):
                 want += [we * (ne + 1.0) for we, ne in zip(wt.endpoints, nt.endpoints)]
                 want.append(min(wt.h, nt.h))
             assert bits(v) == [x.hex() for x in want]
+
+
+@given(
+    experts=st.integers(1, 4).flatmap(lambda k: st.lists(
+        st.lists(st.lists(it2trfns(lo=-1e300, hi=1e300, signed_zeros=True), min_size=2, max_size=2),
+                 min_size=3, max_size=3),
+        min_size=k, max_size=k)),
+)
+def test_average_ratings_is_the_mean_of_each_cell_bit_for_bit(experts):
+    # the left fold (e1 + e2) + e3 ... and then * (1/k), as mean takes it; large
+    # endpoints make the order of the additions show in the bits
+    averaged = average_ratings(experts)
+    want = [[bits(mean(cell)) for cell in zip(*rows)] for rows in zip(*experts)]
+    assert [[bits(v) for v in row] for row in averaged] == want
+
+
+def _rank_formula(v, lam):
+    """rank_to_one of one cell, written out from its ten numbers."""
+    (a1u, a2u, a3u, a4u), hu = v.upper.endpoints, v.upper.h
+    (a1l, a2l, a3l, a4l), hl = v.lower.endpoints, v.lower.h
+    bracket = hu * (lam * (a2l - a1l - a2u + a1u) - (a4l - a3l - a2l + a1l)) - hl * (
+        a4u - a3u - a4l + a3l
+    )
+    return 1.0 - a4l - lam * (a1l - a1u + a4u - a4l) - bracket / (2.0 * hu * hl)
+
+
+@given(
+    rows=st.lists(st.lists(it2trfns(lo=-EPS, hi=9.0, signed_zeros=True), min_size=3, max_size=3),
+                  min_size=1, max_size=4),
+    senses=st.lists(st.sampled_from(["benefit", "cost"]), min_size=3, max_size=3),
+    weights=st.lists(it2trfns(lo=0.0, hi=1.0, signed_zeros=True), min_size=3, max_size=3),
+    lam=finite(0.0, 1.0),
+)
+def test_steps_3_4_and_6_are_the_per_cell_formulas_bit_for_bit(rows, senses, weights, lam):
+    matrix = rows + [[make((1, 2, 5, 10, 1.0), (1, 2, 5, 9, 0.9))] * 3]  # no degenerate range
+    specs = [CriterionSpec(f"c{j}", sense) for j, sense in enumerate(senses)]
+    normalized = normalize(matrix, specs)
+    want = []
+    for row in matrix:
+        out = []
+        for j, (spec, v) in enumerate(zip(specs, row)):
+            a_minus, a_plus = column_range(matrix, j, spec.name)
+            rng = a_plus - a_minus
+            cell = []
+            for t in (v.upper, v.lower):
+                if spec.sense == "benefit":
+                    cell += [(x - a_minus) / rng for x in t.endpoints]
+                else:
+                    cell += [(a_plus - x) / rng for x in reversed(t.endpoints)]
+                cell.append(t.h)
+            out.append(cell)
+        want.append(out)
+    assert [[bits(v) for v in row] for row in normalized] == [[[x.hex() for x in c] for c in r] for r in want]
+
+    weighted = weight(normalized, weights)
+    for n_row, v_row in zip(normalized, weighted):
+        for w, n, v in zip(weights, n_row, v_row):
+            cell = []
+            for wt, nt in ((w.upper, n.upper), (w.lower, n.lower)):
+                cell += [we * (ne + 1.0) for we, ne in zip(wt.endpoints, nt.endpoints)]
+                cell.append(min(wt.h, nt.h))
+            assert bits(v) == [x.hex() for x in cell]
+
+    border = baa(weighted)
+    q, g, delta = crisp_matrices(weighted, border, lam)
+    assert [x.hex() for x in g] == [abs(_rank_formula(b, lam)).hex() for b in border]
+    assert [[x.hex() for x in row] for row in q] == [
+        [abs(_rank_formula(v, lam)).hex() for v in row] for row in weighted
+    ]
+    assert [[x.hex() for x in row] for row in delta] == [
+        [(qij - gj).hex() for qij, gj in zip(row, g)] for row in q
+    ]
+
+
+def test_weight_refuses_an_overflow_on_finite_factors_only():
+    huge = make((0, 1e308, 1e308, 1.7e308, 1.0), (0, 1e308, 1e308, 1.7e308, 0.9))
+    infinite = IT2TrFN(GeneralizedTrapezoid(0, 1, 1, math.inf, 1.0), GeneralizedTrapezoid(0, 1, 1, 1, 0.9))
+    with pytest.raises(ComputationError) as info:
+        weight([[crisp(0.0), crisp(0.0)], [crisp(0.5), crisp(0.5)]], [crisp(1.0), huge])
+    assert info.value._cell == (1, 1)
+    assert str(info.value) == "w * (n + 1) = 1.7e+308 * (0.5 + 1.0) overflows on finite factors"
+    # a factor that is already infinite is carried, as step 5 carries it
+    weighted = weight([[crisp(0.0)], [crisp(0.5)]], [infinite])
+    assert weighted[1][0].upper.a4 == math.inf
 
 
 @st.composite

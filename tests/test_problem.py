@@ -756,7 +756,11 @@ class TestFrozenProblem:
         problem = load_example_problem()
         trace = run(problem)
         before = render_machine(trace)
-        trace.aggregated_ratings[0][0] = trace.aggregated_ratings[1][1]
+        for matrix in (trace.aggregated_ratings, trace.normalized, trace.weighted):
+            with pytest.raises(TypeError):  # a fuzzy matrix is read-only, row and cell
+                matrix[0][0] = trace.aggregated_ratings[1][1]
+            with pytest.raises(TypeError):
+                matrix[0] = matrix[1]
         trace.aggregated_weights[0] = trace.aggregated_weights[1]
         assert render_machine(run(problem)) == before
 

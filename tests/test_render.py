@@ -114,6 +114,36 @@ def test_section_machine_is_its_keys_of_the_whole_document():
         assert keys and section == json.dumps({k: whole[k] for k in keys}, indent=2) + "\n", table
 
 
+FUZZY_MATRICES = ("aggregated_ratings", "normalized", "weighted")
+
+
+def test_a_trace_holds_matrices_that_read_and_compare_as_rows(example_trace):
+    trace = example_trace
+    assert trace_from_json(render_machine(trace)) == trace
+    for field in FUZZY_MATRICES:
+        matrix = getattr(trace, field)
+        rows = [list(row) for row in matrix]
+        assert matrix == rows and rows == matrix and not matrix != rows
+        assert len(matrix) == 3 and len(matrix[0]) == 5
+        assert matrix[-1] == matrix[2] and matrix[1:] == [matrix[1], matrix[2]]
+        assert all(isinstance(cell, IT2TrFN) for row in matrix for cell in row)
+        assert matrix != rows[:2] and matrix != [*rows[:2], rows[0]]
+    assert trace.weighted != trace.normalized
+
+
+@pytest.mark.parametrize("fields", [("weighted",), FUZZY_MATRICES], ids=["weighted", "all"])
+def test_a_trace_of_plain_rows_renders_as_the_run_does(example_trace, fields):
+    rows = dataclasses.replace(
+        example_trace, **{field: [list(row) for row in getattr(example_trace, field)] for field in fields}
+    )
+    assert type(rows.weighted) is list
+    assert render_text(rows) == render_text(example_trace)
+    assert render_machine(rows) == render_machine(example_trace)
+    for table in TABLES:
+        assert render_section(rows, table) == render_section(example_trace, table)
+        assert render_section_machine(rows, table) == render_section_machine(example_trace, table)
+
+
 def test_trace_from_json_checks_params_as_documents_do(example_trace):
     doc = json.loads(render_machine(example_trace))
     doc["params"]["r"] = True
