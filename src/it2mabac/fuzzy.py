@@ -134,7 +134,7 @@ class Matrix(Sequence):
     __slots__ = ("columns", "_p")
 
     def __init__(self, columns: Sequence[Sequence[tuple]], p: int) -> None:
-        self.columns, self._p = tuple(columns), p
+        self.columns, self._p = tuple(map(tuple, columns)), p
 
     @classmethod
     def of(cls, rows: Sequence[Sequence[IT2TrFN]], width: int, what: str) -> Matrix:

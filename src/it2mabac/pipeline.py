@@ -42,7 +42,7 @@ _BAA_AGGREGATES = {"bonferroni": _bonferroni, "geomean": lambda columns, r, s: _
 BAA_OPERATORS = tuple(_BAA_AGGREGATES)
 
 #: What the stage functions take: a Matrix, or any sequence of rows of IT2TrFNs.
-Rows = Sequence[Sequence[IT2TrFN]]
+_Rows = Sequence[Sequence[IT2TrFN]]
 
 
 def _check_names(names, key: str) -> None:
@@ -72,7 +72,7 @@ class CriterionSpec:
             )
 
 
-def column_range(matrix: Rows, j: int, name: str) -> tuple[float, float]:
+def column_range(matrix: _Rows, j: int, name: str) -> tuple[float, float]:
     """Reference endpoints of column ``j``, criterion ``name``: (min upper a1, max upper a4)."""
     return _range([row[j].upper.a1 for row in matrix], [row[j].upper.a4 for row in matrix], name)
 
@@ -87,7 +87,7 @@ def _range(a1: Sequence[float], a4: Sequence[float], name: str) -> tuple[float, 
     return a_minus, a_plus
 
 
-def normalize(matrix: Rows, specs: list[CriterionSpec]) -> Matrix:
+def normalize(matrix: _Rows, specs: list[CriterionSpec]) -> Matrix:
     """Scale every column into the unit range, respecting its sense: (x - a_minus) / rng per
     endpoint for a benefit criterion; for a cost criterion (a_plus - x) / rng with the
     endpoints reversed, so the largest maps to the smallest. Columns go in order, each
@@ -129,7 +129,7 @@ def _raise_first(check, rows) -> None:
                 raise
 
 
-def weight(normalized: Rows, weights: list[IT2TrFN]) -> Matrix:
+def weight(normalized: _Rows, weights: list[IT2TrFN]) -> Matrix:
     """Weighted matrix: v_ij = w_j * (n_ij + 1) per endpoint, heights min(w_j, n_ij).
 
     Both factors must lie on the non-negative cone: the weights are checked first, then
@@ -177,7 +177,7 @@ def _first_weighting_fault(n: Matrix, w_numbers: list[tuple], columns: list) -> 
 
 
 def baa(
-    weighted: Rows, *, r: float = 1.0, s: float = 1.0, operator: str = "bonferroni"
+    weighted: _Rows, *, r: float = 1.0, s: float = 1.0, operator: str = "bonferroni"
 ) -> list[IT2TrFN]:
     """Border approximation area per criterion, aggregated down each column.
 
@@ -209,7 +209,7 @@ def _all_finite(numbers: Iterable[float]) -> bool:
 
 
 def crisp_matrices(
-    weighted: Rows, baa_vector: list[IT2TrFN], lam: float = 0.5
+    weighted: _Rows, baa_vector: list[IT2TrFN], lam: float = 0.5
 ) -> tuple[list[list[float]], list[float], list[list[float]]]:
     """Step 6: the crisp distance matrix Q, the BAA distances G, and Q - G; a ZeroHeight is
     located, row by row and then the BAA, as ``rank_to_one`` would meet it."""

@@ -44,7 +44,7 @@ from json.encoder import encode_basestring_ascii
 from .errors import ProblemSyntaxError
 from .fuzzy import IT2TrFN, Matrix, _numbers, make
 from .linguistic import builtin_rating_scale, builtin_weight_scale
-from .pipeline import CriterionSpec, Rows
+from .pipeline import CriterionSpec, _Rows
 from .problem import PARAM_KEYS, DecisionProblem, PipelineParams, PipelineTrace, run
 
 FORMATS = ("text", "machine")
@@ -72,7 +72,7 @@ def _fuzzy_matrix_lines(trace, matrix):
     return lines
 
 
-def _as_matrix(matrix: Rows) -> Matrix:
+def _as_matrix(matrix: _Rows) -> Matrix:
     """A trace's fuzzy matrix as a Matrix; rows, as ``dataclasses.replace`` may give, are read."""
     if isinstance(matrix, Matrix):
         return matrix
@@ -216,7 +216,7 @@ def _float_texts(columns: list[tuple]) -> dict | None:
     return texts
 
 
-def _fuzzy_matrix_json(matrix: Rows, indent: str) -> list[str]:
+def _fuzzy_matrix_json(matrix: _Rows, indent: str) -> list[str]:
     """``_pieces`` of the matrix's rows, each zipped from the ten columns of every criterion
     and its floats formatted through ``_float_texts``."""
     m = _as_matrix(matrix)

@@ -30,6 +30,7 @@ from it2mabac import (
     trace_from_json,
 )
 from it2mabac.errors import DimensionMismatch, InvalidParams, MabacError, ProblemSyntaxError
+from it2mabac.fuzzy import Matrix
 from it2mabac.render import TABLES, render_section_machine
 from test_oracle import _GEN
 from test_problem import _generated_document
@@ -124,6 +125,9 @@ def test_a_trace_holds_matrices_that_read_and_compare_as_rows(example_trace):
         matrix = getattr(trace, field)
         rows = [list(row) for row in matrix]
         assert matrix == rows and rows == matrix and not matrix != rows
+        assert matrix == Matrix.of(rows, 5, "criteria")  # the columns of the stage and of the rows
+        with pytest.raises(TypeError):
+            matrix.columns[0][0] = ()
         assert len(matrix) == 3 and len(matrix[0]) == 5
         assert matrix[-1] == matrix[2] and matrix[1:] == [matrix[1], matrix[2]]
         assert all(isinstance(cell, IT2TrFN) for row in matrix for cell in row)
