@@ -122,22 +122,15 @@ def average_ratings(matrices: Sequence[Sequence[Sequence[IT2TrFN]]]) -> Matrix:
     width = len(matrices[0][0]) if p else 0
     experts = [Matrix.of(m, width, "criteria").columns for m in matrices]
     factor = 1.0 / len(matrices)
-    columns = []
-    for per_expert in zip(*experts):  # one criterion: each expert's ten columns
-        ten = [tuple(map(mul, reduce(_add, position), repeat(factor))) if e % 5 != 4
-               else tuple(map(min, zip(*position)))  # heights
-               for e, position in enumerate(zip(*per_expert))]
-        columns.append(ten)
+    columns = [[tuple(map(mul, reduce(lambda a, b: map(add, a, b), position), repeat(factor)))
+                if e % 5 != 4 else tuple(map(min, zip(*position)))  # heights take the least
+                for e, position in enumerate(zip(*per_expert))]
+               for per_expert in zip(*experts)]  # per criterion, each expert's ten columns
     if not all(map(_ordered, columns)):
         for i in range(p):
             for ten in columns:
                 _value(*[c[i] for c in ten])
     return Matrix(columns, p)
-
-
-def _add(a: Iterator[float], b: Iterator[float]) -> Iterator[float]:
-    """One step of step 2's left fold: two columns added entry by entry."""
-    return map(add, a, b)
 
 
 def _check_exponents(r: float, s: float) -> None:

@@ -25,12 +25,12 @@ problem repeat their floats: a builtin term's endpoints are multiples of
 0.5, and each later stage maps a column's equal values to equal values. So
 where at least half of a matrix's numbers repeat, a set collects its
 distinct floats, ``float.__repr__`` formats each once, and the cells fill
-the template from that memo. Keys that
-compare equal merge: 0.0 and -0.0 hash alike, so zeros stay out of the memo
-and the template writes each with its own sign; 1 and 1.0 merge too, so a
-matrix holding any non-float takes the plain template. A matrix of mostly
-distinct numbers, as inline values give, takes the plain template, where a
-lookup per number would cost more than it saves.
+the template from that memo. Keys that compare equal merge: 0.0 and -0.0
+hash alike, so zeros stay out of the memo and the template writes each with
+its own sign; 1 and 1.0 merge too, so a matrix holding any non-float takes
+the plain template. A matrix of mostly distinct numbers, as inline values
+give, takes the plain template, where a lookup per number would cost more
+than it saves.
 """
 
 from __future__ import annotations

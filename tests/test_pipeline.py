@@ -12,11 +12,11 @@ from it2mabac import (
     EPS,
     LAA,
     UAA,
-    average_ratings,
     CriterionSpec,
     GeneralizedTrapezoid,
     IT2TrFN,
     PipelineParams,
+    average_ratings,
     baa,
     classify_and_score,
     crisp,
@@ -400,7 +400,8 @@ def test_steps_3_4_and_6_are_the_per_cell_formulas_bit_for_bit(rows, senses, wei
                 cell.append(t.h)
             out.append(cell)
         want.append(out)
-    assert [[bits(v) for v in row] for row in normalized] == [[[x.hex() for x in c] for c in r] for r in want]
+    want = [[[x.hex() for x in cell] for cell in row] for row in want]
+    assert [[bits(v) for v in row] for row in normalized] == want
 
     weighted = weight(normalized, weights)
     for n_row, v_row in zip(normalized, weighted):
@@ -424,7 +425,8 @@ def test_steps_3_4_and_6_are_the_per_cell_formulas_bit_for_bit(rows, senses, wei
 
 def test_weight_refuses_an_overflow_on_finite_factors_only():
     huge = make((0, 1e308, 1e308, 1.7e308, 1.0), (0, 1e308, 1e308, 1.7e308, 0.9))
-    infinite = IT2TrFN(GeneralizedTrapezoid(0, 1, 1, math.inf, 1.0), GeneralizedTrapezoid(0, 1, 1, 1, 0.9))
+    infinite = IT2TrFN(GeneralizedTrapezoid(0, 1, 1, math.inf, 1.0),
+                       GeneralizedTrapezoid(0, 1, 1, 1, 0.9))
     with pytest.raises(ComputationError) as info:
         weight([[crisp(0.0), crisp(0.0)], [crisp(0.5), crisp(0.5)]], [crisp(1.0), huge])
     assert info.value._cell == (1, 1)
