@@ -467,11 +467,30 @@ _BELOW = make((-3, 0, 0, 1, 1.0), (-2.5, 0, 0, 0.5, 0.9))  # plus one, down to -
 _ORDER = "a1={} exceeds a2={}; endpoints must satisfy a1 <= a2 <= a3 <= a4"
 _NEGATIVE = "multiplication is only defined for non-negative values, got endpoints down to -2.0"
 _TINY = "membership heights 1e-160 and 1e-160 are too small to divide by"
+_BONFERRONI_BELOW = "the Bonferroni mean is only defined for non-negative values, got endpoints down to {}"
+
+
+def _rounded_up(a1, a2):
+    """A value whose a1 exceeds a2 by 9e-10, inside EPS; averaged with a flat value far
+    above it, a1's sum rounds up by an ulp and a2's down, so the mean breaks the order."""
+    t = GeneralizedTrapezoid(a1, a2, 1.0, 2.0, 1.0)
+    return IT2TrFN(t, t)
+
+
+def _flat(x):
+    t = GeneralizedTrapezoid(x, x, x, x, 1.0)
+    return IT2TrFN(t, t)
 
 #: Matrices with faults in two cells of different rows and columns, and the fault reported:
-#: step 3 scans column by column, steps 4 and 6 row by row, and a fault of step 4's product
-#: names no cell.
+#: steps 2, 4 and 6 scan row by row, steps 3 and 5 column by column; a fault of step 2's
+#: mean or step 4's product names no cell.
 FIRST_FAULTS = {
+    "step 2, two cells": (
+        lambda: average_ratings([[[_flat(1.0), _rounded_up(7.85e-9, 6.95e-9)],
+                                  [_rounded_up(3.02e-8, 2.93e-8), _flat(1.0)]],
+                                 [[_flat(1.0), _flat(1e8)], [_flat(4e8), _flat(1.0)]]]),
+        EndpointOrderViolation, None, _ORDER.format("50000000.00000001", "50000000.0"),
+    ),
     "step 3, two columns": (
         lambda: normalize([[_LOW, _tolerated(5e-4, 1e-3)], [_tolerated(5e-4, 1e-3), _LOW], [_LOW, _LOW]],
                           [CriterionSpec("c0"), CriterionSpec("c1", "cost")]),
@@ -499,6 +518,19 @@ FIRST_FAULTS = {
                                 [make((1, 2, 2, 3, 1e-170), (1, 2, 2, 3, 1e-170)), crisp(1.0)]],
                                [crisp(1.0)] * 2),
         ZeroHeight, (0, 1), _TINY,
+    ),
+    "step 3, a range that is not finite before a cell": (
+        lambda: normalize([[crisp(-1e308), _tolerated(5e-4, 1e-3)], [crisp(1e308), _LOW]],
+                          [CriterionSpec("c0"), CriterionSpec("c1")]),
+        EndpointOrderViolation, (0, 1), _ORDER.format("0.5000009", "0.5"),
+    ),
+    "step 5, two columns": (
+        lambda: baa([[crisp(1.0), _BELOW], [make((-1, 0, 0, 1, 1.0), (-0.5, 0, 0, 0.5, 0.9)), crisp(1.0)]]),
+        NegativeOperand, (None, 0), _BONFERRONI_BELOW.format("-1.0"),
+    ),
+    "step 5, an overflow before a column below the cone": (
+        lambda: baa([[crisp(2.0), _BELOW], [crisp(2.0), crisp(0.5)]], r=1e308, s=1.0),
+        ComputationError, (None, 0), "the bonferroni operator overflows with r=1e+308, s=1.0",
     ),
 }
 
