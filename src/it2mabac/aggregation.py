@@ -10,9 +10,10 @@ float columns of their inputs (``fuzzy.Matrix``'s layout), so the BAA takes a
 weighted matrix's columns as they are: per endpoint column, the N-th root of
 a product of N float factors, divided by r+s. The Bonferroni mean's factors
 are ``f = r*x_i + s*x_j`` over the ordered pairs i != j; the geometric mean
-is the Bonferroni mean with r=0, s=1, and its factors are its n inputs. The result is within 4 ulp of ``(prod
-f) ** (1/N) / (r+s)`` taken exactly, n equal values come back within 2 ulp,
-and it is exactly +0.0 wherever some factor is <= 0.
+is the Bonferroni mean with r=0, s=1, and its factors are its n inputs. The
+result is within 4 ulp of ``(prod f) ** (1/N) / (r+s)`` taken exactly, n
+equal values come back within 2 ulp, and it is exactly +0.0 wherever some
+factor is <= 0.
 
 - Half the Bonferroni pairs when r == s (the default and the paper's
   setting): factor (i, j) is then bit-equal to factor (j, i), so the product
@@ -69,14 +70,15 @@ compare equal differ at most in the sign of a zero endpoint; that changes at
 most the sign of a zero factor, and either sign gives +0.0. The counted
 form's tally merges 0.0 and -0.0 in the same way.
 
-Step 2 averages endpoint-major too: ``average_ratings`` folds the experts'
+Steps 1-2 average endpoint-major: ``average_ratings`` folds the experts'
 float columns left to right with ``map(add, ...)`` and scales by 1/k, the
-expression ``mean`` applies per cell, so no bit moves; it returns a
-``fuzzy.Matrix``. The averaging functions trust the shapes they are given:
-a DecisionProblem checks them once, where it is built. The Bonferroni
-exponents have one rule, ``_check_exponents``, which PipelineParams applies
-to a run and ``tit2fgbm`` to each call: r, s >= 0 with a finite, normal sum
-r + s.
+expression ``mean`` applies per cell, so no bit moves; ``average_weights``
+folds each expert's weights as a q x 1 matrix. A mean out of order, or one that
+overflows on finite endpoints, is refused naming its cell. The averaging
+functions trust the shapes they are given: a DecisionProblem checks them
+once, where it is built. The Bonferroni exponents have one rule,
+``_check_exponents``, which PipelineParams applies to a run and ``tit2fgbm``
+to each call: r, s >= 0 with a finite, normal sum r + s.
 """
 
 from __future__ import annotations
@@ -85,13 +87,13 @@ import sys
 from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
 from functools import reduce
-from itertools import combinations, compress, islice, product, repeat, starmap
+from itertools import chain, combinations, compress, islice, product, repeat, starmap
 from math import exp, frexp, fsum, inf, ldexp, log, prod
 from operator import add, mul
 
 from .errors import EmptyInput, InvalidParams, TooFewValues
-from .fuzzy import (IT2TrFN, GeneralizedTrapezoid, Matrix, _below_cone, _columns, _finite, _ordered,
-                    _require_nonnegative, _value, mean)
+from .fuzzy import (IT2TrFN, Matrix, _check_cell, _columns, _finite, _finite_sums, _locate, _ordered,
+                    _require_cone, _value)
 
 _NORMAL_MIN, _NORMAL_MAX = sys.float_info.min, sys.float_info.max
 
@@ -108,16 +110,18 @@ _LEAST_COUNTED, _COUNTED_COST = 100, 10
 
 
 def average_weights(vectors: list[list[IT2TrFN]]) -> list[IT2TrFN]:
-    """Component-wise mean of the experts' weight vectors (one per expert)."""
-    return [mean(column) for column in zip(*vectors)]
+    """Component-wise mean of the experts' weight vectors (one per expert), as q x 1 matrices."""
+    return [row[0] for row in _average([[[w] for w in v] for v in vectors], True)] if vectors else []
 
 
 def average_ratings(matrices: Sequence[Sequence[Sequence[IT2TrFN]]]) -> Matrix:
     """Component-wise mean of the experts' p x q rating matrices (one per expert), each
-    entry the bits of ``mean`` of its cell; a mean that breaks the endpoint order is
-    refused, row by row, as ``mean`` refuses it."""
-    if not matrices:
-        return Matrix([], 0)
+    entry the bits of ``mean`` of its cell; faults are refused row by row, naming their cell."""
+    return _average(matrices, False) if matrices else Matrix([], 0)
+
+
+def _average(matrices: Sequence[Sequence[Sequence[IT2TrFN]]], vector: bool) -> Matrix:
+    """The mean of ``matrices`` (at least one); a fault names its cell (i, j), or weight (None, i)."""
     p = len(matrices[0])
     width = len(matrices[0][0]) if p else 0
     experts = [Matrix.of(m, width, "criteria").columns for m in matrices]
@@ -126,10 +130,11 @@ def average_ratings(matrices: Sequence[Sequence[Sequence[IT2TrFN]]]) -> Matrix:
                 if e % 5 != 4 else tuple(map(min, zip(*position)))  # heights take the least
                 for e, position in enumerate(zip(*per_expert))]
                for per_expert in zip(*experts)]  # per criterion, each expert's ten columns
-    if not all(map(_ordered, columns)):
-        for i in range(p):
-            for ten in columns:
-                _value(*[c[i] for c in ten])
+    if not (all(map(_ordered, columns)) and _finite_sums(chain.from_iterable(columns))):
+        _locate((((None, i) if vector else (i, j),
+                  ([c[i] for e in experts for c in e[j]], [c[i] for c in ten]))
+                 for i in range(p) for j, ten in enumerate(columns)),
+                lambda inputs, mean: _check_cell(inputs, mean, "the mean overflows on finite values"))
     return Matrix(columns, p)
 
 
@@ -151,11 +156,14 @@ def tit2fgbm(values: Sequence[IT2TrFN], r: float = 1.0, s: float = 1.0) -> IT2Tr
     Heights combine with min per level. The module docstring gives the accuracy.
     A non-finite r or s, or exponents ``_check_exponents`` refuses, raise InvalidParams.
     """
-    return _bonferroni(_columns(values), r, s)
+    columns = _columns(values)
+    mean = _bonferroni(columns, r, s)
+    _require_cone(columns, "the Bonferroni mean")
+    return _value(*mean)
 
 
-def _bonferroni(columns: Sequence[tuple], r: float, s: float) -> IT2TrFN:
-    """``tit2fgbm`` of the values whose ten columns are ``columns``."""
+def _bonferroni(columns: Sequence[tuple], r: float, s: float) -> tuple[float, ...]:
+    """``tit2fgbm``'s ten numbers, unchecked, of the values whose ten columns are ``columns``."""
     n = len(columns[0])
     if n < 2:
         raise TooFewValues(f"the Bonferroni mean needs at least two values, got {n}")
@@ -172,7 +180,7 @@ def _bonferroni(columns: Sequence[tuple], r: float, s: float) -> IT2TrFN:
         factors = lambda x: starmap(
             add, compress(product([r * xi for xi in x], [s * xj for xj in x]), off_diagonal)
         )
-    return _root_of_product(columns, "the Bonferroni mean", factors, count, r, s)
+    return _root_of_product(columns, factors, count, r, s)
 
 
 def _distinct_factors(s: float, v: list[float], m: list[int]) -> tuple[list[float], list[int]]:
@@ -187,32 +195,32 @@ def _distinct_factors(s: float, v: list[float], m: list[int]) -> tuple[list[floa
 
 def geometric_mean(values: Sequence[IT2TrFN]) -> IT2TrFN:
     """Endpoint-wise geometric mean of n >= 1 non-negative values."""
-    return _geometric(_columns(values))
+    columns = _columns(values)
+    mean = _geometric(columns)
+    _require_cone(columns, "the geometric mean")
+    return _value(*mean)
 
 
-def _geometric(columns: Sequence[tuple]) -> IT2TrFN:
-    """``geometric_mean`` of the values whose ten columns are ``columns``."""
+def _geometric(columns: Sequence[tuple]) -> tuple[float, ...]:
+    """``geometric_mean``'s ten numbers, unchecked, of the values whose ten columns are ``columns``."""
     n = len(columns[0])
     if n == 0:
         raise EmptyInput("the geometric mean needs at least one value")
-    return _root_of_product(columns, "the geometric mean", iter, n, 0.0, 1.0)
+    return _root_of_product(columns, iter, n, 0.0, 1.0)
 
 
 def _root_of_product(
-    columns: Sequence[tuple], name: str, factors: Callable[[tuple], Iterator[float]], count: int,
+    columns: Sequence[tuple], factors: Callable[[tuple], Iterator[float]], count: int,
     r: float, s: float,
-) -> IT2TrFN:
+) -> tuple[float, ...]:
     """``(prod factors(x)) ** (1/count) / (r+s)`` of each endpoint column x of ``columns``,
-    the ten columns of the values; heights take the least of each height column.
+    the ten columns of the values, as ten numbers that its callers check; heights take the
+    least of each height column.
 
-    ``factors`` forms the ``count`` factors of x lazily; ``name`` names the operator in errors.
-    r and s obey ``_check_exponents``. With r == s (the Bonferroni mean's pairs j > i), a
-    long column of few distinct values forms each distinct factor once, by
-    ``_distinct_factors`` (see the module docstring).
+    ``factors`` forms the ``count`` factors of x lazily. r and s obey ``_check_exponents``.
+    With r == s (the Bonferroni mean's pairs j > i), a long column of few distinct values
+    forms each distinct factor once, by ``_distinct_factors`` (see the module docstring).
     """
-    if _below_cone(columns):
-        for numbers in zip(*columns):
-            _require_nonnegative(_value(*numbers), name)
     blocks = range(0, count, _BLOCK)
     total = r + s
     least_input = _LEAST_FACTOR / total  # r*x_i + s*x_j >= (r+s) * min(x) as r, s >= 0
@@ -265,5 +273,4 @@ def _root_of_product(
         memo[x] = result = ldexp(mantissa, k) if k <= 1024 else inf
         return result
 
-    return IT2TrFN(GeneralizedTrapezoid(*map(column, columns[:4]), min(columns[4])),
-                   GeneralizedTrapezoid(*map(column, columns[5:9]), min(columns[9])))
+    return (*map(column, columns[:4]), min(columns[4]), *map(column, columns[5:9]), min(columns[9]))

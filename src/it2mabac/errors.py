@@ -12,8 +12,8 @@ normalized entry can raise.
 class MabacError(Exception):
     """Base class for every error raised by this package."""
 
-    #: The cell at fault, where a stage function located it: (i, j) for row i and
-    #: criterion j of its matrix, or (None, j) for criterion j of its vector.
+    #: The cell at fault, set by ``fuzzy._locate`` for steps 1-6: (i, j) for row i and
+    #: criterion j of the stage's matrix, or (None, j) for criterion j of its vector.
     _cell: tuple[int | None, int] | None = None
 
 

@@ -13,7 +13,7 @@ non-negative cone, which is the only region the decision pipeline ever visits.
 Because the arithmetic is endpoint by endpoint, the pipeline holds a p x q
 matrix endpoint-major: a :class:`Matrix` keeps, per criterion, ten float
 columns of length p (upper a1-a4 and h, then lower a1-a4 and h), and steps
-2-6 compute on those columns. It reads as a read-only sequence of rows of
+1-6 compute on those columns. It reads as a read-only sequence of rows of
 IT2TrFNs, built when read. ``Matrix.of`` is the one adapter from rows.
 """
 
@@ -27,11 +27,13 @@ from functools import reduce
 from itertools import chain, repeat
 
 from .errors import (
+    ComputationError,
     DimensionMismatch,
     EmptyInput,
     EndpointOrderViolation,
     HeightOrderViolation,
     HeightOutOfRange,
+    MabacError,
     NegativeOperand,
     NegativeScalar,
     ProblemSyntaxError,
@@ -302,11 +304,7 @@ def scale(a: IT2TrFN, k: float) -> IT2TrFN:
 
 def _require_nonnegative(value: IT2TrFN, context: str, shift: float = 0.0) -> None:
     """Reject ``value + shift`` (shift added to every endpoint) below -EPS."""
-    lowest = min(value.upper.a1, value.lower.a1) + shift
-    # Each endpoint of a valid trapezoid may lie up to EPS below the one before it,
-    # so a4 may be 3*EPS below a1: an a1 of 2*EPS or more is enough on its own.
-    if lowest < 2 * EPS:
-        lowest = min(*value.upper.endpoints, *value.lower.endpoints) + shift
+    lowest = min(*value.upper.endpoints, *value.lower.endpoints) + shift
     if lowest < -EPS:
         raise NegativeOperand(
             f"{context} is only defined for non-negative values, got endpoints down to {lowest!r}"
@@ -320,10 +318,46 @@ def _below_cone(columns: Sequence[tuple], shift: float = 0.0) -> bool:
     return not all(min(c, default=0.0) + shift >= -EPS for c in (*columns[:4], *columns[5:9]))
 
 
+def _require_cone(columns: Sequence[tuple], context: str, cells: Iterable = repeat(None)) -> None:
+    """Refuse the first value of ``columns`` (ten of them) below the non-negative cone, as
+    ``_require_nonnegative`` refuses it; ``cells`` names each value's cell, if it has one."""
+    if _below_cone(columns):
+        _locate(zip(cells, zip(*columns)), lambda *x: _require_nonnegative(_value(*x), context))
+
+
+def _finite_sums(columns: Iterable[Sequence[float]]) -> bool:
+    """Whether every column sums to a finite number; False may be a sum that overflows."""
+    return all(map(math.isfinite, map(sum, columns)))
+
+
+def _overflows(inputs: Iterable[float], outputs: Iterable[float]) -> bool:
+    """The finiteness rule of steps 1-6: whether some output is not finite while every input is."""
+    return not all(map(math.isfinite, outputs)) and all(map(math.isfinite, inputs))
+
+
+def _check_cell(inputs: Iterable[float], outputs: Sequence[float], message: str) -> None:
+    """Refuse ``outputs``, the ten numbers a stage wrote from ``inputs``: with ``message`` as a
+    ComputationError where the finiteness rule refuses them, else where they are no IT2TrFN."""
+    if _overflows(inputs, outputs):
+        raise ComputationError(message)
+    _value(*outputs)
+
+
+def _locate(cells: Iterable[tuple], check) -> None:
+    """The one fault locator of steps 1-6, run where a scan of a stage's columns fired: the
+    first package error of ``check(*numbers)`` over the ``(cell, numbers)`` pairs, given in
+    the stage's order, is raised with ``_cell = cell``. A scan that fired on no fault returns."""
+    for cell, numbers in cells:
+        try:
+            check(*numbers)
+        except MabacError as exc:
+            exc._cell = cell
+            raise
+
+
 def mul(a: IT2TrFN, b: IT2TrFN) -> IT2TrFN:
     """Endpoint-wise product on the non-negative cone; heights combine with min."""
-    _require_nonnegative(a, "multiplication")
-    _require_nonnegative(b, "multiplication")
+    _require_cone(_columns([a, b]), "multiplication")
     return endpointwise(operator.mul, a, b)
 
 

@@ -211,9 +211,9 @@ class DecisionProblem:
         An error is not cached; it is raised, with its step label, by every
         ``run``.
         """
-        with _stage("step 1 (average weights)"):
+        with _stage("step 1 (average weights)", (), self.criteria, "weight"):
             weights_bar = average_weights([self.expert_weights[e] for e in self.experts])
-        with _stage("step 2 (average decision matrix)"):
+        with _stage("step 2 (average decision matrix)", self.alternatives, self.criteria):
             ratings_bar = average_ratings([self.expert_ratings[e] for e in self.experts])
         return tuple(weights_bar), ratings_bar
 

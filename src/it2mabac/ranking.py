@@ -12,6 +12,7 @@ vanishes exactly on the crisp unit, and equals 1 - c on any crisp constant c.
 
 from __future__ import annotations
 
+import math
 import sys
 
 from .errors import ZeroHeight
@@ -29,16 +30,18 @@ def rank_to_one(value: IT2TrFN, lam: float = 0.5) -> float:
     quotient would lose its bits or be infinite, are a ZeroHeight.
     """
     u, lo = value.upper, value.lower
+    if 2.0 * u.h * lo.h < _NORMAL_MIN:
+        raise ZeroHeight(f"membership heights {u.h!r} and {lo.h!r} are too small to divide by")
     return _rank(*u.endpoints, u.h, *lo.endpoints, lo.h, lam)
 
 
 def _rank(a1u: float, a2u: float, a3u: float, a4u: float, hu: float,
           a1l: float, a2l: float, a3l: float, a4l: float, hl: float, lam: float) -> float:
-    """``rank_to_one`` of the value of these ten numbers, in ``fuzzy._numbers``' order; step 6
-    maps it over a weighted matrix's columns."""
+    """``rank_to_one`` of the value of these ten numbers, in ``fuzzy._numbers``' order, or NaN
+    where it refuses the heights; step 6 maps it over a weighted matrix's columns."""
     divisor = 2.0 * hu * hl
     if divisor < _NORMAL_MIN:
-        raise ZeroHeight(f"membership heights {hu!r} and {hl!r} are too small to divide by")
+        return math.nan
     bracket = hu * (lam * (a2l - a1l - a2u + a1u) - (a4l - a3l - a2l + a1l)) - hl * (
         a4u - a3u - a4l + a3l
     )

@@ -388,18 +388,60 @@ def test_exponents_with_a_subnormal_or_infinite_sum_are_validation_failures(
     )
 
 
-@pytest.mark.parametrize("fmt", ["text", "machine"])
-def test_overflowing_average_exits_two_naming_the_alternative(fmt, tmp_path, capsys):
-    doc = yaml.safe_load(example_problem_text())
+def _huge_weight(doc):
+    for expert in doc["weights"]:
+        doc["weights"][expert][0] = [[0, 1e308, 1e308, 1.7e308, 1], [0, 1e308, 1e308, 1.7e308, 0.9]]
+
+
+def _huge_rating(doc):
     for expert in doc["ratings"]:
         doc["ratings"][expert][0][0] = [[-1.7e308, 0, 0, 1.7e308, 1.0], [0, 0, 0, 1, 0.9]]
+
+
+def _huge_range(doc):
+    # one expert, two alternatives and two criteria; C1 spans -1e308 to 1e308
+    doc["experts"], doc["alternatives"], doc["criteria"] = ["DM1"], ["A1", "A2"], doc["criteria"][:2]
+    doc["weights"] = {"DM1": doc["weights"]["DM1"][:2]}
+    rows = doc["ratings"]["DM1"]
+    doc["ratings"] = {"DM1": [[[[x] * 4 + [1.0], [x] * 4 + [0.9]], row[1]]
+                              for x, row in zip((-1e308, 1e308), rows)]}
+
+
+def _huge_distance(doc):
+    # the weighted matrix and the BAA stay finite, but the rank-based distance of
+    # (A1, C1), huge endpoints over heights of 1e-12, does not
+    doc["weights"]["DM1"][0] = [[0, 1e300, 1e300, 1e300, 1], [0, 1e300, 1e300, 1e300, 0.9]]
+    doc["ratings"]["DM1"][0][0] = [[5, 7, 7, 9, 1e-12], [6, 7, 7, 8, 1e-12]]
+
+
+#: Documents that validate, but whose finite numbers overflow at a step before 7, and
+#: the stderr line naming that step and the cell.
+OVERFLOWS = {
+    "step 1": (_huge_weight, "step 1 (average weights): weight of C1: "
+               "the mean overflows on finite values"),
+    "step 2": (_huge_rating, "step 2 (average decision matrix): alternative A1, criterion C1: "
+               "the mean overflows on finite values"),
+    "step 3": (_huge_range, "step 3 (normalization): criterion C1: "
+               "the range a+ - a- = 1e+308 - -1e+308 is not a finite number"),
+    "step 6": (_huge_distance, "step 6 (distance matrices): alternative A1, criterion C1: "
+               "the rank-based distance overflows on finite endpoints"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("case", list(OVERFLOWS))
+def test_overflow_on_finite_values_exits_two_at_its_step(case, fmt, tmp_path, capsys):
+    edit, where = OVERFLOWS[case]
+    doc = yaml.safe_load(example_problem_text())
+    edit(doc)
     path = tmp_path / "huge.problem"
     path.write_text(yaml.safe_dump(doc))
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
     assert main(["solve", str(path), "--format", fmt]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("computation error: step 7")
-    assert "alternative A1" in captured.err
+    assert captured.err == f"computation error: {where}\n"
 
 
 @pytest.mark.parametrize("fmt", ["text", "machine"])

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bits, finite, it2trfns
@@ -13,10 +13,14 @@ from it2mabac import (
     LAA,
     UAA,
     CriterionSpec,
+    DecisionProblem,
     GeneralizedTrapezoid,
     IT2TrFN,
     PipelineParams,
     average_ratings,
+    average_weights,
+    builtin_rating_scale,
+    builtin_weight_scale,
     baa,
     classify_and_score,
     crisp,
@@ -26,10 +30,12 @@ from it2mabac import (
     mul,
     normalize,
     rank_to_one,
+    run,
     weight,
 )
 from it2mabac.errors import (
     ComputationError,
+    MabacError,
     DegenerateRange,
     DimensionMismatch,
     EndpointOrderViolation,
@@ -39,7 +45,7 @@ from it2mabac.errors import (
     TooFewValues,
     ZeroHeight,
 )
-from it2mabac.pipeline import column_range
+from it2mabac.pipeline import _range
 from worked_example import CRITERIA, TABLE11_A2_DELTAS, table6_matrix
 
 BENEFIT = [CriterionSpec(name) for name in CRITERIA]
@@ -50,21 +56,35 @@ def aggregated():
     return [[make(*cell) for cell in row] for row in table6_matrix()]
 
 
+def _reference(matrix, j, name):
+    """The reference endpoints (a_minus, a_plus) of column j, as normalize takes them."""
+    return _range([row[j].upper.a1 for row in matrix], [row[j].upper.a4 for row in matrix], name)
+
+
 class TestColumnRange:
     def test_c1_reference_points(self, aggregated):
-        assert column_range(aggregated, 0, "C1") == pytest.approx((5.67, 9.67), abs=0.01)
+        assert _reference(aggregated, 0, "C1") == pytest.approx((5.67, 9.67), abs=0.01)
 
     def test_c2_reference_points(self, aggregated):
-        assert column_range(aggregated, 1, "C2") == pytest.approx((5.00, 10.00))
+        assert _reference(aggregated, 1, "C2") == pytest.approx((5.00, 10.00))
 
     def test_single_row_column(self):
         matrix = [[make((3, 5, 5, 7, 1.0), (4, 5, 5, 6, 0.9))]]
-        assert column_range(matrix, 0, "C1") == (3.0, 7.0)
+        assert _reference(matrix, 0, "C1") == (3.0, 7.0)
 
     def test_degenerate_column_names_criterion(self):
         cell = crisp(2.0)
-        with pytest.raises(DegenerateRange, match="flatline"):
-            column_range([[cell], [cell]], 0, name="flatline")
+        with pytest.raises(DegenerateRange, match="flatline") as info:
+            normalize([[cell], [cell]], [CriterionSpec("flatline")])
+        assert str(info.value) == "criterion flatline: all upper endpoints coincide at 2, nothing to scale against"
+        assert info.value._cell is None
+
+    def test_range_that_is_not_finite_names_criterion(self):
+        with pytest.raises(ComputationError) as info:
+            normalize([[crisp(-1e308)], [crisp(1e308)]], [CriterionSpec("wide")])
+        assert type(info.value) is ComputationError
+        assert str(info.value) == "criterion wide: the range a+ - a- = 1e+308 - -1e+308 is not a finite number"
+        assert info.value._cell is None
 
 
 class TestNormalize:
@@ -294,7 +314,7 @@ def test_cost_benefit_duality(rows):
     # normalizing as cost equals reflecting each value through the column's
     # reference points and normalizing as benefit
     matrix = [[row[0]] for row in rows] + [[make((0, 2, 5, 10, 1.0), (1, 2, 5, 9, 0.9))]]
-    a_minus, a_plus = column_range(matrix, 0, "c")
+    a_minus, a_plus = _reference(matrix, 0, "c")
     as_cost = normalize(matrix, [CriterionSpec("c", "cost")])
 
     def reflect(t):
@@ -320,7 +340,7 @@ def test_normalize_is_the_per_endpoint_formula(rows, senses):
     specs = [CriterionSpec(f"c{j}", sense) for j, sense in enumerate(senses)]
     want = [[] for _ in matrix]
     for j, spec in enumerate(specs):
-        a_minus, a_plus = column_range(matrix, j, spec.name)
+        a_minus, a_plus = _reference(matrix, j, spec.name)
         rng = a_plus - a_minus
         for out, row in zip(want, matrix):
             cell = []
@@ -389,7 +409,7 @@ def test_steps_3_4_and_6_are_the_per_cell_formulas_bit_for_bit(rows, senses, wei
     for row in matrix:
         out = []
         for j, (spec, v) in enumerate(zip(specs, row)):
-            a_minus, a_plus = column_range(matrix, j, spec.name)
+            a_minus, a_plus = _reference(matrix, j, spec.name)
             rng = a_plus - a_minus
             cell = []
             for t in (v.upper, v.lower):
@@ -482,14 +502,19 @@ def _flat(x):
     return IT2TrFN(t, t)
 
 #: Matrices with faults in two cells of different rows and columns, and the fault reported:
-#: steps 2, 4 and 6 scan row by row, steps 3 and 5 column by column; a fault of step 2's
-#: mean or step 4's product names no cell.
+#: steps 2, 4 and 6 scan row by row, steps 3 and 5 column by column, and every fault of a
+#: cell names it.
 FIRST_FAULTS = {
     "step 2, two cells": (
         lambda: average_ratings([[[_flat(1.0), _rounded_up(7.85e-9, 6.95e-9)],
                                   [_rounded_up(3.02e-8, 2.93e-8), _flat(1.0)]],
                                  [[_flat(1.0), _flat(1e8)], [_flat(4e8), _flat(1.0)]]]),
-        EndpointOrderViolation, None, _ORDER.format("50000000.00000001", "50000000.0"),
+        EndpointOrderViolation, (0, 1), _ORDER.format("50000000.00000001", "50000000.0"),
+    ),
+    "step 2, an overflow before a cell out of order": (
+        lambda: average_ratings([[[_flat(1.0), _flat(1e308)], [_rounded_up(3.02e-8, 2.93e-8), _flat(1.0)]],
+                                 [[_flat(1.0), _flat(1e308)], [_flat(4e8), _flat(1.0)]]]),
+        ComputationError, (0, 1), "the mean overflows on finite values",
     ),
     "step 3, two columns": (
         lambda: normalize([[_LOW, _tolerated(5e-4, 1e-3)], [_tolerated(5e-4, 1e-3), _LOW], [_LOW, _LOW]],
@@ -507,7 +532,7 @@ FIRST_FAULTS = {
     ),
     "step 4, a product out of order before a negative cell": (
         lambda: weight([[crisp(0.0), _tolerated(0.5, 1.0)], [_BELOW, crisp(0.0)]], [crisp(1000.0)] * 2),
-        EndpointOrderViolation, None, _ORDER.format("1500.0000009", "1500.0"),
+        EndpointOrderViolation, (0, 1), _ORDER.format("1500.0000009", "1500.0"),
     ),
     "step 4, a negative cell before a product out of order": (
         lambda: weight([[crisp(0.0), _BELOW], [_tolerated(0.5, 1.0), crisp(0.0)]], [crisp(1000.0)] * 2),
@@ -522,7 +547,17 @@ FIRST_FAULTS = {
     "step 3, a range that is not finite before a cell": (
         lambda: normalize([[crisp(-1e308), _tolerated(5e-4, 1e-3)], [crisp(1e308), _LOW]],
                           [CriterionSpec("c0"), CriterionSpec("c1")]),
-        EndpointOrderViolation, (0, 1), _ORDER.format("0.5000009", "0.5"),
+        ComputationError, None, "criterion c0: the range a+ - a- = 1e+308 - -1e+308 is not a finite number",
+    ),
+    "step 3, a cell that overflows before one out of order": (
+        lambda: normalize([[make((0, 0, 0, 1e-8, 1.0), (0, 0, 0, 1e305, 0.9)), _tolerated(5e-4, 1e-3)],
+                           [crisp(0.0), _LOW]], [CriterionSpec("c0"), CriterionSpec("c1")]),
+        ComputationError, (0, 0), "an endpoint scaled to [0.0, 1e-08] overflows on finite values",
+    ),
+    "step 6, a distance that overflows before a cell": (
+        lambda: crisp_matrices([[make((0, 1e300, 1e300, 1e300, 1e-12), (0, 1e300, 1e300, 1e300, 1e-12))],
+                                [make((1, 2, 2, 3, 1e-160), (1, 2, 2, 3, 1e-160))]], [crisp(1.0)]),
+        ComputationError, (0, 0), "the rank-based distance overflows on finite endpoints",
     ),
     "step 5, two columns": (
         lambda: baa([[crisp(1.0), _BELOW], [make((-1, 0, 0, 1, 1.0), (-0.5, 0, 0, 0.5, 0.9)), crisp(1.0)]]),
@@ -543,3 +578,99 @@ def test_a_matrix_with_two_faults_reports_the_first_in_stage_order(case):
     assert type(info.value) is error
     assert info.value._cell == cell
     assert str(info.value) == message
+
+
+#: Endpoints out to the edge of the float range, of either sign, and heights down to 1e-12:
+#: the sizes at which a stage can overflow on finite inputs. Most values stay on the unit
+#: scale, so that problems also reach the later steps.
+_EDGE = st.one_of(st.sampled_from([0.0, 1e-300, 1e300, 1e307, 1e308, 1.7e308]), finite(0.0, 1e308),
+                  finite(-1e308, 0.0))
+_HEIGHT = st.one_of(st.sampled_from([1.0, 1e-6, 1e-12]), finite(1e-12, 1.0))
+
+
+@st.composite
+def _trapezoids(draw, point, height, outside):
+    upper = sorted(draw(st.lists(point, min_size=4, max_size=4)))
+    # a lower trapezoid reaching far outside the upper one is mostly refused at step 4
+    inside = finite(upper[0], upper[3])
+    lower = sorted(draw(st.lists(st.one_of(inside, point) if outside else inside, min_size=4, max_size=4)))
+    hu = draw(height)
+    return IT2TrFN(GeneralizedTrapezoid(*upper, hu), GeneralizedTrapezoid(*lower, min(hu, draw(height))))
+
+
+_edge_values = st.integers(0, 7).flatmap(
+    lambda k: _trapezoids(finite(0.0, 10.0), finite(0.5, 1.0), False) if k > 1
+    else _trapezoids(st.one_of(finite(0.0, 10.0), _EDGE), _HEIGHT, k))
+
+
+@st.composite
+def _edge_problems(draw):
+    k, p, q = draw(st.integers(1, 2)), draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    experts = [f"DM{e}" for e in range(k)]
+    values = st.lists(_edge_values, min_size=q, max_size=q)
+    return DecisionProblem(
+        alternatives=[f"A{i}" for i in range(p)],
+        criteria=[CriterionSpec(f"C{j}", draw(st.sampled_from(["benefit", "cost"]))) for j in range(q)],
+        experts=experts, weight_scale=builtin_weight_scale(), rating_scale=builtin_rating_scale(),
+        expert_weights={e: draw(values) for e in experts},
+        expert_ratings={e: [draw(values) for _ in range(p)] for e in experts},
+        params=PipelineParams(lam=draw(st.sampled_from([0.0, 0.5, 1.0])),
+                              baa_operator=draw(st.sampled_from(["bonferroni", "geomean"]))),
+    )
+
+
+def _all_finite(*parts):
+    """Whether every number of ``parts`` (values, numbers, and lists or matrices of them) is finite."""
+    for part in parts:
+        if isinstance(part, IT2TrFN):
+            part = [x for t in (part.upper, part.lower) for x in (*t.endpoints, t.h)]
+        if isinstance(part, (int, float)):
+            if not math.isfinite(part):
+                return False
+        elif not isinstance(part, str) and not _all_finite(*part):
+            return False
+    return True
+
+
+def _first_refusal(problem):
+    """The label of the first stage that refuses ``problem``, calling the stage functions one
+    at a time; every output of a stage that does not refuse must be finite."""
+    params, criteria, alternatives = problem.params, list(problem.criteria), list(problem.alternatives)
+    stages = [
+        ("step 1 (average weights)", lambda: average_weights([problem.expert_weights[e] for e in problem.experts])),
+        ("step 2 (average decision matrix)",
+         lambda: average_ratings([problem.expert_ratings[e] for e in problem.experts])),
+        ("step 3 (normalization)", lambda: normalize(outputs[1], criteria)),
+        ("step 4 (weighting)", lambda: weight(outputs[2], outputs[0])),
+        ("step 5 (border approximation area)",
+         lambda: baa(outputs[3], r=params.r, s=params.s, operator=params.baa_operator)),
+        ("step 6 (distance matrices)", lambda: crisp_matrices(outputs[3], outputs[4], lam=params.lam)),
+        ("step 7 (classification and ranking)", lambda: classify_and_score(outputs[5][2], alternatives)),
+    ]
+    outputs = []
+    for label, stage in stages:
+        try:
+            outputs.append(stage())
+        except MabacError:
+            return label, outputs
+        assert _all_finite(outputs[-1]), f"{label} wrote a number that is not finite"
+    return None, outputs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(problem=_edge_problems())
+def test_no_nan_reaches_step_7(problem):
+    # run refuses a problem at the first stage that refuses it alone, with that stage's
+    # label; no stage writes a number that is not finite, so step 7 refuses only a row
+    # sum of finite differences that overflows
+    label, outputs = _first_refusal(problem)
+    if label is None:
+        trace = run(problem)
+        assert _all_finite(trace.aggregated_weights, trace.aggregated_ratings, trace.normalized,
+                           trace.weighted, trace.baa, trace.q, trace.g, trace.delta, trace.scores)
+        return
+    with pytest.raises(MabacError) as info:
+        run(problem)
+    assert str(info.value).startswith(label + ": ")
+    if label.startswith("step 7"):
+        assert _all_finite(outputs[5][2])
