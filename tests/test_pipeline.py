@@ -35,11 +35,11 @@ from it2mabac import (
 )
 from it2mabac.errors import (
     ComputationError,
-    MabacError,
     DegenerateRange,
     DimensionMismatch,
     EndpointOrderViolation,
     InvalidParams,
+    MabacError,
     NegativeOperand,
     ProblemSyntaxError,
     TooFewValues,
@@ -497,23 +497,19 @@ def _rounded_up(a1, a2):
     return IT2TrFN(t, t)
 
 
-def _flat(x):
-    t = GeneralizedTrapezoid(x, x, x, x, 1.0)
-    return IT2TrFN(t, t)
-
 #: Matrices with faults in two cells of different rows and columns, and the fault reported:
 #: steps 2, 4 and 6 scan row by row, steps 3 and 5 column by column, and every fault of a
 #: cell names it.
 FIRST_FAULTS = {
     "step 2, two cells": (
-        lambda: average_ratings([[[_flat(1.0), _rounded_up(7.85e-9, 6.95e-9)],
-                                  [_rounded_up(3.02e-8, 2.93e-8), _flat(1.0)]],
-                                 [[_flat(1.0), _flat(1e8)], [_flat(4e8), _flat(1.0)]]]),
+        lambda: average_ratings([[[crisp(1.0), _rounded_up(7.85e-9, 6.95e-9)],
+                                  [_rounded_up(3.02e-8, 2.93e-8), crisp(1.0)]],
+                                 [[crisp(1.0), crisp(1e8)], [crisp(4e8), crisp(1.0)]]]),
         EndpointOrderViolation, (0, 1), _ORDER.format("50000000.00000001", "50000000.0"),
     ),
     "step 2, an overflow before a cell out of order": (
-        lambda: average_ratings([[[_flat(1.0), _flat(1e308)], [_rounded_up(3.02e-8, 2.93e-8), _flat(1.0)]],
-                                 [[_flat(1.0), _flat(1e308)], [_flat(4e8), _flat(1.0)]]]),
+        lambda: average_ratings([[[crisp(1.0), crisp(1e308)], [_rounded_up(3.02e-8, 2.93e-8), crisp(1.0)]],
+                                 [[crisp(1.0), crisp(1e308)], [crisp(4e8), crisp(1.0)]]]),
         ComputationError, (0, 1), "the mean overflows on finite values",
     ),
     "step 3, two columns": (
@@ -633,8 +629,8 @@ def _all_finite(*parts):
 
 
 def _first_refusal(problem):
-    """The label of the first stage that refuses ``problem``, calling the stage functions one
-    at a time; every output of a stage that does not refuse must be finite."""
+    """The label of the first stage that refuses ``problem``, or None, and the outputs of the
+    stages before it, calling the stage functions one at a time; each output must be finite."""
     params, criteria, alternatives = problem.params, list(problem.criteria), list(problem.alternatives)
     stages = [
         ("step 1 (average weights)", lambda: average_weights([problem.expert_weights[e] for e in problem.experts])),
