@@ -111,21 +111,22 @@ _LEAST_COUNTED, _COUNTED_COST = 100, 10
 
 def average_weights(vectors: list[list[IT2TrFN]]) -> list[IT2TrFN]:
     """Component-wise mean of the experts' weight vectors (one per expert), as q x 1 matrices."""
-    return [row[0] for row in _average([[[w] for w in v] for v in vectors], True)] if vectors else []
+    return list(map(_value, *_average([(_columns(v),) for v in vectors], True)[0])) if vectors else []
 
 
 def average_ratings(matrices: Sequence[Sequence[Sequence[IT2TrFN]]]) -> Matrix:
     """Component-wise mean of the experts' p x q rating matrices (one per expert), each
     entry the bits of ``mean`` of its cell; faults are refused row by row, naming their cell."""
-    return _average(matrices, False) if matrices else Matrix([], 0)
-
-
-def _average(matrices: Sequence[Sequence[Sequence[IT2TrFN]]], vector: bool) -> Matrix:
-    """The mean of ``matrices`` (at least one); a fault names its cell (i, j), or weight (None, i)."""
+    if not matrices:
+        return Matrix([], 0)
     p = len(matrices[0])
     width = len(matrices[0][0]) if p else 0
-    experts = [Matrix.of(m, width, "criteria").columns for m in matrices]
-    factor = 1.0 / len(matrices)
+    return Matrix(_average([Matrix.of(m, width, "criteria").columns for m in matrices], False), p)
+
+
+def _average(experts: list[Sequence[Sequence[tuple]]], vector: bool) -> list[list[tuple]]:
+    """The mean of the experts' matrices, as columns; a fault names its cell, or weight (None, i)."""
+    factor = 1.0 / len(experts)
     columns = [[tuple(map(mul, reduce(lambda a, b: map(add, a, b), position), repeat(factor)))
                 if e % 5 != 4 else tuple(map(min, zip(*position)))  # heights take the least
                 for e, position in enumerate(zip(*per_expert))]
@@ -133,9 +134,9 @@ def _average(matrices: Sequence[Sequence[Sequence[IT2TrFN]]], vector: bool) -> M
     if not (all(map(_ordered, columns)) and _finite_sums(chain.from_iterable(columns))):
         _locate((((None, i) if vector else (i, j),
                   ([c[i] for e in experts for c in e[j]], [c[i] for c in ten]))
-                 for i in range(p) for j, ten in enumerate(columns)),
+                 for i in range(len(columns[0][0])) for j, ten in enumerate(columns)),
                 lambda inputs, mean: _check_cell(inputs, mean, "the mean overflows on finite values"))
-    return Matrix(columns, p)
+    return columns
 
 
 def _check_exponents(r: float, s: float) -> None:

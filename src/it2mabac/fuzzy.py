@@ -326,8 +326,9 @@ def _require_cone(columns: Sequence[tuple], context: str, cells: Iterable = repe
 
 
 def _finite_sums(columns: Iterable[Sequence[float]]) -> bool:
-    """Whether every column sums to a finite number; False may be a sum that overflows."""
-    return all(map(math.isfinite, map(sum, columns)))
+    """Whether the sum of the columns' sums is finite, as it is where every number is; False
+    may also be a sum that overflows."""
+    return math.isfinite(sum(map(sum, columns)))
 
 
 def _overflows(inputs: Iterable[float], outputs: Iterable[float]) -> bool:
