@@ -87,7 +87,7 @@ import sys
 from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
 from functools import reduce
-from itertools import chain, combinations, compress, islice, product, repeat, starmap
+from itertools import combinations, compress, islice, product, repeat, starmap
 from math import exp, frexp, fsum, inf, ldexp, log, prod
 from operator import add, mul
 
@@ -119,9 +119,9 @@ def average_ratings(matrices: Sequence[Sequence[Sequence[IT2TrFN]]]) -> Matrix:
     entry the bits of ``mean`` of its cell; faults are refused row by row, naming their cell."""
     if not matrices:
         return Matrix([], 0)
-    p = len(matrices[0])
-    width = len(matrices[0][0]) if p else 0
-    return Matrix(_average([Matrix.of(m, width, "criteria").columns for m in matrices], False), p)
+    first = Matrix.of(matrices[0], what="criteria")
+    rest = [Matrix.of(m, len(first.columns), "criteria").columns for m in matrices[1:]]
+    return Matrix(_average([first.columns, *rest], False), len(first))
 
 
 def _average(experts: list[Sequence[Sequence[tuple]]], vector: bool) -> list[list[tuple]]:
@@ -131,7 +131,7 @@ def _average(experts: list[Sequence[Sequence[tuple]]], vector: bool) -> list[lis
                 if e % 5 != 4 else tuple(map(min, zip(*position)))  # heights take the least
                 for e, position in enumerate(zip(*per_expert))]
                for per_expert in zip(*experts)]  # per criterion, each expert's ten columns
-    if not (all(map(_ordered, columns)) and _finite_sums(chain.from_iterable(columns))):
+    if not (all(map(_ordered, columns)) and _finite_sums([c for ten in columns for c in ten])):
         _locate((((None, i) if vector else (i, j),
                   ([c[i] for e in experts for c in e[j]], [c[i] for c in ten]))
                  for i in range(len(columns[0][0])) for j, ten in enumerate(columns)),

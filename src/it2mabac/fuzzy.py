@@ -139,13 +139,15 @@ class Matrix(Sequence):
         self.columns, self._p = tuple(map(tuple, columns)), p
 
     @classmethod
-    def of(cls, rows: Sequence[Sequence[IT2TrFN]], width: int, what: str) -> Matrix:
+    def of(cls, rows: Sequence[Sequence[IT2TrFN]], width: int | None = None, what: str = "entries") -> Matrix:
         """``rows`` as a Matrix, after a DimensionMismatch for a row that is not ``width``
-        entries wide; ``zip`` would cut a long row short without a word. A Matrix is kept."""
+        entries wide, or as wide as the first row where no width is given; ``zip`` would
+        cut a long row short without a word. A Matrix is kept."""
         if isinstance(rows, Matrix):
-            widths = {len(rows.columns)} if len(rows) else set()
+            widths, first = {len(rows.columns)} if len(rows) else set(), len(rows.columns)
         else:
-            widths = set(map(len, rows))
+            widths, first = set(map(len, rows)), len(rows[0]) if rows else 0
+        width = first if width is None else width
         if widths - {width}:
             raise DimensionMismatch(f"matrix rows have widths {sorted(widths)}, expected {width} {what}")
         if isinstance(rows, Matrix):
@@ -325,10 +327,10 @@ def _require_cone(columns: Sequence[tuple], context: str, cells: Iterable = repe
         _locate(zip(cells, zip(*columns)), lambda *x: _require_nonnegative(_value(*x), context))
 
 
-def _finite_sums(columns: Iterable[Sequence[float]]) -> bool:
-    """Whether the sum of the columns' sums is finite, as it is where every number is; False
-    may also be a sum that overflows."""
-    return math.isfinite(sum(map(sum, columns)))
+def _finite_sums(columns: Sequence[Sequence[float]]) -> bool:
+    """Whether every number of ``columns`` is finite: the sum of their sums is, where it
+    does not overflow, and only where it is not are the numbers tested one by one."""
+    return math.isfinite(sum(map(sum, columns))) or all(map(math.isfinite, chain.from_iterable(columns)))
 
 
 def _overflows(inputs: Iterable[float], outputs: Iterable[float]) -> bool:
@@ -347,7 +349,9 @@ def _check_cell(inputs: Iterable[float], outputs: Sequence[float], message: str)
 def _locate(cells: Iterable[tuple], check) -> None:
     """The one fault locator of steps 1-6, run where a scan of a stage's columns fired: the
     first package error of ``check(*numbers)`` over the ``(cell, numbers)`` pairs, given in
-    the stage's order, is raised with ``_cell = cell``. A scan that fired on no fault returns."""
+    the stage's order, is raised with ``_cell = cell``. The scans are exact, so a scan fires
+    only on a cell that breaks a rule, or on a number that is not finite in the stage's
+    input, which the stage carries; the locator then finds no fault and returns."""
     for cell, numbers in cells:
         try:
             check(*numbers)

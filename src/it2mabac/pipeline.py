@@ -4,10 +4,12 @@ All stage functions are pure transformations of fuzzy matrices. They take a
 ``fuzzy.Matrix`` or any sequence of rows (one row per alternative), read
 through ``Matrix.of``, and steps 3-4 return a ``Matrix``: each computes one
 float column per endpoint of each criterion, with the per-cell formula in the
-same order, so no bit moves. The rules a value must keep run as scans over
-those columns; one of them, for steps 1-6, refuses a number that is not
-finite written from inputs that all are. Where a scan fires, ``fuzzy._locate``
-finds the first fault in the stage's order, with its own class, text and cell.
+same order, so no bit moves. The rules a value must keep run as exact scans
+over those columns; one of them, for steps 1-6, refuses a number that is not
+finite written from inputs that all are. A scan fires only where a cell breaks
+a rule, or where the stage carries an input that is not finite; then
+``fuzzy._locate`` finds the first fault in the stage's order, with its own
+class, text and cell.
 
 Reference points for normalization come from the upper trapezoids only;
 lower endpoints are scaled against the same range, which may push them
@@ -124,7 +126,7 @@ def weight(normalized: _Rows, weights: list[IT2TrFN]) -> Matrix:
                 for e, (we, c) in enumerate(zip(w, ten))]
                for w, ten in zip(w_numbers, n.columns)]
     if (any(_below_cone(ten, 1.0) for ten in n.columns) or not all(map(_ordered, columns))
-            or not _finite_sums(chain.from_iterable(columns))):
+            or not _finite_sums([c for ten in columns for c in ten])):
         _locate((((i, j), (w, [c[i] for c in ten], [c[i] for c in out])) for i in range(len(n))
                  for j, (w, ten, out) in enumerate(zip(w_numbers, n.columns, columns))), _check_weighted)
     return Matrix(columns, len(n))
@@ -150,8 +152,7 @@ def baa(
     if len(weighted) < 2:
         raise TooFewValues(f"the border approximation area needs at least two alternatives, "
                            f"got {len(weighted)}")
-    width = len(weighted.columns) if isinstance(weighted, Matrix) else len(weighted[0])
-    columns = Matrix.of(weighted, width, "criteria").columns
+    columns = Matrix.of(weighted, what="criteria").columns
     result = [aggregate(ten, r, s) for ten in columns]
 
     def check(ten: Sequence[tuple], g: tuple) -> None:
@@ -160,7 +161,7 @@ def baa(
 
     if (any(map(_below_cone, columns)) or not _ordered([*zip(*result)] or [()] * 10)
             or not _finite_sums(result)):
-        _locate(zip([(None, j) for j in range(width)], zip(columns, result)), check)
+        _locate(zip([(None, j) for j in range(len(columns))], zip(columns, result)), check)
     return [_value(*g) for g in result]
 
 

@@ -20,7 +20,8 @@ The three fuzzy matrices (``aggregated_ratings``, ``normalized`` and
 from the columns without building an IT2TrFN: a text table takes one
 criterion's ten columns at a time, and a machine row zips the ten columns of
 every criterion. A trace holding plain rows instead (``dataclasses.replace``
-gives one) is read through ``Matrix.of`` first. The matrices of a term-rated
+gives one) is read through ``Matrix.of`` first, as wide as its first row, so
+a ragged one is a DimensionMismatch. The matrices of a term-rated
 problem repeat their floats: a builtin term's endpoints are multiples of
 0.5, and each later stage maps a column's equal values to equal values. So
 where at least half of a matrix's numbers repeat, a set collects its
@@ -66,17 +67,10 @@ def _fuzzy_vector_lines(trace, vector):
 
 def _fuzzy_matrix_lines(trace, matrix):
     lines = []
-    for spec, ten in zip(trace.criteria, _as_matrix(matrix).columns):
+    for spec, ten in zip(trace.criteria, Matrix.of(matrix).columns):
         lines.append(f"  {spec.name}:")
         lines.extend(_fuzzy_lines(trace.alternatives, map(_FUZZY_TEXT, *ten), indent="    "))
     return lines
-
-
-def _as_matrix(matrix: _Rows) -> Matrix:
-    """A trace's fuzzy matrix as a Matrix; rows, as ``dataclasses.replace`` may give, are read."""
-    if isinstance(matrix, Matrix):
-        return matrix
-    return Matrix.of(matrix, len(matrix[0]) if matrix else 0, "entries")
 
 
 def _crisp_matrix_lines(trace, matrix, fmt="{:8.2f}"):
@@ -219,7 +213,7 @@ def _float_texts(columns: list[tuple]) -> dict | None:
 def _fuzzy_matrix_json(matrix: _Rows, indent: str) -> list[str]:
     """``_pieces`` of the matrix's rows, each zipped from the ten columns of every criterion
     and its floats formatted through ``_float_texts``."""
-    m = _as_matrix(matrix)
+    m = Matrix.of(matrix)
     columns = [*chain.from_iterable(m.columns)]
     texts = _float_texts(columns)
     if texts is not None:

@@ -3,7 +3,7 @@ import yaml
 from hypothesis import strategies as st
 
 import it2mabac.problem
-from it2mabac import GeneralizedTrapezoid, IT2TrFN, load_example_problem, run
+from it2mabac import GeneralizedTrapezoid, IT2TrFN, aggregation, fuzzy, load_example_problem, pipeline, run
 
 
 def finite(lo, hi):
@@ -53,3 +53,20 @@ def yaml_loader(request, monkeypatch):
     if request.param == "pure-python":
         monkeypatch.setattr(it2mabac.problem, "_Loader", yaml.SafeLoader)
     return request.param
+
+
+@pytest.fixture
+def locate_calls(monkeypatch):
+    """The checks the fault locator ``fuzzy._locate`` is called with, one per call.
+
+    ``aggregation`` and ``pipeline`` import it by name, so it is counted in all three modules.
+    """
+    calls, locate = [], fuzzy._locate
+
+    def counted(cells, check):
+        calls.append(check)
+        return locate(cells, check)
+
+    for module in (fuzzy, aggregation, pipeline):
+        monkeypatch.setattr(module, "_locate", counted)
+    return calls

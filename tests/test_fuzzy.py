@@ -29,7 +29,7 @@ from it2mabac.errors import (
     NegativeScalar,
     ProblemSyntaxError,
 )
-from it2mabac.fuzzy import _SHOWN_DEPTH, _SHOWN_ENTRIES, _shown, endpointwise
+from it2mabac.fuzzy import _SHOWN_DEPTH, _SHOWN_ENTRIES, _finite_sums, _shown, endpointwise
 
 GOOD = make((7, 9, 9, 10, 1.0), (8, 9, 9, 9.5, 0.9))
 H = make((0.7, 0.9, 0.9, 1.0, 1.0), (0.8, 0.9, 0.9, 0.95, 0.9))
@@ -280,6 +280,17 @@ def test_mean_rejects_empty_input():
 
     with pytest.raises(EmptyInput):
         mean([])
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [[(1e308, 1e308), (1.0,)], [(1e308,), (1e308, -1e308), (-1e308, -1e308)]],
+    ids=["overflow", "inf-minus-inf"],
+)
+def test_finite_sums_is_finite_where_the_sum_of_finite_numbers_overflows(columns):
+    assert _finite_sums(columns)
+    for bad in (math.inf, -math.inf, math.nan):
+        assert not _finite_sums([*columns, (1.0, bad, 2.0)])
 
 
 def _map_lifted(fn, *values):

@@ -58,8 +58,9 @@ def _templates_digest(render_fn) -> str:
     return digest.hexdigest()
 
 
-def test_benchmark_templates_are_byte_identical():
+def test_benchmark_templates_are_byte_identical(locate_calls):
     assert _templates_digest(render_machine) == TEMPLATES_SHA256
+    assert locate_calls == []  # every scan is exact, so a run that succeeds locates nothing
 
 
 def test_benchmark_template_text_reports_are_byte_identical():

@@ -37,6 +37,7 @@ from it2mabac.errors import (
     ProblemSyntaxError,
     UnknownTerm,
 )
+from test_oracle import _GEN
 from worked_example import EXPECTED_RANKING, EXPECTED_SCORES, EXPECTED_SCORES_GEOMEAN
 
 
@@ -655,6 +656,24 @@ class TestRun:
         trace = run(problem)
         assert trace.aggregated_weights == list(problem.expert_weights["DM1"])
         assert trace.aggregated_ratings == list(map(list, problem.expert_ratings["DM1"]))
+
+    @pytest.mark.parametrize(
+        "document, huge, ranking",
+        [(example_problem_text, 1e307, EXPECTED_RANKING),
+         (lambda: _GEN.emit(_GEN.template("scale-bonferroni", 0)), 1e306, None)],
+        ids=["example", "p150"],
+    )
+    def test_finite_numbers_summing_past_the_float_range_locate_no_fault(
+        self, locate_calls, document, huge, ranking
+    ):
+        # every weight's endpoints are finite, but stages hold numbers whose sum overflows:
+        # the scans still pass every cell
+        doc = yaml.safe_load(document())
+        value = [[huge] * 4 + [1.0], [huge] * 4 + [0.9]]
+        doc["weights"] = {e: [value] * len(doc["criteria"]) for e in doc["experts"]}
+        trace = run(parse_problem(_dump(doc)))
+        assert ranking is None or trace.ranking() == ranking
+        assert locate_calls == []
 
     def test_identical_alternatives_tie_stably(self):
         doc = _doc()

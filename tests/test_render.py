@@ -148,6 +148,15 @@ def test_a_trace_of_plain_rows_renders_as_the_run_does(example_trace, fields):
         assert render_section_machine(rows, table) == render_section_machine(example_trace, table)
 
 
+def test_a_trace_of_ragged_plain_rows_is_refused(example_trace):
+    rows = [list(row) for row in example_trace.weighted]
+    ragged = dataclasses.replace(example_trace, weighted=[rows[0], rows[1][:4], rows[2]])
+    for render_fn in (render_text, render_machine):
+        with pytest.raises(DimensionMismatch) as info:
+            render_fn(ragged)
+        assert str(info.value) == "matrix rows have widths [4, 5], expected 5 entries"
+
+
 def test_trace_from_json_checks_params_as_documents_do(example_trace):
     doc = json.loads(render_machine(example_trace))
     doc["params"]["r"] = True
