@@ -85,9 +85,9 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import reduce
-from itertools import combinations, compress, islice, product, repeat, starmap
+from itertools import chain, combinations, compress, islice, product, repeat, starmap
 from math import exp, frexp, fsum, inf, ldexp, log, prod
 from operator import add, mul
 
@@ -107,6 +107,14 @@ _LN2 = log(2.0)
 #: The fewest values of a Bonferroni column that is counted, and the cost of a counted
 #: factor in block-form factors, both measured (see the module docstring).
 _LEAST_COUNTED, _COUNTED_COST = 100, 10
+
+
+def mean(values: Iterable[IT2TrFN]) -> IT2TrFN:
+    """Component-wise average of one or more values (sum scaled by 1/k): step 1 on one criterion."""
+    items = list(values)
+    if not items:
+        raise EmptyInput("cannot average zero values")
+    return average_weights([[v] for v in items])[0]
 
 
 def average_weights(vectors: list[list[IT2TrFN]]) -> list[IT2TrFN]:
@@ -158,9 +166,7 @@ def tit2fgbm(values: Sequence[IT2TrFN], r: float = 1.0, s: float = 1.0) -> IT2Tr
     A non-finite r or s, or exponents ``_check_exponents`` refuses, raise InvalidParams.
     """
     columns = _columns(values)
-    mean = _bonferroni(columns, r, s)
-    _require_cone(columns, "the Bonferroni mean")
-    return _value(*mean)
+    return _checked_mean(columns, _bonferroni(columns, r, s), "bonferroni", r, s)
 
 
 def _bonferroni(columns: Sequence[tuple], r: float, s: float) -> tuple[float, ...]:
@@ -197,9 +203,7 @@ def _distinct_factors(s: float, v: list[float], m: list[int]) -> tuple[list[floa
 def geometric_mean(values: Sequence[IT2TrFN]) -> IT2TrFN:
     """Endpoint-wise geometric mean of n >= 1 non-negative values."""
     columns = _columns(values)
-    mean = _geometric(columns)
-    _require_cone(columns, "the geometric mean")
-    return _value(*mean)
+    return _checked_mean(columns, _geometric(columns), "geomean", 0.0, 1.0)
 
 
 def _geometric(columns: Sequence[tuple]) -> tuple[float, ...]:
@@ -208,6 +212,21 @@ def _geometric(columns: Sequence[tuple]) -> tuple[float, ...]:
     if n == 0:
         raise EmptyInput("the geometric mean needs at least one value")
     return _root_of_product(columns, iter, n, 0.0, 1.0)
+
+
+#: Each BAA operator: its function of (ten float columns, r, s) giving ten numbers, and its name.
+_OPERATORS = {"bonferroni": (_bonferroni, "the Bonferroni mean"),
+              "geomean": (lambda columns, r, s: _geometric(columns), "the geometric mean")}
+
+
+def _checked_mean(columns: Sequence[tuple], mean: Sequence[float], operator: str, r: float,
+                  s: float) -> IT2TrFN:
+    """The value of ``mean``, the ten numbers ``operator`` wrote at r, s from the values whose
+    ten columns are ``columns``: refused where one of those is below the cone, where it
+    overflows on finite values, and where it is no IT2TrFN."""
+    _require_cone(columns, _OPERATORS[operator][1])
+    return _check_cell(chain.from_iterable(columns), mean,
+                       f"the {operator} operator overflows with r={r!r}, s={s!r}")
 
 
 def _root_of_product(

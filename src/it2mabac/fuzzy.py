@@ -23,13 +23,11 @@ import math
 import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import reduce
-from itertools import chain, repeat
+from itertools import chain, repeat, starmap
 
 from .errors import (
     ComputationError,
     DimensionMismatch,
-    EmptyInput,
     EndpointOrderViolation,
     HeightOrderViolation,
     HeightOutOfRange,
@@ -280,16 +278,11 @@ def endpointwise(fn, *values: IT2TrFN) -> IT2TrFN:
 
     ``fn`` receives one endpoint position of every value (a1 of each, then a2,
     ...), first over the upper trapezoids, then over the lower ones; heights
-    combine with min. Only the result is built and validated.
+    combine with min. Only the result is built, through ``_check_cell``.
     """
-    return IT2TrFN(
-        GeneralizedTrapezoid(
-            *map(fn, *[v.upper.endpoints for v in values]), min([v.upper.h for v in values])
-        ),
-        GeneralizedTrapezoid(
-            *map(fn, *[v.lower.endpoints for v in values]), min([v.lower.h for v in values])
-        ),
-    )
+    columns = _columns(values)
+    numbers = (*starmap(fn, columns[:4]), min(columns[4]), *starmap(fn, columns[5:9]), min(columns[9]))
+    return _check_cell(chain.from_iterable(columns), numbers, "an endpoint overflows on finite values")
 
 
 def add(a: IT2TrFN, b: IT2TrFN) -> IT2TrFN:
@@ -338,12 +331,13 @@ def _overflows(inputs: Iterable[float], outputs: Iterable[float]) -> bool:
     return not all(map(math.isfinite, outputs)) and all(map(math.isfinite, inputs))
 
 
-def _check_cell(inputs: Iterable[float], outputs: Sequence[float], message: str) -> None:
-    """Refuse ``outputs``, the ten numbers a stage wrote from ``inputs``: with ``message`` as a
-    ComputationError where the finiteness rule refuses them, else where they are no IT2TrFN."""
+def _check_cell(inputs: Iterable[float], outputs: Sequence[float], message: str) -> IT2TrFN:
+    """The value of ``outputs``, the ten numbers a stage wrote from ``inputs``, refused with
+    ``message`` as a ComputationError where the finiteness rule refuses them, else where they
+    are no IT2TrFN."""
     if _overflows(inputs, outputs):
         raise ComputationError(message)
-    _value(*outputs)
+    return _value(*outputs)
 
 
 def _locate(cells: Iterable[tuple], check) -> None:
@@ -375,12 +369,3 @@ def crisp(c: float) -> IT2TrFN:
 #: The crisp unit, the reference point of the rank-based distance.
 CRISP_ONE = crisp(1.0)
 
-
-def mean(values: Iterable[IT2TrFN]) -> IT2TrFN:
-    """Component-wise average of one or more values (sum scaled by 1/k)."""
-    items = list(values)
-    if not items:
-        raise EmptyInput("cannot average zero values")
-    factor = 1.0 / len(items)
-    # A left fold of floats: a partial sum is never validated as a value.
-    return endpointwise(lambda *column: reduce(operator.add, column) * factor, *items)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import add, mul, sub
 
-from .aggregation import _bonferroni, _geometric
+from .aggregation import _OPERATORS, _checked_mean
 from .errors import (ComputationError, DegenerateRange, DimensionMismatch, InvalidParams,
                      ProblemSyntaxError, TooFewValues)
 from .fuzzy import (EPS, IT2TrFN, Matrix, _below_cone, _check_cell, _columns, _finite_sums, _locate,
@@ -40,10 +40,7 @@ LAA = "LAA"
 #: |q_ij - g_j| below this counts as sitting on the border area itself.
 CLASSIFICATION_TOLERANCE = 1e-9
 
-#: Each BAA operator: its function of (ten float columns, r, s) giving ten numbers, and its name.
-_BAA_AGGREGATES = {"bonferroni": (_bonferroni, "the Bonferroni mean"),
-                   "geomean": (lambda columns, r, s: _geometric(columns), "the geometric mean")}
-BAA_OPERATORS = tuple(_BAA_AGGREGATES)
+BAA_OPERATORS = tuple(_OPERATORS)
 
 #: What the stage functions take: a Matrix, or any sequence of rows of IT2TrFNs.
 _Rows = Sequence[Sequence[IT2TrFN]]
@@ -148,20 +145,16 @@ def baa(
     ``operator`` is one of BAA_OPERATORS, else a KeyError. Column by column, a value below the
     cone, an entry that overflows on a finite column or one out of order has ``_cell = (None, j)``.
     """
-    aggregate, name = _BAA_AGGREGATES[operator]
+    aggregate = _OPERATORS[operator][0]
     if len(weighted) < 2:
         raise TooFewValues(f"the border approximation area needs at least two alternatives, "
                            f"got {len(weighted)}")
     columns = Matrix.of(weighted, what="criteria").columns
     result = [aggregate(ten, r, s) for ten in columns]
-
-    def check(ten: Sequence[tuple], g: tuple) -> None:
-        _require_cone(ten, name)
-        _check_cell(chain.from_iterable(ten), g, f"the {operator} operator overflows with r={r!r}, s={s!r}")
-
     if (any(map(_below_cone, columns)) or not _ordered([*zip(*result)] or [()] * 10)
             or not _finite_sums(result)):
-        _locate(zip([(None, j) for j in range(len(columns))], zip(columns, result)), check)
+        _locate(zip([(None, j) for j in range(len(columns))], zip(columns, result)),
+                lambda ten, g: _checked_mean(ten, g, operator, r, s))
     return [_value(*g) for g in result]
 
 
@@ -172,17 +165,11 @@ def crisp_matrices(
     G are, as both are >= 0). Heights too small to divide by, and a distance that overflows
     on finite endpoints, are refused row by row and then along the BAA, naming their cell."""
     m = Matrix.of(weighted, len(baa_vector), "BAA entries")
-    b_numbers = _numbers(baa_vector)
     q_columns = [list(map(abs, map(_rank, *ten, repeat(lam)))) for ten in m.columns]
-    g_vector = [abs(_rank(*b, lam)) for b in b_numbers]
-
-    def check(*numbers: float) -> None:
-        if _overflows(numbers, (rank_to_one(_value(*numbers), lam),)):
-            raise ComputationError("the rank-based distance overflows on finite endpoints")
-
+    g_vector = [abs(_rank(*b, lam)) for b in _numbers(baa_vector)]
     if not _finite_sums([*q_columns, g_vector]):
-        _locate(chain((((i, j), n) for i, row in enumerate(m) for j, n in enumerate(_numbers(row))),
-                      (((None, j), n) for j, n in enumerate(b_numbers))), check)
+        _locate(chain((((i, j), (v,)) for i, row in enumerate(m) for j, v in enumerate(row)),
+                      (((None, j), (b,)) for j, b in enumerate(baa_vector))), lambda v: rank_to_one(v, lam))
     q_matrix = [list(row) for row in zip(*q_columns)] if q_columns else [[] for _ in range(len(m))]
     delta = [list(map(sub, row, g_vector)) for row in q_matrix]
     return q_matrix, g_vector, delta

@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import ZeroHeight
-from .fuzzy import IT2TrFN
+from .errors import ComputationError, ZeroHeight
+from .fuzzy import IT2TrFN, _overflows
 
 _NORMAL_MIN = sys.float_info.min
 
@@ -27,12 +27,16 @@ def rank_to_one(value: IT2TrFN, lam: float = 0.5) -> float:
     Callers that need the magnitude (as the decision pipeline does) take the
     absolute value themselves; the sign is kept so it can be inspected.
     Heights whose divisor ``2*hu*hl`` is not a normal float, so that the
-    quotient would lose its bits or be infinite, are a ZeroHeight.
+    quotient would lose its bits or be infinite, are a ZeroHeight, and a
+    distance that overflows on finite endpoints a ComputationError.
     """
     u, lo = value.upper, value.lower
     if 2.0 * u.h * lo.h < _NORMAL_MIN:
         raise ZeroHeight(f"membership heights {u.h!r} and {lo.h!r} are too small to divide by")
-    return _rank(*u.endpoints, u.h, *lo.endpoints, lo.h, lam)
+    numbers = (*u.endpoints, u.h, *lo.endpoints, lo.h)
+    if _overflows(numbers, (rank := _rank(*numbers, lam),)):
+        raise ComputationError("the rank-based distance overflows on finite endpoints")
+    return rank
 
 
 def _rank(a1u: float, a2u: float, a3u: float, a4u: float, hu: float,

@@ -29,6 +29,7 @@ from it2mabac import (
 )
 from it2mabac import aggregation
 from it2mabac.errors import (
+    ComputationError,
     DimensionMismatch,
     EmptyInput,
     InvalidParams,
@@ -431,9 +432,10 @@ def test_bonferroni_keeps_blocks_that_leave_the_float_range(scale):
             _assert_near_the_oracle(geometric_mean, values)
 
 
-def test_bonferroni_of_overflowing_factors_is_inf():
-    out = tit2fgbm([_flat(1e308), _flat(1e308)])
-    assert _endpoints(out) == (math.inf,) * 8
+def test_bonferroni_of_overflowing_factors_is_refused():
+    # 1e308 + 1e308 overflows: the mean of finite values would be inf, as at step 5
+    with pytest.raises(ComputationError, match=r"^the bonferroni operator overflows with r=1\.0, s=1\.0$"):
+        tit2fgbm([_flat(1e308), _flat(1e308)])
     # 2 * (max / 2) is the largest float itself: no overflow.
     half_max = sys.float_info.max / 2
     assert _endpoints(tit2fgbm([_flat(half_max)] * 3)) == (half_max,) * 8
@@ -481,7 +483,12 @@ def test_params_refuse_exponents_under_the_same_rule(r, s, shown):
 ])
 def test_exponents_at_the_edges_of_the_rule_are_admitted(r, s):
     assert PipelineParams(r=r, s=s).r == r
-    tit2fgbm([_flat(1.0), _flat(2.0)], r=r, s=s)
+    if r + s <= 1.0:  # every factor r * x_i + s * x_j is at most 2 * (r + s)
+        tit2fgbm([_flat(1.0), _flat(2.0)], r=r, s=s)
+    else:  # admitted, but r * 1.0 + s * 2.0 or r * 2.0 + s * 1.0 overflows on finite values
+        with pytest.raises(ComputationError, match=re.escape(f"overflows with r={r!r}, s={s!r}")) as caught:
+            tit2fgbm([_flat(1.0), _flat(2.0)], r=r, s=s)
+        assert not isinstance(caught.value, InvalidParams)
 
 
 def _counts_the_column(values, r, s):
