@@ -71,14 +71,17 @@ most the sign of a zero factor, and either sign gives +0.0. The counted
 form's tally merges 0.0 and -0.0 in the same way.
 
 Steps 1-2 average endpoint-major: ``average_ratings`` folds the experts'
-float columns left to right with ``map(add, ...)`` and scales by 1/k, the
-expression ``mean`` applies per cell, so no bit moves; ``average_weights``
-folds each expert's weights as a q x 1 matrix. A mean out of order, or one that
+float columns left to right with ``map(add, ...)`` and scales by 1/k;
+``average_weights`` does the same on each expert's weights as a q x 1 matrix,
+and ``mean`` is step 1 on one criterion, so every cell of both is bit for bit
+the ``mean`` of its experts' values. A mean out of order, or one that
 overflows on finite endpoints, is refused naming its cell. The averaging
 functions trust the shapes they are given: a DecisionProblem checks them
 once, where it is built. The Bonferroni exponents have one rule,
 ``_check_exponents``, which PipelineParams applies to a run and ``tit2fgbm``
-to each call: r, s >= 0 with a finite, normal sum r + s.
+to each call: r, s >= 0 with a finite, normal sum r + s. One check,
+``_checked_mean`` (the cone, the finiteness rule, the order), is the return of
+``tit2fgbm`` and ``geometric_mean`` and the fault locator's check of step 5.
 """
 
 from __future__ import annotations

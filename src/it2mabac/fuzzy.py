@@ -6,9 +6,10 @@ operations are pure functions, so values can be shared across threads freely.
 
 Arithmetic follows the usual convention for this number type: operations act
 endpoint by endpoint on both trapezoids and combine heights with min. The
-private kernel :func:`endpointwise` does this lifting through ``map`` for the
-operations on single values here. Multiplication is only defined on the
-non-negative cone, which is the only region the decision pipeline ever visits.
+private kernel :func:`endpointwise` does this lifting for ``add``, ``mul`` and
+``scale`` and builds the result through ``_check_cell``, the check of steps
+1-6. Multiplication is only defined on the non-negative cone, which is the
+only region the decision pipeline ever visits.
 
 Because the arithmetic is endpoint by endpoint, the pipeline holds a p x q
 matrix endpoint-major: a :class:`Matrix` keeps, per criterion, ten float
@@ -31,6 +32,7 @@ from .errors import (
     EndpointOrderViolation,
     HeightOrderViolation,
     HeightOutOfRange,
+    InvalidParams,
     MabacError,
     NegativeOperand,
     NegativeScalar,
@@ -291,7 +293,8 @@ def add(a: IT2TrFN, b: IT2TrFN) -> IT2TrFN:
 
 
 def scale(a: IT2TrFN, k: float) -> IT2TrFN:
-    """Multiply all eight endpoints by ``k >= 0``; heights are unchanged."""
+    """Multiply all eight endpoints by ``k >= 0``, read by the rule of ``_finite``; heights are unchanged."""
+    k = _finite(k, InvalidParams, "scale factor must be a finite number, got {}")
     if k < 0:
         raise NegativeScalar(f"scale factor must be non-negative, got {k!r}")
     return endpointwise(lambda x: x * k, a)

@@ -2,9 +2,11 @@
 
 The scalar functional below condenses an IT2TrFN into a signed real number
 measuring how far it sits from the crisp constant 1. The attitude parameter
-``lam`` in [0, 1] (checked by PipelineParams) balances the left and right
-spreads; 0.5 is the neutral default. The pairwise distance between two values is the absolute difference
-of their functionals, which makes it a pseudometric.
+``lam`` (finite; PipelineParams holds a run's to [0, 1]) balances the left and
+right spreads; 0.5 is the neutral default. The pairwise distance between two
+values is the absolute difference of their functionals, which makes it a
+pseudometric. Both keep the finiteness rule of steps 1-6, and step 6 locates
+its faults through ``rank_to_one``.
 
 The functional is affine in the eight endpoints for fixed lam and heights,
 vanishes exactly on the crisp unit, and equals 1 - c on any crisp constant c.
@@ -15,8 +17,8 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import ComputationError, ZeroHeight
-from .fuzzy import IT2TrFN, _overflows
+from .errors import ComputationError, InvalidParams, ZeroHeight
+from .fuzzy import IT2TrFN, _finite, _overflows
 
 _NORMAL_MIN = sys.float_info.min
 
@@ -26,17 +28,23 @@ def rank_to_one(value: IT2TrFN, lam: float = 0.5) -> float:
 
     Callers that need the magnitude (as the decision pipeline does) take the
     absolute value themselves; the sign is kept so it can be inspected.
-    Heights whose divisor ``2*hu*hl`` is not a normal float, so that the
-    quotient would lose its bits or be infinite, are a ZeroHeight, and a
-    distance that overflows on finite endpoints a ComputationError.
+    A non-finite ``lam`` is InvalidParams; heights whose divisor ``2*hu*hl`` is
+    not a normal float, so that the quotient would lose its bits or be infinite,
+    are a ZeroHeight.
     """
+    lam = _finite(lam, InvalidParams, "the rank-based distance needs a finite lambda, got {}")
     u, lo = value.upper, value.lower
     if 2.0 * u.h * lo.h < _NORMAL_MIN:
         raise ZeroHeight(f"membership heights {u.h!r} and {lo.h!r} are too small to divide by")
     numbers = (*u.endpoints, u.h, *lo.endpoints, lo.h)
-    if _overflows(numbers, (rank := _rank(*numbers, lam),)):
+    return _checked(numbers, _rank(*numbers, lam))
+
+
+def _checked(inputs: tuple[float, ...], distance: float) -> float:
+    """``distance``, written from ``inputs``, refused where the finiteness rule refuses it."""
+    if _overflows(inputs, (distance,)):
         raise ComputationError("the rank-based distance overflows on finite endpoints")
-    return rank
+    return distance
 
 
 def _rank(a1u: float, a2u: float, a3u: float, a4u: float, hu: float,
@@ -53,5 +61,7 @@ def _rank(a1u: float, a2u: float, a3u: float, a4u: float, hu: float,
 
 
 def distance(a: IT2TrFN, b: IT2TrFN, lam: float = 0.5) -> float:
-    """Distance between two values: |rank_to_one(a) - rank_to_one(b)|."""
-    return abs(rank_to_one(a, lam) - rank_to_one(b, lam))
+    """Distance between two values: |rank_to_one(a) - rank_to_one(b)|, refused where it
+    overflows on two finite ranks."""
+    ranks = rank_to_one(a, lam), rank_to_one(b, lam)
+    return _checked(ranks, abs(ranks[0] - ranks[1]))

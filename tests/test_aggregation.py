@@ -21,9 +21,11 @@ from it2mabac import (
     average_ratings,
     average_weights,
     builtin_rating_scale,
+    baa,
     builtin_weight_scale,
     geometric_mean,
     make,
+    mean,
     resolve,
     tit2fgbm,
 )
@@ -439,6 +441,25 @@ def test_bonferroni_of_overflowing_factors_is_refused():
     # 2 * (max / 2) is the largest float itself: no overflow.
     half_max = sys.float_info.max / 2
     assert _endpoints(tit2fgbm([_flat(half_max)] * 3)) == (half_max,) * 8
+
+
+@pytest.mark.parametrize("values, r, s", [
+    ([make([1e308] * 3 + [1.7e308, 1.0], [1e308] * 3 + [1.7e308, 0.9])] * 3, 1.0, 1.0),
+    ([_flat(1.0), _flat(2.0)], 0.0, sys.float_info.max),
+], ids=["factors", "exponents"])
+def test_a_bonferroni_mean_that_overflows_is_refused_as_step_5_refuses_it(values, r, s):
+    message = "^" + re.escape(f"the bonferroni operator overflows with r={r!r}, s={s!r}") + "$"
+    with pytest.raises(ComputationError, match=message):
+        tit2fgbm(values, r=r, s=s)
+    with pytest.raises(ComputationError, match=message):
+        baa([[v] for v in values], r=r, s=s)
+
+
+def test_a_mean_that_overflows_is_refused_as_step_1_refuses_it():
+    wide = make((-1.7e308, 0, 0, 1.7e308, 1.0), (0, 0, 0, 1, 0.9))
+    for call in (lambda: mean([wide, wide]), lambda: average_weights([[wide], [wide]])):
+        with pytest.raises(ComputationError, match="^the mean overflows on finite values$"):
+            call()
 
 
 #: Finite exponents outside the one rule: a negative r or s (with a normal sum too), or

@@ -22,9 +22,11 @@ from it2mabac import (
     scale,
 )
 from it2mabac.errors import (
+    ComputationError,
     EndpointOrderViolation,
     HeightOrderViolation,
     HeightOutOfRange,
+    InvalidParams,
     NegativeOperand,
     NegativeScalar,
     ProblemSyntaxError,
@@ -199,6 +201,24 @@ class TestArithmetic:
         sliding = make((0.0, -1e-9, -1.9e-9, -2.8e-9, 1.0), (0.0, -1e-9, -1.9e-9, -2.8e-9, 1.0))
         with pytest.raises(NegativeOperand, match="got endpoints down to -2.8e-09$"):
             mul(sliding, GOOD)
+
+    @pytest.mark.parametrize("operation", [
+        lambda big: add(big, big), lambda big: mul(big, big), lambda big: scale(big, 2.0),
+    ], ids=["add", "mul", "scale"])
+    def test_an_endpoint_that_overflows_on_finite_values_is_refused(self, operation):
+        with pytest.raises(ComputationError, match="^an endpoint overflows on finite values$"):
+            operation(crisp(1e308))
+
+    def test_an_endpoint_that_is_not_finite_is_carried(self):
+        inf = GeneralizedTrapezoid(0.0, 0.0, 0.0, math.inf, 1.0)
+        assert add(IT2TrFN(inf, inf), CRISP_ONE).upper.a4 == math.inf
+
+    @pytest.mark.parametrize("k, shown", [
+        (math.nan, "nan"), (math.inf, "inf"), (True, "True"), ("two", "'two'"),
+    ])
+    def test_scale_reads_its_factor_by_the_number_rule(self, k, shown):
+        with pytest.raises(InvalidParams, match=f"^scale factor must be a finite number, got {shown}$"):
+            scale(GOOD, k)
 
 
 @given(a=it2trfns(), b=it2trfns(), k=finite(0.0, 5.0))

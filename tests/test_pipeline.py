@@ -1,6 +1,7 @@
 """Tests for the MABAC stages on matrices of fuzzy values."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -25,12 +26,14 @@ from it2mabac import (
     classify_and_score,
     crisp,
     crisp_matrices,
+    geometric_mean,
     make,
     mean,
     mul,
     normalize,
     rank_to_one,
     run,
+    tit2fgbm,
     weight,
 )
 from it2mabac.errors import (
@@ -228,6 +231,11 @@ class TestCrispMatrices:
             with pytest.raises(ZeroHeight, match="^membership heights 1e-160 and 1e-160 are too") as info:
                 crisp_matrices(weighted, baa_vector)
             assert info.value._cell == at
+
+    def test_a_lambda_that_is_not_finite_is_refused_by_rank_to_one(self):
+        cell = crisp(1.0)
+        with pytest.raises(InvalidParams, match="^the rank-based distance needs a finite lambda, got nan$"):
+            crisp_matrices([[cell], [cell]], [cell], lam=math.nan)
 
 
 class TestClassifyAndScore:
@@ -670,3 +678,47 @@ def test_no_nan_reaches_step_7(problem):
     assert str(info.value).startswith(label + ": ")
     if label.startswith("step 7"):
         assert _all_finite(outputs[5][2])
+
+
+#: Where a public operation and its stage can part: values on the unit scale, far out to
+#: 1.7e308, or of either sign (each mostly refused below the cone), with heights down to
+#: 1e-160, where 2*hu*hl is no normal float; exponents at the edges of the one exponent rule
+#: and past them; and, now and then, a lambda that is not finite.
+_FAR = st.one_of(st.sampled_from([0.0, 1e308, 1.7e308]), finite(0.0, 1.7e308))
+_far_values = st.integers(0, 5).flatmap(
+    lambda k: _trapezoids(finite(0.0, 10.0), finite(0.5, 1.0), False) if k > 2
+    else _trapezoids(_FAR if k else st.one_of(_FAR, finite(-1.7e308, 0.0), st.just(-1.7e308)),
+                     st.one_of(finite(0.5, 1.0), st.just(1e-160)), True))
+_EXPONENT = st.one_of(finite(0.0, 4.0), st.sampled_from([
+    0.0, 1.0, sys.float_info.min / 2, sys.float_info.min, sys.float_info.max / 2, sys.float_info.max]))
+_LAMBDA = st.integers(0, 7).flatmap(lambda k: st.sampled_from([math.nan, math.inf]) if k == 0
+                                    else finite(0.0, 1.0))
+
+def _outcome(call):
+    """The bits of what ``call()`` returns (a value, or a list of floats), or the class and
+    text of the package error it raises."""
+    try:
+        out = call()
+    except MabacError as exc:
+        return type(exc), str(exc)
+    return [x.hex() for x in out] if isinstance(out, list) else bits(out)
+
+
+def _step_6(v, lam):
+    """Step 6 with ``v`` as both weighted cells and the BAA: Q's two entries, then G's."""
+    q, g, _ = crisp_matrices([[v], [v]], [v], lam)
+    return [*q[0], *q[1], *g]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(values=st.lists(_far_values, min_size=2, max_size=4), r=_EXPONENT, s=_EXPONENT, lam=_LAMBDA)
+def test_each_public_operation_is_its_stage_on_one_value(values, r, s, lam):
+    # the same bits, or the same refusal: the public operations run their stage's checks
+    column, v = [[v] for v in values], values[0]
+    for public, stage in [
+        (lambda: tit2fgbm(values, r=r, s=s), lambda: baa(column, r=r, s=s)[0]),
+        (lambda: geometric_mean(values), lambda: baa(column, r=0.0, s=1.0, operator="geomean")[0]),
+        (lambda: mean(values), lambda: average_weights(column)[0]),
+        (lambda: [abs(rank_to_one(v, lam))] * 3, lambda: _step_6(v, lam)),
+    ]:
+        assert _outcome(public) == _outcome(stage)

@@ -1,5 +1,6 @@
 """Tests for the rank-based distance functional."""
 
+import math
 from types import SimpleNamespace
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given
 
 from conftest import finite, it2trfns
 from it2mabac import CRISP_ONE, PipelineParams, crisp, distance, make, rank_to_one
-from it2mabac.errors import InvalidParams, ZeroHeight
+from it2mabac.errors import ComputationError, InvalidParams, ZeroHeight
 
 
 def test_crisp_one_ranks_to_zero_exactly():
@@ -53,6 +54,35 @@ def test_zero_height_guard():
 def test_distance_of_crisp_pair():
     assert distance(CRISP_ONE, crisp(0.3)) == pytest.approx(0.7)
     assert distance(CRISP_ONE, crisp(2.0)) == pytest.approx(1.0)
+
+
+OVERFLOW = "^the rank-based distance overflows on finite endpoints$"
+
+
+def test_a_rank_that_overflows_on_finite_endpoints_is_refused():
+    wide = make((-1.7e308, 0, 0, 1.7e308, 1.0), (0, 0, 0, 1, 0.9))
+    with pytest.raises(ComputationError, match=OVERFLOW):
+        rank_to_one(wide)
+    with pytest.raises(ComputationError, match=OVERFLOW):
+        distance(wide, wide)
+
+
+def test_a_distance_that_overflows_on_two_finite_ranks_is_refused():
+    low, high = crisp(-1.7e308), crisp(1.7e308)
+    assert (rank_to_one(low), rank_to_one(high)) == (1.7e308, -1.7e308)
+    with pytest.raises(ComputationError, match=OVERFLOW):
+        distance(low, high)
+
+
+@pytest.mark.parametrize("lam, shown", [
+    (math.nan, "nan"), (math.inf, "inf"), (True, "True"), ("half", "'half'"),
+])
+def test_lambda_is_read_by_the_number_rule(lam, shown):
+    message = f"^the rank-based distance needs a finite lambda, got {shown}$"
+    with pytest.raises(InvalidParams, match=message):
+        rank_to_one(CRISP_ONE, lam)
+    with pytest.raises(InvalidParams, match=message):
+        distance(CRISP_ONE, CRISP_ONE, lam)
 
 
 @given(a=it2trfns(), lam=finite(0.0, 1.0))
