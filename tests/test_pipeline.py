@@ -694,6 +694,7 @@ _EXPONENT = st.one_of(finite(0.0, 4.0), st.sampled_from([
 _LAMBDA = st.integers(0, 7).flatmap(lambda k: st.sampled_from([math.nan, math.inf]) if k == 0
                                     else finite(0.0, 1.0))
 
+
 def _outcome(call):
     """The bits of what ``call()`` returns (a value, or a list of floats), or the class and
     text of the package error it raises."""
@@ -714,11 +715,11 @@ def _step_6(v, lam):
 @given(values=st.lists(_far_values, min_size=2, max_size=4), r=_EXPONENT, s=_EXPONENT, lam=_LAMBDA)
 def test_each_public_operation_is_its_stage_on_one_value(values, r, s, lam):
     # the same bits, or the same refusal: the public operations run their stage's checks
-    column, v = [[v] for v in values], values[0]
+    column, first = [[v] for v in values], values[0]
     for public, stage in [
         (lambda: tit2fgbm(values, r=r, s=s), lambda: baa(column, r=r, s=s)[0]),
         (lambda: geometric_mean(values), lambda: baa(column, r=0.0, s=1.0, operator="geomean")[0]),
         (lambda: mean(values), lambda: average_weights(column)[0]),
-        (lambda: [abs(rank_to_one(v, lam))] * 3, lambda: _step_6(v, lam)),
+        (lambda: [abs(rank_to_one(first, lam))] * 3, lambda: _step_6(first, lam)),
     ]:
         assert _outcome(public) == _outcome(stage)
