@@ -94,7 +94,7 @@ from itertools import chain, combinations, compress, islice, product, repeat, st
 from math import exp, frexp, fsum, inf, ldexp, log, prod
 from operator import add, mul
 
-from .errors import EmptyInput, InvalidParams, TooFewValues
+from .errors import EmptyInput, InvalidParams, MabacError, TooFewValues
 from .fuzzy import (IT2TrFN, Matrix, _check_cell, _columns, _finite, _finite_sums, _locate, _ordered,
                     _require_cone, _value)
 
@@ -113,11 +113,16 @@ _LEAST_COUNTED, _COUNTED_COST = 100, 10
 
 
 def mean(values: Iterable[IT2TrFN]) -> IT2TrFN:
-    """Component-wise average of one or more values (sum scaled by 1/k): step 1 on one criterion."""
+    """Component-wise average of one or more values (sum scaled by 1/k): step 1 on one
+    criterion, whose refusals name no cell."""
     items = list(values)
     if not items:
         raise EmptyInput("cannot average zero values")
-    return average_weights([[v] for v in items])[0]
+    try:
+        return average_weights([[v] for v in items])[0]
+    except MabacError as exc:
+        exc._cell = None
+        raise
 
 
 def average_weights(vectors: list[list[IT2TrFN]]) -> list[IT2TrFN]:

@@ -7,7 +7,6 @@ fails validation, 2 when the pipeline cannot compute on an accepted document.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import sys
 from pathlib import Path
@@ -80,8 +79,8 @@ def _load(path: str) -> DecisionProblem:
 
 def _merge_params(problem: DecisionProblem, args: argparse.Namespace) -> PipelineParams:
     """The problem's params with every flag that was given put in their place."""
-    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(PipelineParams)}
-    return dataclasses.replace(problem.params, **{k: v for k, v in flags.items() if v is not None})
+    flags = {name: getattr(args, name) for name in PipelineParams._fields}
+    return problem.params._replace(**{k: v for k, v in flags.items() if v is not None})
 
 
 def main(argv: list[str] | None = None) -> int:

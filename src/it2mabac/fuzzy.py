@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from itertools import chain, repeat, starmap
 
 from .errors import (
@@ -43,8 +42,63 @@ from .errors import (
 EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class GeneralizedTrapezoid:
+class _Record:
+    """The base of the package's value types, as a frozen dataclass would be.
+
+    A subclass lists its fields as annotations, with class-level defaults, and may define
+    ``__post_init__``. Subclassing compiles one ``__init__`` that takes the fields by
+    position or keyword, stores them on the instance and calls ``__post_init__``. A record
+    compares, hashes and prints by its fields in order, and only a record of its own class
+    can equal it. No field can be assigned or deleted, but a class declared with
+    ``frozen=False`` is assignable and unhashable. ``_replace`` (and ``copy.replace``)
+    builds a copy with some fields changed through ``__init__``, so ``__post_init__``
+    checks it again; ``_fields`` names the fields in order.
+    """
+
+    def __init_subclass__(cls, frozen: bool = True) -> None:
+        cls._fields = names = tuple(cls.__annotations__)
+        defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+        params = "".join(f", {n}=_defaults[{n!r}]" if n in defaults else f", {n}" for n in names)
+        # object.__setattr__ keeps the values inline in the instance; writing them through
+        # ``self.__dict__`` would make every later read of a field several times slower
+        body = "".join(f"\n    _set(self, {n!r}, {n})" for n in names)
+        post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+        namespace = {}
+        exec(f"def __init__(self{params}):{body}{post}", {"_defaults": defaults, "_set": object.__setattr__},
+             namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        if not frozen:
+            cls.__setattr__, cls.__delattr__, cls.__hash__ = object.__setattr__, object.__delattr__, None
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def _replace(self, **changes):
+        return self.__class__(**dict(zip(self._fields, self._values()), **changes))
+
+    __replace__ = _replace
+
+
+class GeneralizedTrapezoid(_Record):
     """One trapezoidal membership function (a1, a2, a3, a4; h)."""
 
     a1: float
@@ -81,8 +135,7 @@ class GeneralizedTrapezoid:
         return 0.0
 
 
-@dataclass(frozen=True)
-class IT2TrFN:
+class IT2TrFN(_Record):
     """An interval type-2 trapezoidal fuzzy number ``[upper, lower]``."""
 
     upper: GeneralizedTrapezoid
@@ -346,12 +399,15 @@ def _check_cell(inputs: Iterable[float], outputs: Sequence[float], message: str)
 def _locate(cells: Iterable[tuple], check) -> None:
     """The one fault locator of steps 1-6, run where a scan of a stage's columns fired: the
     first package error of ``check(*numbers)`` over the ``(cell, numbers)`` pairs, given in
-    the stage's order, is raised with ``_cell = cell``. The scans are exact, so a scan fires
-    only on a cell that breaks a rule, or on a number that is not finite in the stage's
-    input, which the stage carries; the locator then finds no fault and returns."""
+    the stage's order, is raised with ``_cell = cell``; an InvalidParams is the fault of a
+    parameter, not of the cell, and keeps none. The scans are exact, so a scan fires only
+    on a cell that breaks a rule, or on a number that is not finite in the stage's input,
+    which the stage carries; the locator then finds no fault and returns."""
     for cell, numbers in cells:
         try:
             check(*numbers)
+        except InvalidParams:
+            raise
         except MabacError as exc:
             exc._cell = cell
             raise

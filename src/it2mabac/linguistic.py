@@ -9,17 +9,15 @@ pipeline derives its reference points from the data itself.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cache
 from types import MappingProxyType
 
 from .errors import ProblemSyntaxError, UnknownTerm
-from .fuzzy import IT2TrFN, _check_finite, _shown, make
+from .fuzzy import IT2TrFN, _check_finite, _Record, _shown, make
 from .pipeline import _check_names
 
 
-@dataclass(frozen=True)
-class LinguisticScale:
+class LinguisticScale(_Record):
     """An ordered, read-only term -> IT2TrFN mapping, checked when built: a string
     name, terms under the one name rule and ``IT2TrFN`` entries of finite numbers,
     or a ``ProblemSyntaxError``. Insertion order is the scale order."""

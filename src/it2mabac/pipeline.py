@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import add, mul, sub
 
@@ -29,7 +28,8 @@ from .aggregation import _OPERATORS, _checked_mean
 from .errors import (ComputationError, DegenerateRange, DimensionMismatch, InvalidParams,
                      ProblemSyntaxError, TooFewValues)
 from .fuzzy import (EPS, IT2TrFN, Matrix, _below_cone, _check_cell, _columns, _finite_sums, _locate,
-                    _numbers, _ordered, _overflows, _require_cone, _require_nonnegative, _shown, _value)
+                    _numbers, _ordered, _overflows, _Record, _require_cone, _require_nonnegative, _shown,
+                    _value)
 from .ranking import _rank, rank_to_one
 
 #: Classification labels: upper, border, and lower approximation areas.
@@ -57,8 +57,7 @@ def _check_names(names, key: str) -> None:
         raise ProblemSyntaxError(f"{key!r} entries must be unique, got {list(names)}")
 
 
-@dataclass(frozen=True)
-class CriterionSpec:
+class CriterionSpec(_Record):
     """A named criterion with its optimization sense."""
 
     name: str

@@ -20,7 +20,6 @@ from __future__ import annotations
 import importlib.resources
 from collections.abc import Mapping
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from types import GeneratorType, MappingProxyType
@@ -46,7 +45,7 @@ from .errors import (
     MabacError,
     ProblemSyntaxError,
 )
-from .fuzzy import IT2TrFN, Matrix, _check_finite, _finite, _shown, make
+from .fuzzy import IT2TrFN, Matrix, _check_finite, _finite, _Record, _shown, make
 from .linguistic import (
     LinguisticScale,
     builtin_rating_scale,
@@ -65,8 +64,7 @@ from .pipeline import (
 )
 
 
-@dataclass(frozen=True)
-class PipelineParams:
+class PipelineParams(_Record):
     """Tuning knobs: rank attitude, Bonferroni exponents, BAA operator.
 
     The only place these are checked for a run, by ``fuzzy._finite`` and, for ``r`` and
@@ -145,8 +143,7 @@ def _check_expert_blocks(weights, ratings, alternatives, experts, q: int) -> Non
             check(row, f"ratings[{e}] row {i}", q, "entries", alt)
 
 
-@dataclass(frozen=True)
-class DecisionProblem:
+class DecisionProblem(_Record):
     """A group decision problem, checked and resolved when built; read-only once built.
 
     Building one checks the alternative, criterion and expert names, the
@@ -166,7 +163,7 @@ class DecisionProblem:
     rating_scale: LinguisticScale
     expert_weights: Mapping[str, tuple[IT2TrFN, ...]]
     expert_ratings: Mapping[str, tuple[tuple[IT2TrFN, ...], ...]]
-    params: PipelineParams = field(default_factory=PipelineParams)
+    params: PipelineParams = PipelineParams()
     name: str = "unnamed"
 
     def __post_init__(self) -> None:
@@ -218,8 +215,7 @@ class DecisionProblem:
         return tuple(weights_bar), ratings_bar
 
 
-@dataclass
-class PipelineTrace:
+class PipelineTrace(_Record, frozen=False):
     """Every intermediate of one pipeline execution.
 
     The three fuzzy matrices are read-only ``Matrix`` columns: ``trace.weighted[i][j]``

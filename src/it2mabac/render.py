@@ -19,7 +19,7 @@ The three fuzzy matrices (``aggregated_ratings``, ``normalized`` and
 ``weighted``) are ``fuzzy.Matrix`` columns, and both emitters format them
 from the columns without building an IT2TrFN: a text table takes one
 criterion's ten columns at a time, and a machine row zips the ten columns of
-every criterion. A trace holding plain rows instead (``dataclasses.replace``
+every criterion. A trace holding plain rows instead (``trace._replace``
 gives one) is read through ``Matrix.of`` first, as wide as its first row, so
 a ragged one is a DimensionMismatch. The matrices of a term-rated
 problem repeat their floats: a builtin term's endpoints are multiples of

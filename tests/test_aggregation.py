@@ -456,10 +456,13 @@ def test_a_bonferroni_mean_that_overflows_is_refused_as_step_5_refuses_it(values
 
 
 def test_a_mean_that_overflows_is_refused_as_step_1_refuses_it():
-    wide = make((-1.7e308, 0, 0, 1.7e308, 1.0), (0, 0, 0, 1, 0.9))
-    for call in (lambda: mean([wide, wide]), lambda: average_weights([[wide], [wide]])):
-        with pytest.raises(ComputationError, match="^the mean overflows on finite values$"):
-            call()
+    for wide in (make((-1.7e308, 0, 0, 1.7e308, 1.0), (0, 0, 0, 1, 0.9)),
+                 make((1e308, 1.5e308, 1.6e308, 1.7e308, 1), (1e308, 1.5e308, 1.6e308, 1.7e308, 1))):
+        for call, cell in ((lambda: mean([wide, wide]), None),
+                           (lambda: average_weights([[wide], [wide]]), (None, 0))):
+            with pytest.raises(ComputationError, match="^the mean overflows on finite values$") as info:
+                call()
+            assert info.value._cell == cell  # one value names no cell; step 1 names the weight
 
 
 #: Finite exponents outside the one rule: a negative r or s (with a normal sum too), or

@@ -335,13 +335,23 @@ def test_validation_error_raised_while_computing_exits_two(tmp_path, capsys):
     )
 
 
-def test_cli_import_leaves_numpy_and_hypothesis_unloaded():
+def _loaded_by_cli_import(names: set[str]) -> str:
+    """Which of ``names`` are in ``sys.modules`` after ``import it2mabac.cli`` in a fresh interpreter."""
     src = str(Path(it2mabac.problem.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, it2mabac.cli; print(sorted({'numpy', 'hypothesis'} & set(sys.modules)))"
+    code = f"import sys, it2mabac.cli; print(sorted({names!r} & set(sys.modules)))"
     result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                             capture_output=True, text=True, check=True)
-    assert result.stdout == "[]\n"
+    return result.stdout
+
+
+def test_cli_import_leaves_numpy_and_hypothesis_unloaded():
+    assert _loaded_by_cli_import({"numpy", "hypothesis"}) == "[]\n"
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # the value types are records, so start-up pays for neither module
+    assert _loaded_by_cli_import({"dataclasses", "inspect"}) == "[]\n"
 
 
 EXAMPLE_BYTES = example_problem_text().encode()

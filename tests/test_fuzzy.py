@@ -1,7 +1,9 @@
 """Tests for the fuzzy value type and its arithmetic."""
 
+import copy
 import math
 import operator
+import sys
 from functools import reduce
 
 import pytest
@@ -11,8 +13,10 @@ from hypothesis import strategies as st
 from conftest import bits, finite, it2trfns
 from it2mabac import (
     CRISP_ONE,
+    CriterionSpec,
     GeneralizedTrapezoid,
     IT2TrFN,
+    PipelineParams,
     add,
     crisp,
     fou_containment_warnings,
@@ -31,7 +35,7 @@ from it2mabac.errors import (
     NegativeScalar,
     ProblemSyntaxError,
 )
-from it2mabac.fuzzy import _SHOWN_DEPTH, _SHOWN_ENTRIES, _finite_sums, _shown, endpointwise
+from it2mabac.fuzzy import _SHOWN_DEPTH, _SHOWN_ENTRIES, _finite_sums, _Record, _shown, endpointwise
 
 GOOD = make((7, 9, 9, 10, 1.0), (8, 9, 9, 9.5, 0.9))
 H = make((0.7, 0.9, 0.9, 1.0, 1.0), (0.8, 0.9, 0.9, 0.95, 0.9))
@@ -340,3 +344,63 @@ def test_endpointwise_is_the_map_lifting_in_the_same_order(data, n):
         for t in ("upper", "lower")
         for k in range(4)
     ]
+
+
+class TestRecord:
+    """The value types are ``_Record``s, which keep what a frozen dataclass gave them."""
+
+    def test_repr_names_the_fields_in_order(self):
+        assert repr(PipelineParams()) == "PipelineParams(lam=0.5, r=1.0, s=1.0, baa_operator='bonferroni')"
+        assert repr(CriterionSpec("C1")) == "CriterionSpec(name='C1', sense='benefit')"
+        assert repr(GOOD) == (
+            "IT2TrFN(upper=GeneralizedTrapezoid(a1=7.0, a2=9.0, a3=9.0, a4=10.0, h=1.0), "
+            "lower=GeneralizedTrapezoid(a1=8.0, a2=9.0, a3=9.0, a4=9.5, h=0.9))"
+        )
+
+    @pytest.mark.parametrize("a, b, other", [
+        (GeneralizedTrapezoid(0, 1, 2, 3, 1), GeneralizedTrapezoid(0.0, 1.0, 2.0, 3.0, 1.0),
+         GeneralizedTrapezoid(0, 1, 2, 3, 0.5)),
+        (make((7, 9, 9, 10, 1.0), (8, 9, 9, 9.5, 0.9)), GOOD, MG),
+        (CriterionSpec("C1"), CriterionSpec(sense="benefit", name="C1"), CriterionSpec("C1", "cost")),
+        (PipelineParams(lam=0.5), PipelineParams(), PipelineParams(baa_operator="geomean")),
+    ], ids=["trapezoid", "it2trfn", "criterion", "params"])
+    def test_equal_values_hash_alike(self, a, b, other):
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != other and other != b
+
+    def test_a_record_never_equals_one_of_another_class(self):
+        class Named(_Record):
+            name: str
+            sense: str = "benefit"
+
+        spec = CriterionSpec("C1")
+        assert Named("C1") == Named("C1") and Named._fields == CriterionSpec._fields
+        assert Named("C1") != spec and spec != Named("C1")
+        assert spec != ("C1", "benefit")
+
+    @pytest.mark.parametrize("build", [
+        lambda: GeneralizedTrapezoid(0, 1, 2, 3),
+        lambda: CriterionSpec(sense="cost"),
+        lambda: CriterionSpec("C1", weight=1.0),
+        lambda: PipelineParams()._replace(beta=1.0),
+        lambda: PipelineParams(0.5, 1.0, 1.0, "geomean", "extra"),
+        lambda: CriterionSpec("C1", name="C2"),
+    ], ids=["missing", "missing-keyword", "unknown", "unknown-replaced", "too-many", "repeated"])
+    def test_a_missing_unknown_or_repeated_argument_is_a_type_error(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_replace_checks_the_copy_as_any_build(self):
+        with pytest.raises(InvalidParams, match=r"^lambda must lie in \[0, 1\], got 2.0$"):
+            PipelineParams()._replace(lam=2.0)
+        assert PipelineParams()._replace(lam=0.25) == PipelineParams(lam=0.25)
+        assert PipelineParams.__replace__ is PipelineParams._replace
+        if sys.version_info >= (3, 13):
+            assert copy.replace(PipelineParams(), r=2) == PipelineParams(r=2.0)
+
+    def test_a_field_cannot_be_assigned_or_deleted(self):
+        with pytest.raises(AttributeError, match="^cannot assign to field 'a1'$"):
+            GOOD.upper.a1 = 0.0
+        with pytest.raises(AttributeError, match="^cannot delete field 'upper'$"):
+            del GOOD.upper
+        assert GOOD == make((7, 9, 9, 10, 1.0), (8, 9, 9, 9.5, 0.9))

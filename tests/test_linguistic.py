@@ -1,6 +1,5 @@
 """Tests for the builtin linguistic scales and scale handling."""
 
-import dataclasses
 
 import pytest
 
@@ -52,17 +51,17 @@ def test_builtin_scale_is_one_read_only_instance(builtin):
     scale = builtin()
     assert builtin() is scale
     term = scale.terms()[0]
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="cannot assign"):
         scale.name = "changed"
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="cannot assign"):
         scale.entries = {}
     with pytest.raises(TypeError):
         scale.entries[term] = scale.entries[scale.terms()[-1]]
     with pytest.raises(TypeError):
         del scale.entries[term]
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="cannot assign"):
         scale.entries[term].upper.a1 = 5.0
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="cannot assign"):
         scale.entries[term].lower = scale.entries[term].upper
 
 

@@ -234,8 +234,11 @@ class TestCrispMatrices:
 
     def test_a_lambda_that_is_not_finite_is_refused_by_rank_to_one(self):
         cell = crisp(1.0)
-        with pytest.raises(InvalidParams, match="^the rank-based distance needs a finite lambda, got nan$"):
-            crisp_matrices([[cell], [cell]], [cell], lam=math.nan)
+        for weighted, baa_vector in (([[cell], [cell]], [cell]), ([[cell, cell], [cell, cell]], [cell, cell])):
+            with pytest.raises(InvalidParams, match="^the rank-based distance needs a finite lambda, got nan$") \
+                    as info:
+                crisp_matrices(weighted, baa_vector, lam=math.nan)
+            assert info.value._cell is None  # the fault of a parameter names no cell
 
 
 class TestClassifyAndScore:

@@ -1,6 +1,5 @@
 """Tests for problem parsing, validation, and pipeline orchestration."""
 
-import dataclasses
 import math
 import random
 from collections.abc import Mapping
@@ -151,11 +150,11 @@ class TestParse:
         ratings = dict(example_problem.expert_ratings)
         del ratings["DM3"]
         with pytest.raises(DimensionMismatch, match="'ratings' is missing experts"):
-            dataclasses.replace(example_problem, expert_ratings=ratings)
+            example_problem._replace(expert_ratings=ratings)
 
     def test_directly_built_problem_needs_an_expert(self, example_problem):
         with pytest.raises(ProblemSyntaxError) as info:
-            dataclasses.replace(example_problem, experts=())
+            example_problem._replace(experts=())
         assert str(info.value) == "'experts' must be a non-empty list of names"
 
     @pytest.mark.parametrize(
@@ -208,7 +207,7 @@ class TestParse:
     )
     def test_directly_built_problem_checks_names(self, example_problem, field, value, message):
         with pytest.raises(ProblemSyntaxError) as info:
-            dataclasses.replace(example_problem, **{field: value})
+            example_problem._replace(**{field: value})
         assert str(info.value) == message
 
     @pytest.mark.parametrize(
@@ -223,16 +222,12 @@ class TestParse:
     def test_directly_built_problem_names_unknown_experts(self, example_problem, extra, message):
         weights = example_problem.expert_weights
         with pytest.raises(DimensionMismatch) as info:
-            dataclasses.replace(
-                example_problem, expert_weights={**weights, **{k: weights["DM1"] for k in extra}}
-            )
+            example_problem._replace(expert_weights={**weights, **{k: weights["DM1"] for k in extra}})
         assert str(info.value) == message
 
     def test_problem_built_from_the_raw_nodes_equals_the_parsed_one(self, example_problem):
         doc = _doc()
-        built = dataclasses.replace(
-            example_problem, expert_weights=doc["weights"], expert_ratings=doc["ratings"]
-        )
+        built = example_problem._replace(expert_weights=doc["weights"], expert_ratings=doc["ratings"])
         assert built == example_problem
 
     def test_directly_built_problem_reports_a_shape_fault_before_an_unknown_term(
@@ -241,7 +236,7 @@ class TestParse:
         ratings = _replaced(example_problem.expert_ratings, ["DM1", 0, 2], "XX")
         ratings = _replaced(ratings, ["DM2", 1], example_problem.expert_ratings["DM2"][1][:4])
         with pytest.raises(DimensionMismatch) as info:
-            dataclasses.replace(example_problem, expert_ratings=ratings)
+            example_problem._replace(expert_ratings=ratings)
         assert str(info.value) == "ratings[DM2] row 1 ('A2'): expected 5 entries, got 4"
 
     @pytest.mark.parametrize(
@@ -267,7 +262,7 @@ class TestParse:
         cell = IT2TrFN(GeneralizedTrapezoid(*upper), GeneralizedTrapezoid(*lower))
         entries = _replaced(getattr(example_problem, field), path, cell)
         with pytest.raises(ProblemSyntaxError) as info:
-            dataclasses.replace(example_problem, **{field: entries})
+            example_problem._replace(**{field: entries})
         assert str(info.value) == f"{where}: {shown} is not a finite number"
 
     def test_lambda_out_of_range(self):
@@ -526,7 +521,7 @@ def test_boundary_messages_of_text_edits(fault, yaml_loader):
 @st.composite
 def edited_fields(draw):
     """One example field, whole or with one expert entry, row or cell replaced by a drawn value."""
-    field = draw(st.sampled_from([f.name for f in dataclasses.fields(_EXAMPLE)]))
+    field = draw(st.sampled_from(_EXAMPLE._fields))
     path, node = [], getattr(_EXAMPLE, field)
     while field.startswith("expert_") and not isinstance(node, IT2TrFN) and draw(st.booleans()):
         path.append(draw(st.sampled_from(sorted(node) if isinstance(node, Mapping)
@@ -547,7 +542,7 @@ def edited_fields(draw):
 @given(fields=edited_fields())
 def test_edited_problem_builds_and_runs_or_is_refused(fields):
     try:
-        run(dataclasses.replace(_EXAMPLE, **fields))
+        run(_EXAMPLE._replace(**fields))
     except MabacError:
         pass
 
@@ -705,7 +700,7 @@ class TestRun:
             e: [[tolerated if i == 0 else low, *row[1:]] for i, row in enumerate(rows)]
             for e, rows in _EXAMPLE.expert_ratings.items()
         }
-        problem = dataclasses.replace(_EXAMPLE, expert_ratings=ratings)
+        problem = _EXAMPLE._replace(expert_ratings=ratings)
         message = r"^step 3 \(normalization\): alternative A1, criterion C1: a1=\S+ exceeds a2="
         with pytest.raises(EndpointOrderViolation, match=message):
             run(problem)
@@ -715,7 +710,7 @@ class TestRun:
         w = make((-1e-9, 0, 0, 0.1, 1), (-1e-9, 0, 0, 0.05, 0.9))
         weights = {e: (w, *row[1:]) for e, row in _EXAMPLE.expert_weights.items()}
         with pytest.raises(NegativeOperand) as info:
-            run(dataclasses.replace(_EXAMPLE, expert_weights=weights))
+            run(_EXAMPLE._replace(expert_weights=weights))
         assert str(info.value) == (
             "step 5 (border approximation area): BAA of C1: the Bonferroni mean is only defined "
             "for non-negative values, got endpoints down to -1.25e-09"
@@ -752,9 +747,9 @@ def test_a_sweep_over_one_problem_matches_fresh_parses(seed):
 class TestFrozenProblem:
     def test_fields_cannot_be_assigned(self):
         problem = load_example_problem()
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match="cannot assign"):
             problem.name = "other"
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match="cannot assign"):
             problem.alternatives = ["A1"]
 
     def test_scale_entries_are_read_only(self):
@@ -781,13 +776,17 @@ class TestFrozenProblem:
             with pytest.raises(TypeError):
                 matrix[0] = matrix[1]
         trace.aggregated_weights[0] = trace.aggregated_weights[1]
+        trace.name = "other"  # a trace is the one assignable record, so it has no hash
+        assert trace.name == "other"
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(trace)
         assert render_machine(run(problem)) == before
 
     def test_replaced_ratings_get_new_averages(self):
         problem = load_example_problem()
         run(problem)
         copies = {e: problem.expert_ratings["DM1"] for e in problem.experts}
-        replaced = dataclasses.replace(problem, expert_ratings=copies)
+        replaced = problem._replace(expert_ratings=copies)
         expected = list(map(list, problem.expert_ratings["DM1"]))
         assert run(replaced).aggregated_ratings == expected
         assert run(problem).aggregated_ratings != expected

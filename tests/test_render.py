@@ -1,11 +1,11 @@
 """Tests for text and machine rendering of traces."""
 
 import contextlib
-import dataclasses
 import importlib
 import json
 import math
 import random
+import typing
 from unittest import mock
 
 import pytest
@@ -118,6 +118,12 @@ def test_section_machine_is_its_keys_of_the_whole_document():
 FUZZY_MATRICES = ("aggregated_ratings", "normalized", "weighted")
 
 
+def test_machine_keys_are_the_trace_fields_in_order(example_trace):
+    # the emitter dispatches on the type hints of the fields, so the two orders must agree
+    assert tuple(typing.get_type_hints(PipelineTrace)) == PipelineTrace._fields
+    assert [*json.loads(render_machine(example_trace))] == [*PipelineTrace._fields, "ranking"]
+
+
 def test_a_trace_holds_matrices_that_read_and_compare_as_rows(example_trace):
     trace = example_trace
     assert trace_from_json(render_machine(trace)) == trace
@@ -137,8 +143,8 @@ def test_a_trace_holds_matrices_that_read_and_compare_as_rows(example_trace):
 
 @pytest.mark.parametrize("fields", [("weighted",), FUZZY_MATRICES], ids=["weighted", "all"])
 def test_a_trace_of_plain_rows_renders_as_the_run_does(example_trace, fields):
-    rows = dataclasses.replace(
-        example_trace, **{field: [list(row) for row in getattr(example_trace, field)] for field in fields}
+    rows = example_trace._replace(
+        **{field: [list(row) for row in getattr(example_trace, field)] for field in fields}
     )
     assert type(rows.weighted) is list
     assert render_text(rows) == render_text(example_trace)
@@ -150,7 +156,7 @@ def test_a_trace_of_plain_rows_renders_as_the_run_does(example_trace, fields):
 
 def test_a_trace_of_ragged_plain_rows_is_refused(example_trace):
     rows = [list(row) for row in example_trace.weighted]
-    ragged = dataclasses.replace(example_trace, weighted=[rows[0], rows[1][:4], rows[2]])
+    ragged = example_trace._replace(weighted=[rows[0], rows[1][:4], rows[2]])
     for render_fn in (render_text, render_machine):
         with pytest.raises(DimensionMismatch) as info:
             render_fn(ragged)
@@ -272,7 +278,7 @@ def test_trace_from_json_ignores_key_order_only(example_trace):
 
 
 def test_scores_table_prints_each_score_beside_its_alternative(example_trace):
-    reordered = dataclasses.replace(example_trace, order=[2, 0, 1])
+    reordered = example_trace._replace(order=[2, 0, 1])
     assert render_section(reordered, "scores").splitlines()[1:] == [
         f"  1. A3  S = {example_trace.scores[2]:.2f}",
         f"  2. A1  S = {example_trace.scores[0]:.2f}",
@@ -334,7 +340,7 @@ def test_machine_rendering_refuses_non_finite_numbers(example_trace):
             ("g", "g", [0.5, value, 0.25]),
             ("scores", "scores", [0.1, 0.2, value]),
         ]:
-            trace = dataclasses.replace(example_trace, **{field: broken})
+            trace = example_trace._replace(**{field: broken})
             with pytest.raises(ValueError):
                 render_machine(trace)
             with pytest.raises(ValueError):
@@ -384,16 +390,15 @@ def test_machine_json_is_what_json_dumps_writes(example_trace):
 
 def test_machine_json_writes_names_and_numbers_as_json_dumps_does(example_trace):
     extremes = (-0.0, 5e-324, 1.7976931348623157e308)
-    upper = dataclasses.replace(example_trace.baa[0].upper, a1=-0.0, a4=extremes[2])
-    lower = dataclasses.replace(example_trace.baa[0].lower, a1=-0.0, a2=extremes[1], h=5e-324)
-    odd = dataclasses.replace(example_trace.baa[0], upper=upper, lower=lower)
+    upper = example_trace.baa[0].upper._replace(a1=-0.0, a4=extremes[2])
+    lower = example_trace.baa[0].lower._replace(a1=-0.0, a2=extremes[1], h=5e-324)
+    odd = example_trace.baa[0]._replace(upper=upper, lower=lower)
     int_params = PipelineParams(r=2)  # read as the float 2.0
     object.__setattr__(int_params, "s", 3)  # an int, as json.dumps writes one
-    _assert_written_as_json_dumps(dataclasses.replace(
-        example_trace,
+    _assert_written_as_json_dumps(example_trace._replace(
         name='Crit\u00e8re "\u0394" \\ tab\t nul\x00 \ud83d\ude00 \u2028',
         alternatives=["\u00c9cole", 'quo"te', "back\\slash"],
-        criteria=[dataclasses.replace(c, name=n)
+        criteria=[c._replace(name=n)
                   for c, n in zip(example_trace.criteria, ["\x1f", "\u4e2d", "\n", "'", "\x7f"])],
         params=int_params,
         baa=[odd, *example_trace.baa[1:]],
@@ -403,7 +408,7 @@ def test_machine_json_writes_names_and_numbers_as_json_dumps_does(example_trace)
         # what a directly built trace may hold where labels belong; a loaded one recomputes them
         classification=[[True, False, None, 7, -0.0], *example_trace.classification[1:]],
     ))
-    params = render_machine(dataclasses.replace(example_trace, params=int_params))
+    params = render_machine(example_trace._replace(params=int_params))
     assert '"r": 2.0,\n    "s": 3,\n' in params
 
 
@@ -535,8 +540,8 @@ def _pooled_rows(cells, p, q, seed):
 def _pooled_trace(trace, cells, fields=("aggregated_ratings", "normalized", "weighted"), p=60):
     """``trace`` with p alternatives, and the fuzzy matrices ``fields`` drawn from ``cells``."""
     q = len(trace.criteria)
-    return dataclasses.replace(
-        trace, alternatives=[f"A{i}" for i in range(p)],
+    return trace._replace(
+        alternatives=[f"A{i}" for i in range(p)],
         **{field: _pooled_rows(cells, p, q, seed) for seed, field in enumerate(fields)},
     )
 
