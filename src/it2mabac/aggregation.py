@@ -90,7 +90,7 @@ import sys
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import reduce
-from itertools import chain, combinations, compress, islice, product, repeat, starmap
+from itertools import combinations, compress, islice, product, repeat, starmap
 from math import exp, frexp, fsum, inf, ldexp, log, prod
 from operator import add, mul
 
@@ -148,10 +148,9 @@ def _average(experts: list[Sequence[Sequence[tuple]]], vector: bool) -> list[lis
                 for e, position in enumerate(zip(*per_expert))]
                for per_expert in zip(*experts)]  # per criterion, each expert's ten columns
     if not (all(map(_ordered, columns)) and _finite_sums([c for ten in columns for c in ten])):
-        _locate((((None, i) if vector else (i, j),
-                  ([c[i] for e in experts for c in e[j]], [c[i] for c in ten]))
-                 for i in range(len(columns[0][0])) for j, ten in enumerate(columns)),
-                lambda inputs, mean: _check_cell(inputs, mean, "the mean overflows on finite values"))
+        message = "the mean overflows on finite values"
+        _locate((((None, i) if vector else (i, j), ([c[i] for c in ten], message))
+                 for i in range(len(columns[0][0])) for j, ten in enumerate(columns)), _check_cell)
     return columns
 
 
@@ -230,11 +229,10 @@ _OPERATORS = {"bonferroni": (_bonferroni, "the Bonferroni mean"),
 def _checked_mean(columns: Sequence[tuple], mean: Sequence[float], operator: str, r: float,
                   s: float) -> IT2TrFN:
     """The value of ``mean``, the ten numbers ``operator`` wrote at r, s from the values whose
-    ten columns are ``columns``: refused where one of those is below the cone, where it
-    overflows on finite values, and where it is no IT2TrFN."""
+    ten columns are ``columns``: refused where one of those is below the cone, where it is
+    not finite, and where it is no IT2TrFN."""
     _require_cone(columns, _OPERATORS[operator][1])
-    return _check_cell(chain.from_iterable(columns), mean,
-                       f"the {operator} operator overflows with r={r!r}, s={s!r}")
+    return _check_cell(mean, f"the {operator} operator overflows with r={r!r}, s={s!r}")
 
 
 def _root_of_product(

@@ -108,10 +108,13 @@ class GeneralizedTrapezoid(_Record):
     h: float
 
     def __post_init__(self) -> None:
-        # The loop's own tests, unrolled: a value passes here exactly when the
-        # loop would pass it, so the loop runs only to name the broken rule.
-        if (self.a1 > self.a2 + EPS or self.a2 > self.a3 + EPS or self.a3 > self.a4 + EPS
-                or not 0.0 < self.h <= 1.0):
+        # One test of every rule: NaN fails each comparison, and the order chain bounds a2
+        # and a3 by a1 and a4. The loops run only to name the first broken rule.
+        if not (-math.inf < self.a1 <= self.a2 + EPS and self.a2 <= self.a3 + EPS
+                and self.a3 <= self.a4 + EPS and self.a4 < math.inf and 0.0 < self.h <= 1.0):
+            for name in ("a1", "a2", "a3", "a4"):
+                if not math.isfinite(getattr(self, name)):
+                    raise ProblemSyntaxError(f"{name}={getattr(self, name)!r} is not a finite number")
             for lo, hi in (("a1", "a2"), ("a2", "a3"), ("a3", "a4")):
                 if getattr(self, lo) > getattr(self, hi) + EPS:
                     raise EndpointOrderViolation(
@@ -182,8 +185,9 @@ class Matrix(Sequence):
     ``columns[j]`` holds criterion j as ten tuples of p numbers, in ``_numbers``'
     order. As a sequence it has p rows: ``m[i]`` is a tuple of q IT2TrFNs, built
     when read and not kept. ``==`` compares the columns of two matrices, and
-    row by row against any other sequence of rows. The stages build one from
-    columns they have checked; ``Matrix.of`` reads one from rows.
+    row by row against any other sequence; one whose items are not rows is
+    unequal. The stages build one from columns they have checked; ``Matrix.of``
+    reads one from rows.
     """
 
     __slots__ = ("columns", "_p")
@@ -226,7 +230,8 @@ class Matrix(Sequence):
         if isinstance(other, Matrix):
             return self._p == other._p and self.columns == other.columns
         if isinstance(other, Sequence) and not isinstance(other, str):
-            return len(other) == self._p and all(map(operator.eq, self, map(tuple, other)))
+            return len(other) == self._p and all(
+                isinstance(row, Iterable) and mine == tuple(row) for mine, row in zip(self, other))
         return NotImplemented
 
     __hash__ = None
@@ -260,14 +265,6 @@ def _finite(x, error: type[Exception], message: str) -> float:
     if isinstance(x, bool) or not math.isfinite(number):
         raise error(message.format(_shown(x)))
     return number
-
-
-def _check_finite(value: IT2TrFN, where: str) -> None:
-    """Hold the ten numbers of ``value``, built directly, to the rule of ``_finite``."""
-    for which, t in (("upper", value.upper), ("lower", value.lower)):
-        message = f"{where}: {which} trapezoid: {{}} is not a finite number"
-        for x in (t.a1, t.a2, t.a3, t.a4, t.h):
-            _finite(x, ProblemSyntaxError, message)
 
 
 #: The most entries, at every depth and once per appearance, and the deepest
@@ -337,7 +334,7 @@ def endpointwise(fn, *values: IT2TrFN) -> IT2TrFN:
     """
     columns = _columns(values)
     numbers = (*starmap(fn, columns[:4]), min(columns[4]), *starmap(fn, columns[5:9]), min(columns[9]))
-    return _check_cell(chain.from_iterable(columns), numbers, "an endpoint overflows on finite values")
+    return _check_cell(numbers, "an endpoint overflows on finite values")
 
 
 def add(a: IT2TrFN, b: IT2TrFN) -> IT2TrFN:
@@ -364,8 +361,7 @@ def _require_nonnegative(value: IT2TrFN, context: str, shift: float = 0.0) -> No
 
 def _below_cone(columns: Sequence[tuple], shift: float = 0.0) -> bool:
     """Whether some value of ``columns`` (ten of them) may have an endpoint, plus ``shift``,
-    below -EPS. False means ``_require_nonnegative`` passes every one; a column whose
-    ``min`` is NaN counts as below."""
+    below -EPS. False means ``_require_nonnegative`` passes every one."""
     return not all(min(c, default=0.0) + shift >= -EPS for c in (*columns[:4], *columns[5:9]))
 
 
@@ -382,16 +378,11 @@ def _finite_sums(columns: Sequence[Sequence[float]]) -> bool:
     return math.isfinite(sum(map(sum, columns))) or all(map(math.isfinite, chain.from_iterable(columns)))
 
 
-def _overflows(inputs: Iterable[float], outputs: Iterable[float]) -> bool:
-    """The finiteness rule of steps 1-6: whether some output is not finite while every input is."""
-    return not all(map(math.isfinite, outputs)) and all(map(math.isfinite, inputs))
-
-
-def _check_cell(inputs: Iterable[float], outputs: Sequence[float], message: str) -> IT2TrFN:
-    """The value of ``outputs``, the ten numbers a stage wrote from ``inputs``, refused with
-    ``message`` as a ComputationError where the finiteness rule refuses them, else where they
-    are no IT2TrFN."""
-    if _overflows(inputs, outputs):
+def _check_cell(outputs: Sequence[float], message: str) -> IT2TrFN:
+    """The value of ``outputs``, the ten numbers a stage wrote, refused with ``message`` as a
+    ComputationError where one is not finite (the finiteness rule of steps 1-6), else where
+    they are no IT2TrFN."""
+    if not all(map(math.isfinite, outputs)):
         raise ComputationError(message)
     return _value(*outputs)
 
@@ -401,8 +392,7 @@ def _locate(cells: Iterable[tuple], check) -> None:
     first package error of ``check(*numbers)`` over the ``(cell, numbers)`` pairs, given in
     the stage's order, is raised with ``_cell = cell``; an InvalidParams is the fault of a
     parameter, not of the cell, and keeps none. The scans are exact, so a scan fires only
-    on a cell that breaks a rule, or on a number that is not finite in the stage's input,
-    which the stage carries; the locator then finds no fault and returns."""
+    on a cell that breaks a rule, and the locator, once called, raises."""
     for cell, numbers in cells:
         try:
             check(*numbers)

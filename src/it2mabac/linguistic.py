@@ -13,14 +13,14 @@ from functools import cache
 from types import MappingProxyType
 
 from .errors import ProblemSyntaxError, UnknownTerm
-from .fuzzy import IT2TrFN, _check_finite, _Record, _shown, make
+from .fuzzy import IT2TrFN, _Record, _shown, make
 from .pipeline import _check_names
 
 
 class LinguisticScale(_Record):
     """An ordered, read-only term -> IT2TrFN mapping, checked when built: a string
-    name, terms under the one name rule and ``IT2TrFN`` entries of finite numbers,
-    or a ``ProblemSyntaxError``. Insertion order is the scale order."""
+    name, terms under the one name rule and ``IT2TrFN`` entries, or a
+    ``ProblemSyntaxError``. Insertion order is the scale order."""
 
     name: str
     entries: Mapping[str, IT2TrFN]
@@ -30,10 +30,9 @@ class LinguisticScale(_Record):
             raise ProblemSyntaxError(f"a scale's 'name' must be a string, got {_shown(self.name)}")
         _check_names(list(self.entries) if isinstance(self.entries, Mapping) else None, "terms")
         for term, value in self.entries.items():
-            where = f"scale {self.name!r} term {term!r}"
             if not isinstance(value, IT2TrFN):
-                raise ProblemSyntaxError(f"{where}: expected an IT2TrFN, got {_shown(value)}")
-            _check_finite(value, where)
+                raise ProblemSyntaxError(f"scale {self.name!r} term {term!r}: expected an IT2TrFN, "
+                                         f"got {_shown(value)}")
         object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
 
     def terms(self) -> list[str]:

@@ -5,9 +5,8 @@ All stage functions are pure transformations of fuzzy matrices. They take a
 through ``Matrix.of``, and steps 3-4 return a ``Matrix``: each computes one
 float column per endpoint of each criterion, with the per-cell formula in the
 same order, so no bit moves. The rules a value must keep run as exact scans
-over those columns; one of them, for steps 1-6, refuses a number that is not
-finite written from inputs that all are. A scan fires only where a cell breaks
-a rule, or where the stage carries an input that is not finite; then
+over those columns; one of them, for steps 1-6, refuses a number a stage
+writes that is not finite. A scan fires only where a cell breaks a rule; then
 ``fuzzy._locate`` finds the first fault in the stage's order, with its own
 class, text and cell.
 
@@ -28,7 +27,7 @@ from .aggregation import _OPERATORS, _checked_mean
 from .errors import (ComputationError, DegenerateRange, DimensionMismatch, InvalidParams,
                      ProblemSyntaxError, TooFewValues)
 from .fuzzy import (EPS, IT2TrFN, Matrix, _below_cone, _check_cell, _columns, _finite_sums, _locate,
-                    _numbers, _ordered, _overflows, _Record, _require_cone, _require_nonnegative, _shown,
+                    _numbers, _ordered, _Record, _require_cone, _require_nonnegative, _shown,
                     _value)
 from .ranking import _rank, rank_to_one
 
@@ -102,8 +101,7 @@ def normalize(matrix: _Rows, specs: list[CriterionSpec]) -> Matrix:
                    *[tuple([(a_plus - x) / rng for x in c]) for c in (l4, l3, l2, l1)], lh]
         if not (_ordered(ten) and _finite_sums(ten)):
             message = f"an endpoint scaled to [{a_minus!r}, {a_plus!r}] overflows on finite values"
-            _locate((((i, j), (*cell, message)) for i, cell in enumerate(zip(zip(*m.columns[j]), zip(*ten)))),
-                    _check_cell)
+            _locate((((i, j), (cell, message)) for i, cell in enumerate(zip(*ten))), _check_cell)
         columns.append(ten)
     return Matrix(columns, len(m))
 
@@ -131,7 +129,7 @@ def weight(normalized: _Rows, weights: list[IT2TrFN]) -> Matrix:
 def _check_weighted(w: tuple, cell: list[float], product: list[float]) -> None:
     _require_nonnegative(_value(*cell), "multiplication", 1.0)
     for x, we, ne in zip(product, w, cell):
-        if _overflows((we, ne), (x,)):
+        if not math.isfinite(x):
             raise ComputationError(f"w * (n + 1) = {we!r} * ({ne!r} + 1.0) overflows on finite factors")
     _value(*product)
 

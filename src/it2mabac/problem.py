@@ -45,7 +45,7 @@ from .errors import (
     MabacError,
     ProblemSyntaxError,
 )
-from .fuzzy import IT2TrFN, Matrix, _check_finite, _finite, _Record, _shown, make
+from .fuzzy import IT2TrFN, Matrix, _finite, _Record, _shown, make
 from .linguistic import (
     LinguisticScale,
     builtin_rating_scale,
@@ -540,15 +540,12 @@ def _resolve_entry(node, scale: LinguisticScale, where: str) -> IT2TrFN:
 def _resolve_row(row, scale: LinguisticScale, where: str) -> tuple[IT2TrFN, ...]:
     """Resolve one row; cell ``j`` is labelled ``{where}[{j}]`` in errors.
 
-    A known term is one dict lookup, and an ``IT2TrFN`` is kept once it passes
-    ``fuzzy._check_finite``, as a scale's entries do; only inline values and
-    refusals pay for ``_resolve_entry`` and its label.
+    A known term is one dict lookup, and an ``IT2TrFN`` is kept as it is; only
+    inline values and refusals pay for ``_resolve_entry`` and its label.
     """
     known, resolved = scale.entries, []
     for j, entry in enumerate(row):
-        if isinstance(entry, IT2TrFN):
-            _check_finite(entry, f"{where}[{j}]")
-        else:
+        if not isinstance(entry, IT2TrFN):
             entry = (known[entry] if isinstance(entry, str) and entry in known
                      else _resolve_entry(entry, scale, f"{where}[{j}]"))
         resolved.append(entry)

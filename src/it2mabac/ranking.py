@@ -18,7 +18,7 @@ import math
 import sys
 
 from .errors import ComputationError, InvalidParams, ZeroHeight
-from .fuzzy import IT2TrFN, _finite, _overflows
+from .fuzzy import IT2TrFN, _finite
 
 _NORMAL_MIN = sys.float_info.min
 
@@ -36,13 +36,12 @@ def rank_to_one(value: IT2TrFN, lam: float = 0.5) -> float:
     u, lo = value.upper, value.lower
     if 2.0 * u.h * lo.h < _NORMAL_MIN:
         raise ZeroHeight(f"membership heights {u.h!r} and {lo.h!r} are too small to divide by")
-    numbers = (*u.endpoints, u.h, *lo.endpoints, lo.h)
-    return _checked(numbers, _rank(*numbers, lam))
+    return _checked(_rank(*u.endpoints, u.h, *lo.endpoints, lo.h, lam))
 
 
-def _checked(inputs: tuple[float, ...], distance: float) -> float:
-    """``distance``, written from ``inputs``, refused where the finiteness rule refuses it."""
-    if _overflows(inputs, (distance,)):
+def _checked(distance: float) -> float:
+    """``distance``, refused where it is not finite: the finiteness rule of steps 1-6."""
+    if not math.isfinite(distance):
         raise ComputationError("the rank-based distance overflows on finite endpoints")
     return distance
 
@@ -63,5 +62,4 @@ def _rank(a1u: float, a2u: float, a3u: float, a4u: float, hu: float,
 def distance(a: IT2TrFN, b: IT2TrFN, lam: float = 0.5) -> float:
     """Distance between two values: |rank_to_one(a) - rank_to_one(b)|, refused where it
     overflows on two finite ranks."""
-    ranks = rank_to_one(a, lam), rank_to_one(b, lam)
-    return _checked(ranks, abs(ranks[0] - ranks[1]))
+    return _checked(abs(rank_to_one(a, lam) - rank_to_one(b, lam)))

@@ -116,8 +116,16 @@ SECTION_HEADERS = {table: header for table, (header, _, _) in _TABLES.items()}
 TABLES = tuple(_TABLES)
 
 
+def _table(table: str) -> tuple:
+    """The header, machine keys and text body of ``table``; an unknown name is a ProblemSyntaxError."""
+    try:
+        return _TABLES[table]
+    except KeyError:
+        raise ProblemSyntaxError(f"unknown table {table!r}; choose from {TABLES}") from None
+
+
 def render_section(trace: PipelineTrace, table: str) -> str:
-    header, keys, body = _TABLES[table]
+    header, keys, body = _table(table)
     lines = [f"== {header} ==", *body(trace, getattr(trace, keys[0]))]
     return "\n".join(lines) + "\n"
 
@@ -282,7 +290,7 @@ def render(trace: PipelineTrace, fmt: str = "text") -> str:
 
 def render_section_machine(trace: PipelineTrace, table: str) -> str:
     """JSON for a single table of the trace: its machine keys and their values."""
-    return _machine_json(trace, _TABLES[table][1])
+    return _machine_json(trace, _table(table)[1])
 
 
 def _same(a, b) -> bool:

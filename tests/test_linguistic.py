@@ -4,8 +4,6 @@
 import pytest
 
 from it2mabac import (
-    GeneralizedTrapezoid,
-    IT2TrFN,
     LinguisticScale,
     builtin_rating_scale,
     builtin_weight_scale,
@@ -133,11 +131,6 @@ def test_scale_roundtrip_is_bit_exact():
     assert parse_scale(node) == scale
 
 
-_NAN_UPPER = IT2TrFN(GeneralizedTrapezoid(0.7, float("nan"), 0.9, 1.0, 1.0),
-                     GeneralizedTrapezoid(0.8, 0.9, 0.9, 0.95, 0.9))
-_INF_LOWER = IT2TrFN(GeneralizedTrapezoid(0.7, 0.9, 0.9, 1.0, 1.0),
-                     GeneralizedTrapezoid(float("-inf"), 0.9, 0.9, 0.95, 0.9))
-
 #: A directly built scale that is refused: its name, its entries (None: the
 #: builtin weight terms with "H" replaced by the given value) and the message.
 BAD_SCALES = {
@@ -145,13 +138,12 @@ BAD_SCALES = {
     "str-entry": ("w", "M", "scale 'w' term 'H': expected an IT2TrFN, got 'M'"),
     "tuple-entry": ("w", WEIGHT_SCALE_VALUES["H"], "scale 'w' term 'H': expected an IT2TrFN, "
                     "got ((0.7, 0.9, 0.9, 1.0, 1.0), (0.8, 0.9, 0.9, 0.95, 0.9))"),
-    "nan-endpoint": ("w", _NAN_UPPER, "scale 'w' term 'H': upper trapezoid: nan is not a finite number"),
-    "inf-endpoint": ("w", _INF_LOWER, "scale 'w' term 'H': lower trapezoid: -inf is not a finite number"),
     "int-name-and-term": (5, {1: 2}, "a scale's 'name' must be a string, got 5"),
     "int-term": ("w", {1: 2}, "'terms' entries must be non-empty strings, got 1"),
     "empty-term": ("w", {"": 2}, "'terms' entries must be non-empty strings, got ''"),
     "no-terms": ("w", {}, "'terms' must be a non-empty list of names"),
-    "not-a-mapping": ("w", [("H", _INF_LOWER)], "'terms' must be a non-empty list of names"),
+    "not-a-mapping": ("w", [("H", make(*WEIGHT_SCALE_VALUES["H"]))],
+                      "'terms' must be a non-empty list of names"),
 }
 
 

@@ -18,6 +18,7 @@ from it2mabac import (
     GeneralizedTrapezoid,
     IT2TrFN,
     PipelineParams,
+    add,
     average_ratings,
     average_weights,
     builtin_rating_scale,
@@ -26,6 +27,7 @@ from it2mabac import (
     classify_and_score,
     crisp,
     crisp_matrices,
+    distance,
     geometric_mean,
     make,
     mean,
@@ -33,6 +35,7 @@ from it2mabac import (
     normalize,
     rank_to_one,
     run,
+    scale,
     tit2fgbm,
     weight,
 )
@@ -48,7 +51,7 @@ from it2mabac.errors import (
     TooFewValues,
     ZeroHeight,
 )
-from it2mabac.pipeline import _range
+from it2mabac.pipeline import BAA_OPERATORS, _range
 from worked_example import CRITERIA, TABLE11_A2_DELTAS, table6_matrix
 
 BENEFIT = [CriterionSpec(name) for name in CRITERIA]
@@ -456,15 +459,10 @@ def test_steps_3_4_and_6_are_the_per_cell_formulas_bit_for_bit(rows, senses, wei
 
 def test_weight_refuses_an_overflow_on_finite_factors_only():
     huge = make((0, 1e308, 1e308, 1.7e308, 1.0), (0, 1e308, 1e308, 1.7e308, 0.9))
-    infinite = IT2TrFN(GeneralizedTrapezoid(0, 1, 1, math.inf, 1.0),
-                       GeneralizedTrapezoid(0, 1, 1, 1, 0.9))
     with pytest.raises(ComputationError) as info:
         weight([[crisp(0.0), crisp(0.0)], [crisp(0.5), crisp(0.5)]], [crisp(1.0), huge])
     assert info.value._cell == (1, 1)
     assert str(info.value) == "w * (n + 1) = 1.7e+308 * (0.5 + 1.0) overflows on finite factors"
-    # a factor that is already infinite is carried, as step 5 carries it
-    weighted = weight([[crisp(0.0)], [crisp(0.5)]], [infinite])
-    assert weighted[1][0].upper.a4 == math.inf
 
 
 @st.composite
@@ -726,3 +724,39 @@ def test_each_public_operation_is_its_stage_on_one_value(values, r, s, lam):
         (lambda: [abs(rank_to_one(first, lam))] * 3, lambda: _step_6(first, lam)),
     ]:
         assert _outcome(public) == _outcome(stage)
+
+
+def _sorted_value(points, hu, hl):
+    """The IT2TrFN of eight points, each trapezoid's four sorted, and heights hu and min(hu, hl)."""
+    return IT2TrFN(GeneralizedTrapezoid(*sorted(points[:4]), hu),
+                   GeneralizedTrapezoid(*sorted(points[4:]), min(hu, hl)))
+
+
+#: Values on the unit scale, far out to 1.7e308, or of either sign; lighter to draw than ``_far_values``.
+_sorted_values = st.one_of(*[
+    st.builds(_sorted_value, st.lists(point, min_size=8, max_size=8), finite(0.5, 1.0), finite(0.5, 1.0))
+    for point in (finite(0.0, 10.0), _FAR, st.one_of(_FAR, finite(-1.7e308, 0.0)))])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), p=st.integers(2, 4), q=st.integers(1, 3), r=_EXPONENT, s=_EXPONENT, lam=_LAMBDA,
+       k=_FAR, operator=st.sampled_from(BAA_OPERATORS))
+def test_finite_in_finite_out_or_a_package_error(data, p, q, r, s, lam, k, operator):
+    # every value is finite by construction, so an operation writes finite numbers or refuses
+    rows = data.draw(st.lists(st.lists(_sorted_values, min_size=q, max_size=q), min_size=p, max_size=p))
+    weights = data.draw(st.lists(_sorted_values, min_size=q, max_size=q))
+    specs = [CriterionSpec(f"C{j}", data.draw(st.sampled_from(["benefit", "cost"]))) for j in range(q)]
+    column = [row[0] for row in rows]
+    a, b = column[:2]
+    for call in [
+        lambda: add(a, b), lambda: mul(a, b), lambda: scale(a, k), lambda: mean(column),
+        lambda: tit2fgbm(column, r=r, s=s), lambda: geometric_mean(column),
+        lambda: rank_to_one(a, lam), lambda: distance(a, b, lam),
+        lambda: normalize(rows, specs), lambda: weight(rows, weights),
+        lambda: baa(rows, r=r, s=s, operator=operator), lambda: crisp_matrices(rows, weights, lam),
+    ]:
+        try:
+            out = call()
+        except MabacError:
+            continue
+        assert _all_finite(out)

@@ -257,10 +257,11 @@ class TestParse:
     def test_directly_built_cell_must_be_finite(
         self, example_problem, upper, lower, shown, field, path, where
     ):
-        # GeneralizedTrapezoid only compares, so these build; the problem refuses
-        # them with the text a document's inline value gets
-        cell = IT2TrFN(GeneralizedTrapezoid(*upper), GeneralizedTrapezoid(*lower))
-        entries = _replaced(getattr(example_problem, field), path, cell)
+        # The trapezoid refuses the number, so no such IT2TrFN reaches a problem; the
+        # same numbers as an inline value are refused at their cell, as in a document
+        with pytest.raises(ProblemSyntaxError, match="^a[1-4]=-?(nan|inf) is not a finite number$"):
+            IT2TrFN(GeneralizedTrapezoid(*upper), GeneralizedTrapezoid(*lower))
+        entries = _replaced(getattr(example_problem, field), path, [list(upper), list(lower)])
         with pytest.raises(ProblemSyntaxError) as info:
             example_problem._replace(**{field: entries})
         assert str(info.value) == f"{where}: {shown} is not a finite number"

@@ -138,6 +138,7 @@ def test_a_trace_holds_matrices_that_read_and_compare_as_rows(example_trace):
         assert matrix[-1] == matrix[2] and matrix[1:] == [matrix[1], matrix[2]]
         assert all(isinstance(cell, IT2TrFN) for row in matrix for cell in row)
         assert matrix != rows[:2] and matrix != [*rows[:2], rows[0]]
+        assert matrix != [1, 2, 3] and not matrix == [None, rows[1], rows[2]]
     assert trace.weighted != trace.normalized
 
 
@@ -173,6 +174,10 @@ def test_trace_from_json_checks_params_as_documents_do(example_trace):
 def test_unknown_format_rejected(example_trace):
     with pytest.raises(ProblemSyntaxError):
         render(example_trace, "csv")
+    for render_fn in (render_section, render_section_machine):
+        with pytest.raises(ProblemSyntaxError) as info:
+            render_fn(example_trace, "bogus")
+        assert str(info.value) == f"unknown table 'bogus'; choose from {TABLES}"
 
 
 def test_trace_from_json_rejects_garbage():
@@ -331,12 +336,24 @@ def test_trace_from_json_rejects_wrong_shapes(example_trace):
             trace_from_json(text)
 
 
+#: A number no test trace holds, written over with one that is not finite by ``_with_number``.
+_STAND_IN = 0.123456789
+
+
+def _with_number(rows, number):
+    """``rows`` as a Matrix built from its columns, with ``number`` in place of each
+    ``_STAND_IN``: an IT2TrFN cannot hold a number that is not finite, a column can."""
+    m = Matrix.of(rows)
+    return Matrix([[tuple(number if x == _STAND_IN else x for x in c) for c in ten] for ten in m.columns],
+                  len(m))
+
+
 def test_machine_rendering_refuses_non_finite_numbers(example_trace):
+    weighted = [list(row) for row in example_trace.weighted]
+    weighted[1][2] = crisp(_STAND_IN)
     for value in (math.nan, math.inf, -math.inf):
-        weighted = [list(row) for row in example_trace.weighted]
-        weighted[1][2] = crisp(value)
         for field, table, broken in [
-            ("weighted", "weighted", weighted),
+            ("weighted", "weighted", _with_number(weighted, value)),
             ("g", "g", [0.5, value, 0.25]),
             ("scores", "scores", [0.1, 0.2, value]),
         ]:
@@ -583,7 +600,8 @@ def test_machine_rendering_refuses_non_finite_numbers_in_a_repeated_matrix(examp
     for value in (math.nan, math.inf, -math.inf):
         for field, table in [("aggregated_ratings", "ratings"), ("normalized", "normalized"),
                              ("weighted", "weighted")]:
-            trace = _pooled_trace(example_trace, [*SIGNED_ZEROS, crisp(value)], fields=[field])
+            pooled = _pooled_trace(example_trace, [*SIGNED_ZEROS, crisp(_STAND_IN)], fields=[field])
+            trace = pooled._replace(**{field: _with_number(getattr(pooled, field), value)})
             for render_fn in (render_machine, lambda t: render_section_machine(t, table)):
                 with _memos() as memos, pytest.raises(ValueError, match="^Out of range float"):
                     render_fn(trace)
