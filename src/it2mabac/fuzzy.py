@@ -109,19 +109,24 @@ class GeneralizedTrapezoid(_Record):
 
     def __post_init__(self) -> None:
         # One test of every rule: NaN fails each comparison, and the order chain bounds a2
-        # and a3 by a1 and a4. The loops run only to name the first broken rule.
-        if not (-math.inf < self.a1 <= self.a2 + EPS and self.a2 <= self.a3 + EPS
-                and self.a3 <= self.a4 + EPS and self.a4 < math.inf and 0.0 < self.h <= 1.0):
+        # and a3 by a1 and a4. A foreign number (a str, an int beyond the float range) fails
+        # it by raising. The loops run only to name the first broken rule.
+        try:
+            valid = (-math.inf < self.a1 <= self.a2 + EPS and self.a2 <= self.a3 + EPS
+                     and self.a3 <= self.a4 + EPS and self.a4 < math.inf and 0.0 < self.h <= 1.0)
+        except (TypeError, OverflowError):
+            valid = False
+        if not valid:
             for name in ("a1", "a2", "a3", "a4"):
-                if not math.isfinite(getattr(self, name)):
-                    raise ProblemSyntaxError(f"{name}={getattr(self, name)!r} is not a finite number")
+                if not _is_finite(getattr(self, name)):
+                    raise ProblemSyntaxError(f"{name}={_shown(getattr(self, name))} is not a finite number")
             for lo, hi in (("a1", "a2"), ("a2", "a3"), ("a3", "a4")):
                 if getattr(self, lo) > getattr(self, hi) + EPS:
                     raise EndpointOrderViolation(
                         f"{lo}={getattr(self, lo)!r} exceeds {hi}={getattr(self, hi)!r}; "
                         "endpoints must satisfy a1 <= a2 <= a3 <= a4"
                     )
-            raise HeightOutOfRange(f"height h={self.h!r} must lie in (0, 1]")
+            raise HeightOutOfRange(f"height h={_shown(self.h)} must lie in (0, 1]")
 
     @property
     def endpoints(self) -> tuple[float, float, float, float]:
@@ -136,6 +141,14 @@ class GeneralizedTrapezoid(_Record):
         if self.a3 < x <= self.a4:
             return (self.a4 - x) * self.h / (self.a4 - self.a3)
         return 0.0
+
+
+def _is_finite(x) -> bool:
+    """Whether ``x`` is a finite number; a str or an int beyond the float range is not."""
+    try:
+        return math.isfinite(x)
+    except (TypeError, OverflowError):
+        return False
 
 
 class IT2TrFN(_Record):
@@ -188,12 +201,22 @@ class Matrix(Sequence):
     row by row against any other sequence; one whose items are not rows is
     unequal. The stages build one from columns they have checked; ``Matrix.of``
     reads one from rows.
+
+    A matrix is read-only in fact: its columns are tuples at every depth, and no
+    attribute can be assigned or deleted. So the stages of ``pipeline`` may keep
+    their result on their input matrix: ``_memo`` maps a stage's name to the
+    argument objects of its last successful call on this matrix and its result.
     """
 
-    __slots__ = ("columns", "_p")
+    __slots__ = ("columns", "_p", "_memo")
 
     def __init__(self, columns: Sequence[Sequence[tuple]], p: int) -> None:
-        self.columns, self._p = tuple(map(tuple, columns)), p
+        _set = object.__setattr__
+        _set(self, "columns", tuple([tuple(map(tuple, ten)) for ten in columns]))
+        _set(self, "_p", p)
+        _set(self, "_memo", {})
+
+    __setattr__, __delattr__ = _Record.__setattr__, _Record.__delattr__
 
     @classmethod
     def of(cls, rows: Sequence[Sequence[IT2TrFN]], width: int | None = None, what: str = "entries") -> Matrix:

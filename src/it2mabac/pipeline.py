@@ -10,6 +10,14 @@ writes that is not finite. A scan fires only where a cell breaks a rule; then
 ``fuzzy._locate`` finds the first fault in the stage's order, with its own
 class, text and cell.
 
+A ``Matrix`` is read-only, so steps 3-5 keep their result on their input
+matrix (``Matrix._memo``), with the argument objects of the call: the specs,
+the weights, or ``(operator, r, s)``. A later call on that matrix with the very
+same objects (``is``, one by one) returns the kept result after the input's
+width check; any other call computes and keeps its own. A call that raises keeps
+nothing. So a lambda sweep over one problem computes steps 3-5 once. The stages
+are pure, so two threads that miss at once only compute the same result twice.
+
 Reference points for normalization come from the upper trapezoids only;
 lower endpoints are scaled against the same range, which may push them
 slightly outside [0, 1]. That is intentional and the downstream stages do
@@ -21,7 +29,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from itertools import chain, repeat
-from operator import add, mul, sub
+from operator import add, is_, mul, sub
 
 from .aggregation import _OPERATORS, _checked_mean
 from .errors import (ComputationError, DegenerateRange, DimensionMismatch, InvalidParams,
@@ -71,6 +79,14 @@ class CriterionSpec(_Record):
             )
 
 
+def _held(m: Matrix, stage: str, args: tuple):
+    """The result ``stage`` keeps on ``m`` for these very argument objects, or None."""
+    held = m._memo.get(stage)
+    if held is not None and len(held[0]) == len(args) and all(map(is_, held[0], args)):
+        return held[1]
+    return None
+
+
 def _range(a1: Sequence[float], a4: Sequence[float], name: str) -> tuple[float, float]:
     """(min upper a1, max upper a4) of criterion ``name``; their range must be finite and above EPS."""
     a_minus, a_plus = min(a1), max(a4)
@@ -89,6 +105,9 @@ def normalize(matrix: _Rows, specs: list[CriterionSpec]) -> Matrix:
     endpoints reversed, so the largest maps to the smallest. Columns go in order, each
     checked before the next: its range, then its cells."""
     m = Matrix.of(matrix, len(specs), "criteria")
+    args = tuple(specs)
+    if (held := _held(m, "normalize", args)) is not None:
+        return held
     columns = []
     for j, (spec, (u1, u2, u3, u4, uh, l1, l2, l3, l4, lh)) in enumerate(zip(specs, m.columns)):
         a_minus, a_plus = _range(u1, u4, spec.name)
@@ -103,7 +122,9 @@ def normalize(matrix: _Rows, specs: list[CriterionSpec]) -> Matrix:
             message = f"an endpoint scaled to [{a_minus!r}, {a_plus!r}] overflows on finite values"
             _locate((((i, j), (cell, message)) for i, cell in enumerate(zip(*ten))), _check_cell)
         columns.append(ten)
-    return Matrix(columns, len(m))
+    result = Matrix(columns, len(m))
+    m._memo["normalize"] = args, result
+    return result
 
 
 def weight(normalized: _Rows, weights: list[IT2TrFN]) -> Matrix:
@@ -113,6 +134,9 @@ def weight(normalized: _Rows, weights: list[IT2TrFN]) -> Matrix:
     endpoint that overflows on finite factors is a ComputationError. Each error names its cell.
     """
     n = Matrix.of(normalized, len(weights), "weights")
+    args = tuple(weights)
+    if (held := _held(n, "weight", args)) is not None:
+        return held
     _require_cone(_columns(weights), "multiplication", [(None, j) for j in range(len(weights))])
     w_numbers = _numbers(weights)
     columns = [[tuple(map(mul, repeat(we), map(add, c, repeat(1.0)))) if e % 5 != 4
@@ -123,7 +147,9 @@ def weight(normalized: _Rows, weights: list[IT2TrFN]) -> Matrix:
             or not _finite_sums([c for ten in columns for c in ten])):
         _locate((((i, j), (w, [c[i] for c in ten], [c[i] for c in out])) for i in range(len(n))
                  for j, (w, ten, out) in enumerate(zip(w_numbers, n.columns, columns))), _check_weighted)
-    return Matrix(columns, len(n))
+    result = Matrix(columns, len(n))
+    n._memo["weight"] = args, result
+    return result
 
 
 def _check_weighted(w: tuple, cell: list[float], product: list[float]) -> None:
@@ -146,13 +172,18 @@ def baa(
     if len(weighted) < 2:
         raise TooFewValues(f"the border approximation area needs at least two alternatives, "
                            f"got {len(weighted)}")
-    columns = Matrix.of(weighted, what="criteria").columns
+    m, args = Matrix.of(weighted, what="criteria"), (operator, r, s)
+    if (held := _held(m, "baa", args)) is not None:
+        return list(held)
+    columns = m.columns
     result = [aggregate(ten, r, s) for ten in columns]
     if (any(map(_below_cone, columns)) or not _ordered([*zip(*result)] or [()] * 10)
             or not _finite_sums(result)):
         _locate(zip([(None, j) for j in range(len(columns))], zip(columns, result)),
                 lambda ten, g: _checked_mean(ten, g, operator, r, s))
-    return [_value(*g) for g in result]
+    vector = [_value(*g) for g in result]
+    m._memo["baa"] = args, tuple(vector)
+    return vector
 
 
 def crisp_matrices(

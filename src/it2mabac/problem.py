@@ -12,7 +12,8 @@ holding every intermediate matrix; ``render.trace_from_json`` runs a machine
 trace's group decision as a problem of one expert. A problem is read-only, so
 steps 1-2, which depend on it alone, are computed once and shared by every run.
 The fuzzy matrices of steps 2-4 are ``fuzzy.Matrix`` columns, read-only, so a
-trace holds them as the stages return them.
+trace holds them as the stages return them, and the traces of one problem share
+them: steps 3-5 keep their results on their input matrices (see ``pipeline``).
 """
 
 from __future__ import annotations
@@ -260,9 +261,13 @@ def _stage(label: str, alternatives=(), criteria=(), vector: str = ""):
 def run(problem: DecisionProblem, params: PipelineParams | None = None) -> PipelineTrace:
     """Execute steps 1-7 on ``problem`` and return the trace; the only code that builds one.
 
-    Steps 3-7 run on the cached averages of steps 1-2. The trace gets its own list
-    of the weights and shares the read-only matrix of ratings, so mutating a trace
-    reaches neither the problem nor a later trace.
+    Steps 3-7 run on the cached averages of steps 1-2. Every stage is called, under
+    its label, on every run, but steps 3-5 return the result they keep on their input
+    matrix when called with the very same arguments: the problem's criteria and
+    averaged weights, and the params' operator, r and s. So a lambda sweep computes
+    them once. The trace gets its own lists of the weights and of the BAA and shares
+    the read-only matrices, so mutating a trace reaches neither the problem nor a
+    later trace.
     """
     weights_bar, aggregated_ratings = problem._averages
     alternatives, criteria = list(problem.alternatives), list(problem.criteria)

@@ -35,7 +35,7 @@ from it2mabac.errors import (
     NegativeScalar,
     ProblemSyntaxError,
 )
-from it2mabac.fuzzy import _SHOWN_DEPTH, _SHOWN_ENTRIES, _finite_sums, _Record, _shown, endpointwise
+from it2mabac.fuzzy import _SHOWN_DEPTH, _SHOWN_ENTRIES, Matrix, _finite_sums, _Record, _shown, endpointwise
 
 GOOD = make((7, 9, 9, 10, 1.0), (8, 9, 9, 9.5, 0.9))
 H = make((0.7, 0.9, 0.9, 1.0, 1.0), (0.8, 0.9, 0.9, 0.95, 0.9))
@@ -107,6 +107,25 @@ class TestConstruction:
         with pytest.raises(ProblemSyntaxError) as info:
             make([10**5000, 0, 0, 0, 1], [0, 0, 0, 0, 1])
         assert str(info.value) == "upper trapezoid: an int of 16610 bits is not a finite number"
+
+    @pytest.mark.parametrize("args, message", [
+        ((10**400, 10**400, 10**400, 10**400, 1.0), f"a1={10**400!r} is not a finite number"),
+        ((0, 1, 2, 10**5000, 1.0), "a4=an int of 16610 bits is not a finite number"),
+        (("a", "b", "c", "d", 1), "a1='a' is not a finite number"),
+        ((0, 1, None, 3, 1.0), "a3=None is not a finite number"),
+    ], ids=["int-past-float-range", "int-too-long-to-print", "str", "none"])
+    def test_a_foreign_number_built_directly_is_named(self, args, message):
+        # make reads its numbers through _finite; a direct build must refuse them too
+        with pytest.raises(ProblemSyntaxError) as info:
+            GeneralizedTrapezoid(*args)
+        assert str(info.value) == message
+
+    def test_a_foreign_height_is_out_of_range_and_a_boolean_one_is_kept(self):
+        with pytest.raises(HeightOutOfRange, match=r"^height h='x' must lie in \(0, 1\]$"):
+            GeneralizedTrapezoid(0, 1, 2, 3, "x")
+        with pytest.raises(HeightOutOfRange, match=r"^height h=an int of 16610 bits must lie in \(0, 1\]$"):
+            GeneralizedTrapezoid(0, 1, 2, 3, 10**5000)
+        assert GeneralizedTrapezoid(0, 1, 2, 3, True).h is True  # refusing it costs a type test per build
 
     def test_value_too_large_to_print_is_named_by_its_length(self):
         def nested(depth):
@@ -274,11 +293,22 @@ def test_crisp_helper():
     assert c.upper.h == 1.0 and c.lower.h == 1.0
 
 
-@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, 10**400])
 def test_crisp_refuses_a_number_that_is_not_finite(c):
     with pytest.raises(ProblemSyntaxError) as info:
         crisp(c)
     assert str(info.value) == f"a1={c!r} is not a finite number"
+
+
+def test_a_matrix_is_read_only_at_every_depth():
+    m = Matrix([[[0.0], [1.0], [2.0], [3.0], [1.0], [0.5], [1.0], [2.0], [2.5], [0.9]]], 1)
+    assert m == Matrix.of([[make((0, 1, 2, 3, 1), (0.5, 1, 2, 2.5, 0.9))]])
+    assert type(m.columns[0]) is tuple and all(type(c) is tuple for c in m.columns[0])
+    for name in ("columns", "_p", "_memo", "other"):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(m, name, ())
+    with pytest.raises(AttributeError, match="^cannot delete field 'columns'$"):
+        del m.columns
 
 
 #: Upper and lower a1 exceed a2 by 8e-10, inside the EPS order tolerance.

@@ -51,6 +51,7 @@ from it2mabac.errors import (
     TooFewValues,
     ZeroHeight,
 )
+from it2mabac.fuzzy import Matrix
 from it2mabac.pipeline import BAA_OPERATORS, _range
 from worked_example import CRITERIA, TABLE11_A2_DELTAS, table6_matrix
 
@@ -202,6 +203,67 @@ class TestBaa:
     def test_operator_validation(self):
         with pytest.raises(InvalidParams):
             PipelineParams(baa_operator="median")
+
+
+def _fresh(m):
+    """A new matrix of the columns of ``m``, with no result kept on it."""
+    return Matrix(m.columns, len(m))
+
+
+class TestKeptResults:
+    """Steps 3-5 keep their result on their input matrix, keyed by the argument objects."""
+
+    W = make((0, 0.1, 0.2, 0.3, 1.0), (0, 0.1, 0.2, 0.25, 0.9))
+    W_NEG_ZERO = make((-0.0, 0.1, 0.2, 0.3, 1.0), (0, 0.1, 0.2, 0.25, 0.9))
+
+    def test_the_same_argument_objects_return_the_kept_result(self, aggregated):
+        ratings = Matrix.of(aggregated)
+        normalized = normalize(ratings, BENEFIT)
+        assert normalize(ratings, list(BENEFIT)) is normalized
+        weights = [self.W] * 5
+        weighted = weight(normalized, weights)
+        assert weight(normalized, tuple(weights)) is weighted
+        vector = baa(weighted, operator="geomean")
+        again = baa(weighted, operator="geomean")
+        assert again == vector and again is not vector  # a fresh list of the kept values
+        vector[0] = vector[1]
+        assert baa(weighted, operator="geomean") == again
+
+    def test_equal_but_other_specs_compute_again(self, aggregated):
+        ratings = Matrix.of(aggregated)
+        normalized = normalize(ratings, BENEFIT)
+        other = normalize(ratings, [CriterionSpec(name) for name in CRITERIA])
+        assert other is not normalized and other == normalized
+        cost = [CriterionSpec(BENEFIT[0].name, "cost"), *BENEFIT[1:]]
+        assert normalize(ratings, cost) == normalize(_fresh(ratings), cost) != normalized
+
+    def test_a_weight_equal_up_to_the_sign_of_zero_computes_again(self, aggregated):
+        assert self.W == self.W_NEG_ZERO
+        normalized = normalize(aggregated, BENEFIT)
+        first = weight(normalized, [self.W] * 5)
+        second = weight(normalized, [self.W_NEG_ZERO] + [self.W] * 4)
+        expected = weight(_fresh(normalized), [self.W_NEG_ZERO] + [self.W] * 4)
+        assert [bits(v) for v in second[0]] == [bits(v) for v in expected[0]]
+        assert bits(second[0][0]) != bits(first[0][0])  # -0.0 * (n + 1) keeps its sign
+
+    @pytest.mark.parametrize("call", [
+        {"operator": "geomean"}, {"operator": "bonferroni", "r": 2.0}, {"operator": "bonferroni", "s": 0.5},
+    ], ids=["operator", "r", "s"])
+    def test_another_operator_or_exponent_computes_again(self, aggregated, call):
+        weighted = weight(normalize(aggregated, BENEFIT), [self.W] * 5)
+        kept = baa(weighted)
+        vector = baa(weighted, **call)
+        assert list(map(bits, vector)) == list(map(bits, baa(_fresh(weighted), **call)))
+        assert vector != kept
+
+    def test_a_call_that_raises_keeps_nothing(self, aggregated):
+        normalized = normalize(aggregated, BENEFIT)
+        weighted = weight(normalized, [self.W] * 5)
+        negative = make((-1, 0, 0, 0.1, 1.0), (-1, 0, 0, 0.05, 0.9))
+        for _ in range(2):
+            with pytest.raises(NegativeOperand):
+                weight(normalized, [negative] * 5)
+        assert weight(normalized, [self.W] * 5) is weighted
 
 
 class TestCrispMatrices:

@@ -776,7 +776,16 @@ class TestFrozenProblem:
                 matrix[0][0] = trace.aggregated_ratings[1][1]
             with pytest.raises(TypeError):
                 matrix[0] = matrix[1]
+            with pytest.raises(TypeError):
+                matrix.columns[0] = matrix.columns[1]
+            for name in ("columns", "_p", "_memo"):  # and so are its attributes
+                with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+                    setattr(matrix, name, getattr(trace.aggregated_ratings, name))
+                with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+                    delattr(matrix, name)
         trace.aggregated_weights[0] = trace.aggregated_weights[1]
+        trace.baa[0] = trace.baa[1]
+        trace.baa.append(trace.baa[0])
         trace.name = "other"  # a trace is the one assignable record, so it has no hash
         assert trace.name == "other"
         with pytest.raises(TypeError, match="unhashable"):
@@ -805,3 +814,52 @@ class TestFrozenProblem:
             messages.append(str(info.value))
         assert "step 3 (normalization)" in messages[0]
         assert messages[1] == messages[0]
+
+    @pytest.mark.parametrize("low, message", [
+        (-1, "step 4 (weighting): weight of C1: multiplication is only defined for non-negative "
+             "values, got endpoints down to -1.0"),
+        (-1e-9, "step 5 (border approximation area): BAA of C1: the Bonferroni mean is only "
+                "defined for non-negative values, got endpoints down to -1.25e-09"),
+    ], ids=["step-4", "step-5"])
+    def test_a_step_4_or_5_failure_is_labelled_on_every_run(self, low, message):
+        w = make((low, 0, 0, 0.1, 1), (low, 0, 0, 0.05, 0.9))
+        weights = {e: (w, *row[1:]) for e, row in _EXAMPLE.expert_weights.items()}
+        problem = _EXAMPLE._replace(expert_weights=weights)
+        for params in (None, PipelineParams(lam=0.0), None):
+            with pytest.raises(NegativeOperand) as info:
+                run(problem, params)
+            assert str(info.value) == message
+
+
+SWEEP_LAMBDAS = [i / 10 for i in range(11)]
+
+
+def _sweep(problem):
+    return [run(problem, PipelineParams(lam=lam, baa_operator="geomean")) for lam in SWEEP_LAMBDAS]
+
+
+def test_a_sweep_shares_the_fuzzy_matrices_and_scores_as_fresh_runs():
+    traces = _sweep(load_example_problem())
+    for trace, lam in zip(traces, SWEEP_LAMBDAS):
+        assert trace.normalized is traces[0].normalized and trace.weighted is traces[0].weighted
+        assert trace.baa == traces[0].baa
+        fresh = run(load_example_problem(), PipelineParams(lam=lam, baa_operator="geomean"))
+        assert list(map(float.hex, trace.scores)) == list(map(float.hex, fresh.scores))
+    assert len({id(trace.baa) for trace in traces}) == len(traces)
+
+
+def test_run_calls_every_stage_through_the_module_on_every_run(monkeypatch):
+    # a benchmark wraps these module attributes to time each stage and count its calls
+    expected = _sweep(load_example_problem())
+    calls = {}
+
+    def counted(name, stage):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return stage(*args, **kwargs)
+        return wrapper
+
+    for name in ("normalize", "weight", "baa"):
+        monkeypatch.setattr(it2mabac.problem, name, counted(name, getattr(it2mabac.problem, name)))
+    assert _sweep(load_example_problem()) == expected
+    assert calls == {"normalize": 11, "weight": 11, "baa": 11}
