@@ -115,33 +115,31 @@ _LEAST_COUNTED, _COUNTED_COST = 100, 10
 def mean(values: Iterable[IT2TrFN]) -> IT2TrFN:
     """Component-wise average of one or more values (sum scaled by 1/k): step 1 on one
     criterion, whose refusals name no cell."""
-    items = list(values)
-    if not items:
-        raise EmptyInput("cannot average zero values")
     try:
-        return average_weights([[v] for v in items])[0]
+        return average_weights([[v] for v in values])[0]
     except MabacError as exc:
         exc._cell = None
         raise
 
 
 def average_weights(vectors: list[list[IT2TrFN]]) -> list[IT2TrFN]:
-    """Component-wise mean of the experts' weight vectors (one per expert), as q x 1 matrices."""
-    return list(map(_value, *_average([(_columns(v),) for v in vectors], True)[0])) if vectors else []
+    """Component-wise mean of the experts' weight vectors (one or more), as q x 1 matrices."""
+    return list(map(_value, *_average([(_columns(v),) for v in vectors], True)[0]))
 
 
 def average_ratings(matrices: Sequence[Sequence[Sequence[IT2TrFN]]]) -> Matrix:
-    """Component-wise mean of the experts' p x q rating matrices (one per expert), each
-    entry the bits of ``mean`` of its cell; faults are refused row by row, naming their cell."""
-    if not matrices:
-        return Matrix([], 0)
-    first = Matrix.of(matrices[0], what="criteria")
-    rest = [Matrix.of(m, len(first.columns), "criteria").columns for m in matrices[1:]]
-    return Matrix(_average([first.columns, *rest], False), len(first))
+    """Component-wise mean of the experts' p x q rating matrices (one or more), each entry
+    the bits of ``mean`` of its cell; faults are refused row by row, naming their cell."""
+    experts = [Matrix.of(m, what="criteria") for m in matrices[:1]]
+    experts += [Matrix.of(m, len(experts[0].columns), "criteria") for m in matrices[1:]]
+    return Matrix(_average([m.columns for m in experts], False), len(matrices[0]))
 
 
 def _average(experts: list[Sequence[Sequence[tuple]]], vector: bool) -> list[list[tuple]]:
-    """The mean of the experts' matrices, as columns; a fault names its cell, or weight (None, i)."""
+    """The mean of the experts' matrices, as columns; a fault names its cell, or weight (None, i).
+    No experts is the EmptyInput of every average."""
+    if not experts:
+        raise EmptyInput("cannot average zero values")
     factor = 1.0 / len(experts)
     columns = [[tuple(map(mul, reduce(lambda a, b: map(add, a, b), position), repeat(factor)))
                 if e % 5 != 4 else tuple(map(min, zip(*position)))  # heights take the least

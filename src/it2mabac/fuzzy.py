@@ -204,7 +204,7 @@ class Matrix(Sequence):
 
     A matrix is read-only in fact: its columns are tuples at every depth, and no
     attribute can be assigned or deleted. So the stages of ``pipeline`` may keep
-    their result on their input matrix: ``_memo`` maps a stage's name to the
+    their result on their input matrix: ``_memo`` maps a stage's kernel to the
     argument objects of its last successful call on this matrix and its result.
     """
 
@@ -413,14 +413,12 @@ def _check_cell(outputs: Sequence[float], message: str) -> IT2TrFN:
 def _locate(cells: Iterable[tuple], check) -> None:
     """The one fault locator of steps 1-6, run where a scan of a stage's columns fired: the
     first package error of ``check(*numbers)`` over the ``(cell, numbers)`` pairs, given in
-    the stage's order, is raised with ``_cell = cell``; an InvalidParams is the fault of a
-    parameter, not of the cell, and keeps none. The scans are exact, so a scan fires only
-    on a cell that breaks a rule, and the locator, once called, raises."""
+    the stage's order, is raised with ``_cell = cell``. It locates cells only: a stage reads
+    its parameters before any cell. The scans are exact, so a scan fires only on a cell that
+    breaks a rule, and the locator, once called, raises."""
     for cell, numbers in cells:
         try:
             check(*numbers)
-        except InvalidParams:
-            raise
         except MabacError as exc:
             exc._cell = cell
             raise

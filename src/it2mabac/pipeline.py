@@ -4,16 +4,16 @@ All stage functions are pure transformations of fuzzy matrices. They take a
 ``fuzzy.Matrix`` or any sequence of rows (one row per alternative), read
 through ``Matrix.of``, and steps 3-4 return a ``Matrix``: each computes one
 float column per endpoint of each criterion, with the per-cell formula in the
-same order, so no bit moves. The rules a value must keep run as exact scans
-over those columns; one of them, for steps 1-6, refuses a number a stage
-writes that is not finite. A scan fires only where a cell breaks a rule; then
-``fuzzy._locate`` finds the first fault in the stage's order, with its own
-class, text and cell.
+same order, so no bit moves. A stage reads its parameters before any cell. The
+rules a value must keep run as exact scans over those columns; one of them, for
+steps 1-6, refuses a number a stage writes that is not finite. A scan fires only
+where a cell breaks a rule; then ``fuzzy._locate`` finds the first fault in the
+stage's order, with its own class, text and cell.
 
-A ``Matrix`` is read-only, so steps 3-5 keep their result on their input
-matrix (``Matrix._memo``), with the argument objects of the call: the specs,
-the weights, or ``(operator, r, s)``. A later call on that matrix with the very
-same objects (``is``, one by one) returns the kept result after the input's
+A ``Matrix`` is read-only, so steps 3-5 keep their result on their input matrix
+(``Matrix._memo``, through ``_kept``), with the argument objects of the call: the
+specs, the weights, or ``(operator, r, s)``. A later call on that matrix with the
+very same objects (``is``, one by one) returns the kept result after the input's
 width check; any other call computes and keeps its own. A call that raises keeps
 nothing. So a lambda sweep over one problem computes steps 3-5 once. The stages
 are pure, so two threads that miss at once only compute the same result twice.
@@ -32,12 +32,12 @@ from itertools import chain, repeat
 from operator import add, is_, mul, sub
 
 from .aggregation import _OPERATORS, _checked_mean
-from .errors import (ComputationError, DegenerateRange, DimensionMismatch, InvalidParams,
-                     ProblemSyntaxError, TooFewValues)
+from .errors import (ComputationError, DegenerateRange, DimensionMismatch, EmptyInput,
+                     InvalidParams, ProblemSyntaxError, TooFewValues)
 from .fuzzy import (EPS, IT2TrFN, Matrix, _below_cone, _check_cell, _columns, _finite_sums, _locate,
                     _numbers, _ordered, _Record, _require_cone, _require_nonnegative, _shown,
                     _value)
-from .ranking import _rank, rank_to_one
+from .ranking import _finite_lam, _rank, rank_to_one
 
 #: Classification labels: upper, border, and lower approximation areas.
 UAA = "UAA"
@@ -79,16 +79,26 @@ class CriterionSpec(_Record):
             )
 
 
-def _held(m: Matrix, stage: str, args: tuple):
-    """The result ``stage`` keeps on ``m`` for these very argument objects, or None."""
-    held = m._memo.get(stage)
+def _kept(compute, m: Matrix, *args):
+    """``compute(m, *args)``, kept on ``m`` for these very argument objects (``is``, one by one)."""
+    held = m._memo.get(compute)
     if held is not None and len(held[0]) == len(args) and all(map(is_, held[0], args)):
         return held[1]
-    return None
+    result = compute(m, *args)
+    m._memo[compute] = args, result
+    return result
+
+
+def _check_operator(operator) -> None:
+    """The one rule for the BAA operator: one of BAA_OPERATORS."""
+    if operator not in BAA_OPERATORS:
+        raise InvalidParams(f"baa operator must be one of {BAA_OPERATORS}, got {_shown(operator)}")
 
 
 def _range(a1: Sequence[float], a4: Sequence[float], name: str) -> tuple[float, float]:
     """(min upper a1, max upper a4) of criterion ``name``; their range must be finite and above EPS."""
+    if not a1:
+        raise EmptyInput("normalization needs at least one alternative")
     a_minus, a_plus = min(a1), max(a4)
     if a_plus - a_minus <= EPS:
         raise DegenerateRange(f"criterion {name}: all upper endpoints coincide at {a_plus:g}, "
@@ -104,10 +114,10 @@ def normalize(matrix: _Rows, specs: list[CriterionSpec]) -> Matrix:
     endpoint for a benefit criterion; for a cost criterion (a_plus - x) / rng with the
     endpoints reversed, so the largest maps to the smallest. Columns go in order, each
     checked before the next: its range, then its cells."""
-    m = Matrix.of(matrix, len(specs), "criteria")
-    args = tuple(specs)
-    if (held := _held(m, "normalize", args)) is not None:
-        return held
+    return _kept(_normalized, Matrix.of(matrix, len(specs), "criteria"), *specs)
+
+
+def _normalized(m: Matrix, *specs: CriterionSpec) -> Matrix:
     columns = []
     for j, (spec, (u1, u2, u3, u4, uh, l1, l2, l3, l4, lh)) in enumerate(zip(specs, m.columns)):
         a_minus, a_plus = _range(u1, u4, spec.name)
@@ -122,9 +132,7 @@ def normalize(matrix: _Rows, specs: list[CriterionSpec]) -> Matrix:
             message = f"an endpoint scaled to [{a_minus!r}, {a_plus!r}] overflows on finite values"
             _locate((((i, j), (cell, message)) for i, cell in enumerate(zip(*ten))), _check_cell)
         columns.append(ten)
-    result = Matrix(columns, len(m))
-    m._memo["normalize"] = args, result
-    return result
+    return Matrix(columns, len(m))
 
 
 def weight(normalized: _Rows, weights: list[IT2TrFN]) -> Matrix:
@@ -133,10 +141,10 @@ def weight(normalized: _Rows, weights: list[IT2TrFN]) -> Matrix:
     The weights must lie on the non-negative cone, then, row by row, each cell's n + 1; an
     endpoint that overflows on finite factors is a ComputationError. Each error names its cell.
     """
-    n = Matrix.of(normalized, len(weights), "weights")
-    args = tuple(weights)
-    if (held := _held(n, "weight", args)) is not None:
-        return held
+    return _kept(_weighted, Matrix.of(normalized, len(weights), "weights"), *weights)
+
+
+def _weighted(n: Matrix, *weights: IT2TrFN) -> Matrix:
     _require_cone(_columns(weights), "multiplication", [(None, j) for j in range(len(weights))])
     w_numbers = _numbers(weights)
     columns = [[tuple(map(mul, repeat(we), map(add, c, repeat(1.0)))) if e % 5 != 4
@@ -147,9 +155,7 @@ def weight(normalized: _Rows, weights: list[IT2TrFN]) -> Matrix:
             or not _finite_sums([c for ten in columns for c in ten])):
         _locate((((i, j), (w, [c[i] for c in ten], [c[i] for c in out])) for i in range(len(n))
                  for j, (w, ten, out) in enumerate(zip(w_numbers, n.columns, columns))), _check_weighted)
-    result = Matrix(columns, len(n))
-    n._memo["weight"] = args, result
-    return result
+    return Matrix(columns, len(n))
 
 
 def _check_weighted(w: tuple, cell: list[float], product: list[float]) -> None:
@@ -165,34 +171,34 @@ def baa(
 ) -> list[IT2TrFN]:
     """Border approximation area per criterion, aggregated down each column.
 
-    ``operator`` is one of BAA_OPERATORS, else a KeyError. Column by column, a value below the
+    ``operator`` is one of BAA_OPERATORS, checked first. Column by column, a value below the
     cone, an entry that overflows on a finite column or one out of order has ``_cell = (None, j)``.
     """
-    aggregate = _OPERATORS[operator][0]
+    _check_operator(operator)
     if len(weighted) < 2:
         raise TooFewValues(f"the border approximation area needs at least two alternatives, "
                            f"got {len(weighted)}")
-    m, args = Matrix.of(weighted, what="criteria"), (operator, r, s)
-    if (held := _held(m, "baa", args)) is not None:
-        return list(held)
-    columns = m.columns
+    return list(_kept(_border, Matrix.of(weighted, what="criteria"), operator, r, s))
+
+
+def _border(m: Matrix, operator: str, r: float, s: float) -> tuple[IT2TrFN, ...]:
+    columns, aggregate = m.columns, _OPERATORS[operator][0]
     result = [aggregate(ten, r, s) for ten in columns]
     if (any(map(_below_cone, columns)) or not _ordered([*zip(*result)] or [()] * 10)
             or not _finite_sums(result)):
         _locate(zip([(None, j) for j in range(len(columns))], zip(columns, result)),
                 lambda ten, g: _checked_mean(ten, g, operator, r, s))
-    vector = [_value(*g) for g in result]
-    m._memo["baa"] = args, tuple(vector)
-    return vector
+    return tuple(_value(*g) for g in result)
 
 
 def crisp_matrices(
     weighted: _Rows, baa_vector: list[IT2TrFN], lam: float = 0.5
 ) -> tuple[list[list[float]], list[float], list[list[float]]]:
-    """Step 6: the crisp distance matrix Q, the BAA distances G, and Q - G (finite where Q and
-    G are, as both are >= 0). Heights too small to divide by, and a distance that overflows
-    on finite endpoints, are refused row by row and then along the BAA, naming their cell."""
+    """Step 6: the crisp distance matrix Q, the BAA distances G, and Q - G (finite where Q and G
+    are, as both are >= 0). ``lam`` is read before any cell, by ``rank_to_one``'s rule; a height too
+    small to divide by or an overflow on finite endpoints is refused row by row, then along the BAA."""
     m = Matrix.of(weighted, len(baa_vector), "BAA entries")
+    lam = _finite_lam(lam)
     q_columns = [list(map(abs, map(_rank, *ten, repeat(lam)))) for ten in m.columns]
     g_vector = [abs(_rank(*b, lam)) for b in _numbers(baa_vector)]
     if not _finite_sums([*q_columns, g_vector]):

@@ -54,9 +54,9 @@ from .linguistic import (
     resolve,
 )
 from .pipeline import (
-    BAA_OPERATORS,
     CriterionSpec,
     _check_names,
+    _check_operator,
     baa,
     classify_and_score,
     crisp_matrices,
@@ -68,8 +68,9 @@ from .pipeline import (
 class PipelineParams(_Record):
     """Tuning knobs: rank attitude, Bonferroni exponents, BAA operator.
 
-    The only place these are checked for a run, by ``fuzzy._finite`` and, for ``r`` and
-    ``s``, ``aggregation._check_exponents``; the stage functions take them as plain keywords.
+    Each is read by one rule: ``lam``, ``r`` and ``s`` by ``fuzzy._finite``, ``lam`` held to
+    [0, 1], ``r`` and ``s`` by ``aggregation._check_exponents``, and the operator by
+    ``pipeline._check_operator``, which ``baa`` applies to its keyword too.
     """
 
     lam: float = 0.5
@@ -85,10 +86,7 @@ class PipelineParams(_Record):
         if not 0.0 <= self.lam <= 1.0:
             raise InvalidParams(f"lambda must lie in [0, 1], got {self.lam!r}")
         _check_exponents(self.r, self.s)
-        if self.baa_operator not in BAA_OPERATORS:
-            raise InvalidParams(
-                f"baa operator must be one of {BAA_OPERATORS}, got {_shown(self.baa_operator)}"
-            )
+        _check_operator(self.baa_operator)
 
 
 #: The ``params`` keys of a problem document and of the machine trace, each

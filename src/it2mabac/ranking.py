@@ -32,11 +32,16 @@ def rank_to_one(value: IT2TrFN, lam: float = 0.5) -> float:
     not a normal float, so that the quotient would lose its bits or be infinite,
     are a ZeroHeight.
     """
-    lam = _finite(lam, InvalidParams, "the rank-based distance needs a finite lambda, got {}")
+    lam = _finite_lam(lam)
     u, lo = value.upper, value.lower
     if 2.0 * u.h * lo.h < _NORMAL_MIN:
         raise ZeroHeight(f"membership heights {u.h!r} and {lo.h!r} are too small to divide by")
     return _checked(_rank(*u.endpoints, u.h, *lo.endpoints, lo.h, lam))
+
+
+def _finite_lam(lam) -> float:
+    """``lam`` as a float by the number rule of ``fuzzy._finite``: the one λ rule of step 6."""
+    return _finite(lam, InvalidParams, "the rank-based distance needs a finite lambda, got {}")
 
 
 def _checked(distance: float) -> float:

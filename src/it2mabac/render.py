@@ -11,9 +11,10 @@ builds the text from a small chunk per token; the emitter instead formats
 each list of IT2TrFNs (a vector, or a matrix row) through one ``%s``
 template of their numbers (``str`` of a float is its ``repr``), joins
 float-only lists with ``float.__repr__`` and joins the document once from
-its pieces: about three times as fast, with a third of the peak memory. Strings and keys go through
-``json``'s own ``encode_basestring_ascii``, and NaN and infinities raise
-``ValueError`` as ``allow_nan=False`` does.
+its pieces: about three times as fast, with a third of the peak memory.
+``_TO_JSON`` names the emitter of each trace field, in field order.
+Strings and keys go through ``json``'s own ``encode_basestring_ascii``, and
+NaN and infinities raise ``ValueError`` as ``allow_nan=False`` does.
 
 The three fuzzy matrices (``aggregated_ratings``, ``normalized`` and
 ``weighted``) are ``fuzzy.Matrix`` columns, and both emitters format them
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import json
-import typing
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
@@ -152,12 +152,9 @@ def _pieces(texts: list[str], indent: str) -> list[str]:
     """``_wrap`` of the ``texts`` as pieces to join, so a long array is copied once only."""
     if not texts:
         return ["[]"]
-    sep = _sep(indent)
-    pieces = [f"[\n{indent}  "]
-    for text in texts:
-        pieces += (text, sep)
-    pieces[-1] = f"\n{indent}]"
-    return pieces
+    pieces = [_sep(indent)] * (2 * len(texts) - 1)
+    pieces[::2] = texts  # a separator between each two texts
+    return [f"[\n{indent}  ", *pieces, f"\n{indent}]"]
 
 
 def _finite(numbers: str) -> str:
@@ -231,27 +228,23 @@ def _fuzzy_matrix_json(matrix: _Rows, indent: str) -> list[str]:
     return _pieces([_finite(template % row) for row in rows], indent)
 
 
-def _as_is(value, indent: str) -> list[str]:
-    return [_json(value, indent)]
+def _fuzzy_vector_json(vector: list[IT2TrFN], indent: str) -> str:
+    return _finite(_fuzzy_template(indent, len(vector)) % tuple(chain.from_iterable(_numbers(vector))))
 
 
-#: For each trace field type that JSON does not carry as it is, the pieces of
-#: a value's text when it starts at a given indent.
-_CONVERSIONS = {
-    list[IT2TrFN]: lambda vector, indent: [
-        _finite(_fuzzy_template(indent, len(vector)) % tuple(chain.from_iterable(_numbers(vector))))
-    ],
-    Matrix: _fuzzy_matrix_json,
-    list[CriterionSpec]: lambda specs, indent: _as_is([{"name": s.name, "sense": s.sense}
-                                                       for s in specs], indent),
-    PipelineParams: lambda params, indent: _as_is(
-        {key: getattr(params, name) for key, name in PARAM_KEYS.items()}, indent
-    ),
+#: The emitter of every ``PipelineTrace`` field, in field order: its value's text when it
+#: starts at a given indent, or for a fuzzy matrix the pieces of that text.
+_TO_JSON = {
+    **dict.fromkeys(["name", "alternatives"], _json),
+    "criteria": lambda specs, indent: _json([{"name": s.name, "sense": s.sense} for s in specs], indent),
+    "params": lambda params, indent: _json({k: getattr(params, f) for k, f in PARAM_KEYS.items()}, indent),
+    "aggregated_weights": _fuzzy_vector_json,
+    "aggregated_ratings": _fuzzy_matrix_json,
+    "normalized": _fuzzy_matrix_json,
+    "weighted": _fuzzy_matrix_json,
+    "baa": _fuzzy_vector_json,
+    **dict.fromkeys(["q", "g", "delta", "classification", "scores", "order"], _json),
 }
-
-#: The to-JSON function of every ``PipelineTrace`` field, in declaration order.
-_TO_JSON = {name: _CONVERSIONS.get(kind, _as_is)
-            for name, kind in typing.get_type_hints(PipelineTrace).items()}
 
 #: How ``trace_from_json`` reads each field of the group decision it runs; ``run`` derives the others.
 _FROM_JSON = {
@@ -268,9 +261,10 @@ def _machine_json(trace: PipelineTrace, keys=(*_TO_JSON, "ranking")) -> str:
     """The object of ``keys``; by default every trace field in order, then the ranking."""
     pieces = []
     for key in keys:
-        value = ([_json(trace.ranking(), "  ")] if key == "ranking"
+        value = (_json(trace.ranking(), "  ") if key == "ranking"
                  else _TO_JSON[key](getattr(trace, key), "  "))
-        pieces += (",\n  ", encode_basestring_ascii(key), ": ", *value)
+        pieces += (",\n  ", encode_basestring_ascii(key), ": ")
+        pieces += [value] if isinstance(value, str) else value
     pieces[0] = "{\n  "
     pieces.append("\n}\n")
     return "".join(pieces)

@@ -94,6 +94,12 @@ class TestAveraging:
         assert avg.upper.endpoints == pytest.approx(vg.upper.endpoints)
         assert avg.lower.endpoints == pytest.approx(vg.lower.endpoints)
 
+    @pytest.mark.parametrize("average", [mean, average_weights, average_ratings])
+    def test_no_values_are_one_refusal(self, average):
+        with pytest.raises(EmptyInput, match="^cannot average zero values$") as info:
+            average([])
+        assert info.value._cell is None
+
     def test_rating_dimension_mismatch_names_row(self):
         good_matrix = [_ratings("G", "F"), _ratings("MG", "P")]
         bad_matrix = [_ratings("G", "F"), _ratings("MG")]

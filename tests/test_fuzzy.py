@@ -311,6 +311,15 @@ def test_a_matrix_is_read_only_at_every_depth():
         del m.columns
 
 
+def test_a_matrix_is_unequal_to_what_is_not_a_sequence_and_prints_its_rows():
+    value = make((0, 1, 2, 3, 1), (0.5, 1, 2, 2.5, 0.9))
+    m = Matrix.of([[value], [value]])
+    for other in (5, None, {0: [value]}, iter([[value], [value]])):
+        assert m.__eq__(other) is NotImplemented
+        assert m != other and not m == other
+    assert repr(m) == f"Matrix({[[value], [value]]!r})"
+
+
 #: Upper and lower a1 exceed a2 by 8e-10, inside the EPS order tolerance.
 NEARLY_ORDERED = make((1 + 8e-10, 1, 2, 3, 1), (1.2 + 8e-10, 1.2, 2, 2.5, 0.9))
 

@@ -43,6 +43,7 @@ from it2mabac.errors import (
     ComputationError,
     DegenerateRange,
     DimensionMismatch,
+    EmptyInput,
     EndpointOrderViolation,
     InvalidParams,
     MabacError,
@@ -117,6 +118,20 @@ class TestNormalize:
     def test_width_mismatch(self, aggregated):
         with pytest.raises(DimensionMismatch):
             normalize(aggregated, BENEFIT[:-1])
+
+    def test_no_rows_are_refused_before_the_range_and_keep_nothing(self):
+        rows = Matrix([[()] * 10], 0)
+        for _ in range(2):
+            with pytest.raises(EmptyInput, match="^normalization needs at least one alternative$") as info:
+                normalize(rows, [CriterionSpec("C1")])
+            assert info.value._cell is None
+        assert rows._memo == {}
+        with pytest.raises(EmptyInput):
+            normalize([], [CriterionSpec("C1")])
+
+    def test_rows_without_criteria_read_as_empty_rows(self):
+        normalized = normalize([[], []], [])
+        assert len(normalized) == 2 and list(normalized) == [(), ()]
 
     def test_sense_validation(self):
         with pytest.raises(InvalidParams):
@@ -203,6 +218,17 @@ class TestBaa:
     def test_operator_validation(self):
         with pytest.raises(InvalidParams):
             PipelineParams(baa_operator="median")
+
+    @pytest.mark.parametrize("rows", [[[crisp(1.0)]], [[crisp(1.0)], [crisp(2.0)]]],
+                             ids=["one row", "two rows"])
+    def test_an_unknown_operator_is_the_params_refusal_before_any_other(self, rows):
+        with pytest.raises(InvalidParams) as by_params:
+            PipelineParams(baa_operator="median")
+        with pytest.raises(InvalidParams) as by_stage:  # not TooFewValues on one row
+            baa(rows, operator="median")
+        assert str(by_stage.value) == str(by_params.value) == (
+            f"baa operator must be one of {BAA_OPERATORS}, got 'median'")
+        assert by_stage.value._cell is None
 
 
 def _fresh(m):
@@ -304,6 +330,17 @@ class TestCrispMatrices:
                     as info:
                 crisp_matrices(weighted, baa_vector, lam=math.nan)
             assert info.value._cell is None  # the fault of a parameter names no cell
+
+    @pytest.mark.parametrize("lam", ["x", True], ids=["str", "bool"])
+    def test_lambda_is_read_by_the_rule_of_rank_to_one_before_any_cell(self, lam):
+        cell = crisp(1.0)
+        with pytest.raises(InvalidParams) as by_rank:
+            rank_to_one(cell, lam)
+        with pytest.raises(InvalidParams) as by_stage:
+            crisp_matrices([[cell], [cell]], [cell], lam=lam)
+        assert str(by_stage.value) == str(by_rank.value) == (
+            f"the rank-based distance needs a finite lambda, got {lam!r}")
+        assert by_stage.value._cell is None
 
 
 class TestClassifyAndScore:

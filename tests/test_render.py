@@ -119,7 +119,8 @@ FUZZY_MATRICES = ("aggregated_ratings", "normalized", "weighted")
 
 
 def test_machine_keys_are_the_trace_fields_in_order(example_trace):
-    # the emitter dispatches on the type hints of the fields, so the two orders must agree
+    # render._TO_JSON names an emitter per field and is walked in its own order; the machine
+    # keys must follow the fields as declared, which are the annotations of PipelineTrace
     assert tuple(typing.get_type_hints(PipelineTrace)) == PipelineTrace._fields
     assert [*json.loads(render_machine(example_trace))] == [*PipelineTrace._fields, "ranking"]
 
@@ -362,6 +363,15 @@ def test_machine_rendering_refuses_non_finite_numbers(example_trace):
                 render_machine(trace)
             with pytest.raises(ValueError):
                 render_section_machine(trace, table)
+
+
+def test_machine_rendering_refuses_a_value_that_json_cannot_hold(example_trace):
+    for field, broken in [("scores", [0.1, object(), 0.3]), ("classification", [[b"UAA"]])]:
+        with pytest.raises(TypeError) as expected:
+            json.dumps(broken, indent=2, allow_nan=False)
+        with pytest.raises(TypeError) as info:
+            render_machine(example_trace._replace(**{field: broken}))
+        assert str(info.value) == str(expected.value)
 
 
 def _fuzzy_document(v):

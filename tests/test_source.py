@@ -23,3 +23,32 @@ def test_no_module_imports_a_name_it_never_uses():
     assert len(modules) > 5
     unused = {path.name: _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) for path in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _defined_private_names(tree):
+    """The ``_name``s (not dunders) that ``tree`` binds at module level: a def, a class or an assignment."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def _read_names(tree):
+    """The names ``tree`` reads: as a variable, as an attribute, or by importing them."""
+    nodes = list(ast.walk(tree))
+    return ({node.id for node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+            | {alias.name for node in nodes if isinstance(node, ast.ImportFrom) for alias in node.names})
+
+
+def test_every_private_module_name_is_read_somewhere_in_the_package():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    read = set().union(*map(_read_names, trees.values()))
+    defined = {name: _defined_private_names(tree) for name, tree in trees.items()}
+    assert sum(map(len, defined.values())) > 50
+    assert {name: [n for n in names if n not in read] for name, names in defined.items()
+            if not set(names) <= read} == {}
