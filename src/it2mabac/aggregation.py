@@ -75,18 +75,19 @@ float columns left to right with ``map(add, ...)`` and scales by 1/k;
 ``average_weights`` does the same on each expert's weights as a q x 1 matrix,
 and ``mean`` is step 1 on one criterion, so every cell of both is bit for bit
 the ``mean`` of its experts' values. A mean out of order, or one that
-overflows on finite endpoints, is refused naming its cell. The averaging
-functions trust the shapes they are given: a DecisionProblem checks them
-once, where it is built. The Bonferroni exponents have one rule,
+overflows on finite endpoints, is refused naming its cell, and experts of
+unequal shape, which ``zip`` would cut short, by ``Matrix.of``'s width rule
+and ``_average``'s row-count rule. The Bonferroni exponents have one reader,
 ``_check_exponents``, which PipelineParams applies to a run and ``tit2fgbm``
-to each call: r, s >= 0 with a finite, normal sum r + s. One check,
-``_checked_mean`` (the cone, the finiteness rule, the order), is the return of
-``tit2fgbm`` and ``geometric_mean`` and the fault locator's check of step 5.
+and ``pipeline.baa`` to each call: r and s by ``fuzzy._finite``, then
+r, s >= 0 with a finite, normal sum r + s. The kernels read and refuse
+nothing. One check, ``_checked_mean`` (the cone, the finiteness rule, the
+order), is the return of ``tit2fgbm`` and ``geometric_mean`` and the fault
+locator's check of step 5.
 """
 
 from __future__ import annotations
 
-import sys
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import reduce
@@ -94,11 +95,9 @@ from itertools import combinations, compress, islice, product, repeat, starmap
 from math import exp, frexp, fsum, inf, ldexp, log, prod
 from operator import add, mul
 
-from .errors import EmptyInput, InvalidParams, MabacError, TooFewValues
-from .fuzzy import (IT2TrFN, Matrix, _check_cell, _columns, _finite, _finite_sums, _locate, _ordered,
-                    _require_cone, _value)
-
-_NORMAL_MIN, _NORMAL_MAX = sys.float_info.min, sys.float_info.max
+from .errors import DimensionMismatch, EmptyInput, InvalidParams, MabacError, TooFewValues
+from .fuzzy import (_NORMAL_MAX, _NORMAL_MIN, IT2TrFN, Matrix, _check_cell, _columns, _finite, _finite_sums,
+                    _locate, _ordered, _require_cone, _value)
 
 #: The most factors multiplied before the product is split by ``frexp``; 128
 #: factors within [2**-7.9, 2**7.9] keep it a normal float.
@@ -124,7 +123,7 @@ def mean(values: Iterable[IT2TrFN]) -> IT2TrFN:
 
 def average_weights(vectors: list[list[IT2TrFN]]) -> list[IT2TrFN]:
     """Component-wise mean of the experts' weight vectors (one or more), as q x 1 matrices."""
-    return list(map(_value, *_average([(_columns(v),) for v in vectors], True)[0]))
+    return list(map(_value, *_average([(_columns(v),) for v in vectors], list(map(len, vectors)), True)[0]))
 
 
 def average_ratings(matrices: Sequence[Sequence[Sequence[IT2TrFN]]]) -> Matrix:
@@ -132,14 +131,17 @@ def average_ratings(matrices: Sequence[Sequence[Sequence[IT2TrFN]]]) -> Matrix:
     the bits of ``mean`` of its cell; faults are refused row by row, naming their cell."""
     experts = [Matrix.of(m, what="criteria") for m in matrices[:1]]
     experts += [Matrix.of(m, len(experts[0].columns), "criteria") for m in matrices[1:]]
-    return Matrix(_average([m.columns for m in experts], False), len(matrices[0]))
+    return Matrix(_average([m.columns for m in experts], list(map(len, experts)), False), len(matrices[0]))
 
 
-def _average(experts: list[Sequence[Sequence[tuple]]], vector: bool) -> list[list[tuple]]:
-    """The mean of the experts' matrices, as columns; a fault names its cell, or weight (None, i).
-    No experts is the EmptyInput of every average."""
+def _average(experts: list[Sequence[Sequence[tuple]]], rows: list[int], vector: bool) -> list[list[tuple]]:
+    """The mean of the experts' matrices of ``rows`` rows each, as columns; a fault names its
+    cell, or weight (None, i). No experts, or unequal row counts, refuse every average."""
     if not experts:
         raise EmptyInput("cannot average zero values")
+    if set(rows) != {rows[0]}:
+        raise DimensionMismatch(f"expert matrices have row counts {sorted(set(rows))}, expected {rows[0]} "
+                                + ("weights" if vector else "alternatives"))
     factor = 1.0 / len(experts)
     columns = [[tuple(map(mul, reduce(lambda a, b: map(add, a, b), position), repeat(factor)))
                 if e % 5 != 4 else tuple(map(min, zip(*position)))  # heights take the least
@@ -152,11 +154,15 @@ def _average(experts: list[Sequence[Sequence[tuple]]], vector: bool) -> list[lis
     return columns
 
 
-def _check_exponents(r: float, s: float) -> None:
-    """The one rule for the Bonferroni exponents: r, s >= 0 with a finite, normal sum."""
+def _check_exponents(r: float, s: float) -> tuple[float, float]:
+    """The one reader of the Bonferroni exponents: r and s as floats by the number rule of
+    ``fuzzy._finite``, then r, s >= 0 with a finite, normal sum."""
+    r = _finite(r, InvalidParams, "the Bonferroni mean needs a finite r, got {}")
+    s = _finite(s, InvalidParams, "the Bonferroni mean needs a finite s, got {}")
     if not (r >= 0.0 and s >= 0.0 and _NORMAL_MIN <= r + s <= _NORMAL_MAX):
         raise InvalidParams("Bonferroni exponents must be non-negative with a finite, "
                             f"normal sum r + s, got r={r!r}, s={s!r}")
+    return r, s
 
 
 def tit2fgbm(values: Sequence[IT2TrFN], r: float = 1.0, s: float = 1.0) -> IT2TrFN:
@@ -168,20 +174,18 @@ def tit2fgbm(values: Sequence[IT2TrFN], r: float = 1.0, s: float = 1.0) -> IT2Tr
             (r*a_i[e] + s*a_j[e]) ** (1 / (n*(n-1)))
 
     Heights combine with min per level. The module docstring gives the accuracy.
-    A non-finite r or s, or exponents ``_check_exponents`` refuses, raise InvalidParams.
+    Fewer than two values are TooFewValues; then ``_check_exponents`` reads r and s.
     """
     columns = _columns(values)
+    if len(columns[0]) < 2:
+        raise TooFewValues(f"the Bonferroni mean needs at least two values, got {len(columns[0])}")
+    r, s = _check_exponents(r, s)
     return _checked_mean(columns, _bonferroni(columns, r, s), "bonferroni", r, s)
 
 
 def _bonferroni(columns: Sequence[tuple], r: float, s: float) -> tuple[float, ...]:
     """``tit2fgbm``'s ten numbers, unchecked, of the values whose ten columns are ``columns``."""
     n = len(columns[0])
-    if n < 2:
-        raise TooFewValues(f"the Bonferroni mean needs at least two values, got {n}")
-    r = _finite(r, InvalidParams, "the Bonferroni mean needs a finite r, got {}")
-    s = _finite(s, InvalidParams, "the Bonferroni mean needs a finite s, got {}")
-    _check_exponents(r, s)
     if r == s:  # factor (i, j) is then bit-equal to factor (j, i): take the pairs j > i
         count = n * (n - 1) // 2
         factors = lambda x: starmap(add, combinations([s * xj for xj in x], 2))
@@ -208,15 +212,14 @@ def _distinct_factors(s: float, v: list[float], m: list[int]) -> tuple[list[floa
 def geometric_mean(values: Sequence[IT2TrFN]) -> IT2TrFN:
     """Endpoint-wise geometric mean of n >= 1 non-negative values."""
     columns = _columns(values)
+    if not columns[0]:
+        raise EmptyInput("the geometric mean needs at least one value")
     return _checked_mean(columns, _geometric(columns), "geomean", 0.0, 1.0)
 
 
 def _geometric(columns: Sequence[tuple]) -> tuple[float, ...]:
     """``geometric_mean``'s ten numbers, unchecked, of the values whose ten columns are ``columns``."""
-    n = len(columns[0])
-    if n == 0:
-        raise EmptyInput("the geometric mean needs at least one value")
-    return _root_of_product(columns, iter, n, 0.0, 1.0)
+    return _root_of_product(columns, iter, len(columns[0]), 0.0, 1.0)
 
 
 #: Each BAA operator: its function of (ten float columns, r, s) giving ten numbers, and its name.

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from collections.abc import Iterable, Sequence
 from itertools import chain, repeat, starmap
 
@@ -40,6 +41,9 @@ from .errors import (
 
 #: Absolute tolerance used by validity and classification checks.
 EPS = 1e-9
+
+#: The least and the greatest normal float.
+_NORMAL_MIN, _NORMAL_MAX = sys.float_info.min, sys.float_info.max
 
 
 class _Record:
@@ -373,9 +377,9 @@ def scale(a: IT2TrFN, k: float) -> IT2TrFN:
     return endpointwise(lambda x: x * k, a)
 
 
-def _require_nonnegative(value: IT2TrFN, context: str, shift: float = 0.0) -> None:
-    """Reject ``value + shift`` (shift added to every endpoint) below -EPS."""
-    lowest = min(*value.upper.endpoints, *value.lower.endpoints) + shift
+def _require_nonnegative(numbers: Sequence[float], context: str, shift: float = 0.0) -> None:
+    """Reject the value of ``numbers`` (ten, in ``_numbers``' order) plus ``shift`` below -EPS."""
+    lowest = min(*numbers[:4], *numbers[5:9]) + shift
     if lowest < -EPS:
         raise NegativeOperand(
             f"{context} is only defined for non-negative values, got endpoints down to {lowest!r}"
@@ -392,7 +396,7 @@ def _require_cone(columns: Sequence[tuple], context: str, cells: Iterable = repe
     """Refuse the first value of ``columns`` (ten of them) below the non-negative cone, as
     ``_require_nonnegative`` refuses it; ``cells`` names each value's cell, if it has one."""
     if _below_cone(columns):
-        _locate(zip(cells, zip(*columns)), lambda *x: _require_nonnegative(_value(*x), context))
+        _locate(zip(cells, zip(*columns)), lambda *x: _require_nonnegative(x, context))
 
 
 def _finite_sums(columns: Sequence[Sequence[float]]) -> bool:

@@ -4,7 +4,8 @@ All stage functions are pure transformations of fuzzy matrices. They take a
 ``fuzzy.Matrix`` or any sequence of rows (one row per alternative), read
 through ``Matrix.of``, and steps 3-4 return a ``Matrix``: each computes one
 float column per endpoint of each criterion, with the per-cell formula in the
-same order, so no bit moves. A stage reads its parameters before any cell. The
+same order, so no bit moves. A stage reads its parameters before any cell, once
+per call: step 5 its operator and its exponents r and s, step 6 its lambda. The
 rules a value must keep run as exact scans over those columns; one of them, for
 steps 1-6, refuses a number a stage writes that is not finite. A scan fires only
 where a cell breaks a rule; then ``fuzzy._locate`` finds the first fault in the
@@ -12,11 +13,12 @@ stage's order, with its own class, text and cell.
 
 A ``Matrix`` is read-only, so steps 3-5 keep their result on their input matrix
 (``Matrix._memo``, through ``_kept``), with the argument objects of the call: the
-specs, the weights, or ``(operator, r, s)``. A later call on that matrix with the
-very same objects (``is``, one by one) returns the kept result after the input's
-width check; any other call computes and keeps its own. A call that raises keeps
-nothing. So a lambda sweep over one problem computes steps 3-5 once. The stages
-are pure, so two threads that miss at once only compute the same result twice.
+specs, the weights, or ``(operator, r, s)`` with r and s as read (a float reads as
+itself). A later call on that matrix with the very same objects (``is``, one by
+one) returns the kept result after the call's checks; any other call computes
+and keeps its own. A call that raises keeps nothing. So a lambda sweep over one
+problem computes steps 3-5 once. The stages are pure, so two threads that miss at
+once only compute the same result twice.
 
 Reference points for normalization come from the upper trapezoids only;
 lower endpoints are scaled against the same range, which may push them
@@ -31,7 +33,7 @@ from collections.abc import Sequence
 from itertools import chain, repeat
 from operator import add, is_, mul, sub
 
-from .aggregation import _OPERATORS, _checked_mean
+from .aggregation import _OPERATORS, _check_exponents, _checked_mean
 from .errors import (ComputationError, DegenerateRange, DimensionMismatch, EmptyInput,
                      InvalidParams, ProblemSyntaxError, TooFewValues)
 from .fuzzy import (EPS, IT2TrFN, Matrix, _below_cone, _check_cell, _columns, _finite_sums, _locate,
@@ -159,7 +161,7 @@ def _weighted(n: Matrix, *weights: IT2TrFN) -> Matrix:
 
 
 def _check_weighted(w: tuple, cell: list[float], product: list[float]) -> None:
-    _require_nonnegative(_value(*cell), "multiplication", 1.0)
+    _require_nonnegative(cell, "multiplication", 1.0)
     for x, we, ne in zip(product, w, cell):
         if not math.isfinite(x):
             raise ComputationError(f"w * (n + 1) = {we!r} * ({ne!r} + 1.0) overflows on finite factors")
@@ -171,14 +173,15 @@ def baa(
 ) -> list[IT2TrFN]:
     """Border approximation area per criterion, aggregated down each column.
 
-    ``operator`` is one of BAA_OPERATORS, checked first. Column by column, a value below the
-    cone, an entry that overflows on a finite column or one out of order has ``_cell = (None, j)``.
+    ``operator`` is one of BAA_OPERATORS, checked first; then the rows, then r and s, whatever
+    the operator. Column by column, a value below the cone, an entry that overflows on a
+    finite column or one out of order has ``_cell = (None, j)``.
     """
     _check_operator(operator)
     if len(weighted) < 2:
         raise TooFewValues(f"the border approximation area needs at least two alternatives, "
                            f"got {len(weighted)}")
-    return list(_kept(_border, Matrix.of(weighted, what="criteria"), operator, r, s))
+    return list(_kept(_border, Matrix.of(weighted, what="criteria"), operator, *_check_exponents(r, s)))
 
 
 def _border(m: Matrix, operator: str, r: float, s: float) -> tuple[IT2TrFN, ...]:

@@ -15,12 +15,9 @@ vanishes exactly on the crisp unit, and equals 1 - c on any crisp constant c.
 from __future__ import annotations
 
 import math
-import sys
 
 from .errors import ComputationError, InvalidParams, ZeroHeight
-from .fuzzy import IT2TrFN, _finite
-
-_NORMAL_MIN = sys.float_info.min
+from .fuzzy import _NORMAL_MIN, IT2TrFN, _finite
 
 
 def rank_to_one(value: IT2TrFN, lam: float = 0.5) -> float:

@@ -157,7 +157,7 @@ def _pieces(texts: list[str], indent: str) -> list[str]:
     return [f"[\n{indent}  ", *pieces, f"\n{indent}]"]
 
 
-def _finite(numbers: str) -> str:
+def _finite_text(numbers: str) -> str:
     # Float reprs and the IT2TrFN template hold no "n"; "nan" and "inf" do.
     # NaN and infinities are not JSON; refuse them rather than emit them bare.
     if "n" in numbers:
@@ -171,7 +171,7 @@ def _json(value, indent: str) -> str:
         return encode_basestring_ascii(value)
     if isinstance(value, (list, tuple)):
         try:  # float.__repr__ takes floats only
-            return _wrap(_finite(_sep(indent).join(map(float.__repr__, value))), indent)
+            return _wrap(_finite_text(_sep(indent).join(map(float.__repr__, value))), indent)
         except TypeError:
             return _wrap(_sep(indent).join([_json(x, indent + "  ") for x in value]), indent)
     if isinstance(value, dict):
@@ -179,7 +179,7 @@ def _json(value, indent: str) -> str:
                  for k, v in value.items()]
         return _wrap(_sep(indent).join(items), indent, "{}")
     if isinstance(value, float):
-        return _finite(float.__repr__(value))
+        return _finite_text(float.__repr__(value))
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -225,11 +225,11 @@ def _fuzzy_matrix_json(matrix: _Rows, indent: str) -> list[str]:
         columns = [map(texts.get, c, c) for c in columns]
     template = _fuzzy_template(indent + "  ", len(m.columns))
     rows = zip(*columns) if columns else repeat((), len(m))
-    return _pieces([_finite(template % row) for row in rows], indent)
+    return _pieces([_finite_text(template % row) for row in rows], indent)
 
 
 def _fuzzy_vector_json(vector: list[IT2TrFN], indent: str) -> str:
-    return _finite(_fuzzy_template(indent, len(vector)) % tuple(chain.from_iterable(_numbers(vector))))
+    return _finite_text(_fuzzy_template(indent, len(vector)) % tuple(chain.from_iterable(_numbers(vector))))
 
 
 #: The emitter of every ``PipelineTrace`` field, in field order: its value's text when it

@@ -100,6 +100,21 @@ class TestAveraging:
             average([])
         assert info.value._cell is None
 
+    def test_experts_of_unequal_shape_are_refused(self):
+        # zip would cut the longer experts short: one weight, or a matrix of two rows
+        # whose columns hold one
+        a, b = _weights("H", "M")
+        with pytest.raises(DimensionMismatch,
+                           match=r"^expert matrices have row counts \[1, 2\], expected 2 weights$"):
+            average_weights([[a, b], [a]])
+        row = _ratings("G", "F")
+        for matrices, count in (([row, row], [row]), 2), (([row], [row, row]), 1):
+            with pytest.raises(DimensionMismatch, match=re.escape(
+                    f"expert matrices have row counts [1, 2], expected {count} alternatives")):
+                average_ratings(matrices)
+        with pytest.raises(DimensionMismatch, match=r"^matrix rows have widths \[1\], expected 2 criteria$"):
+            average_ratings([[row, row], [row[:1]]])
+
     def test_rating_dimension_mismatch_names_row(self):
         good_matrix = [_ratings("G", "F"), _ratings("MG", "P")]
         bad_matrix = [_ratings("G", "F"), _ratings("MG")]
@@ -461,6 +476,13 @@ def test_a_bonferroni_mean_that_overflows_is_refused_as_step_5_refuses_it(values
         baa([[v] for v in values], r=r, s=s)
 
 
+def test_an_overflow_shows_the_exponents_as_read():
+    # int exponents are read as the floats the mean computes with
+    for call in (lambda: tit2fgbm([_flat(1e308)] * 2, r=1, s=1), lambda: baa([[_flat(1e308)]] * 2, r=1, s=1)):
+        with pytest.raises(ComputationError, match=r"^the bonferroni operator overflows with r=1\.0, s=1\.0$"):
+            call()
+
+
 def test_a_mean_that_overflows_is_refused_as_step_1_refuses_it():
     for wide in (make((-1.7e308, 0, 0, 1.7e308, 1.0), (0, 0, 0, 1, 0.9)),
                  make((1e308, 1.5e308, 1.6e308, 1.7e308, 1), (1e308, 1.5e308, 1.6e308, 1.7e308, 1))):
@@ -499,6 +521,16 @@ EXPONENT_RULE = r"^Bonferroni exponents must be non-negative with a finite, norm
 def test_bonferroni_refuses_exponents_it_cannot_use(r, s, match):
     with pytest.raises(InvalidParams, match=match):
         tit2fgbm([_flat(1.0), _flat(2.0)], r=r, s=s)
+
+
+def test_the_bonferroni_mean_reads_its_exponents_once():
+    reader = mock.Mock(wraps=aggregation._check_exponents)
+    with mock.patch.object(aggregation, "_check_exponents", reader):
+        out = tit2fgbm([_flat(1.0), _flat(2.0), _flat(3.0)], r=2.0, s=0.5)
+    reader.assert_called_once_with(2.0, 0.5)
+    assert out == tit2fgbm([_flat(1.0), _flat(2.0), _flat(3.0)], r=2.0, s=0.5)
+    with pytest.raises(TooFewValues):  # before the exponents are read
+        tit2fgbm([_flat(1.0)], r=-1.0)
 
 
 @pytest.mark.parametrize("r, s, shown", OUTSIDE_THE_RULE)

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from it2mabac import (
     crisp_matrices,
     distance,
     geometric_mean,
+    load_example_problem,
     make,
     mean,
     mul,
@@ -39,6 +41,7 @@ from it2mabac import (
     tit2fgbm,
     weight,
 )
+from it2mabac import aggregation, pipeline
 from it2mabac.errors import (
     ComputationError,
     DegenerateRange,
@@ -229,6 +232,42 @@ class TestBaa:
         assert str(by_stage.value) == str(by_params.value) == (
             f"baa operator must be one of {BAA_OPERATORS}, got 'median'")
         assert by_stage.value._cell is None
+
+    def test_a_run_reads_the_exponents_once_in_step_5(self):
+        problem, params = load_example_problem(), PipelineParams(r=2.0)
+        reader = mock.Mock(wraps=aggregation._check_exponents)
+        # every reader of the package counts, in the BAA kernels as in the stage
+        with mock.patch.object(pipeline, "_check_exponents", reader, create=True), \
+                mock.patch.object(aggregation, "_check_exponents", reader):
+            trace = run(problem, params)
+        assert len(trace.criteria) == 5
+        reader.assert_called_once_with(2.0, 1.0)
+
+    def test_the_geometric_mean_reads_the_exponents_too(self):
+        rows = [[crisp(1.0)], [crisp(2.0)]]
+        with pytest.raises(InvalidParams, match=r"^Bonferroni exponents must be non-negative .* got "
+                                                r"r=-1\.0, s=1\.0$") as info:
+            baa(rows, operator="geomean", r=-1.0)
+        assert info.value._cell is None
+        assert baa(rows, operator="geomean", r=2.0) == baa(rows, operator="geomean")
+
+    def test_the_first_of_several_faults_is_refused(self):
+        # Each call mends the fault refused by the one before: the operator, then one row,
+        # then a ragged row, then the exponent, then a value below the cone.
+        negative = make((-1, 0, 0, 1, 1.0), (-0.5, 0, 0, 0.5, 0.9))
+        one, two = crisp(1.0), crisp(2.0)
+        calls = [
+            (lambda: baa([[negative, one]], operator="median", r=-1.0), InvalidParams, "baa operator"),
+            (lambda: baa([[negative, one]], r=-1.0), TooFewValues, "at least two alternatives"),
+            (lambda: baa([[negative, one], [two]], r=-1.0), DimensionMismatch, "widths [1, 2]"),
+            (lambda: baa([[negative, one], [two, one]], r=-1.0), InvalidParams, "r=-1.0, s=1.0"),
+            (lambda: baa([[negative, one], [two, one]]), NegativeOperand, "down to -1"),
+        ]
+        for call, error, text in calls:
+            with pytest.raises(MabacError) as info:
+                call()
+            assert type(info.value) is error and text in str(info.value)
+        assert info.value._cell == (None, 0)
 
 
 def _fresh(m):

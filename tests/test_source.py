@@ -25,8 +25,8 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: names for name, names in unused.items() if names} == {}
 
 
-def _defined_private_names(tree):
-    """The ``_name``s (not dunders) that ``tree`` binds at module level: a def, a class or an assignment."""
+def _bound_names(tree):
+    """The names ``tree`` binds at module level: a def, a class or an assignment; imports are not counted."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -34,7 +34,12 @@ def _defined_private_names(tree):
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
-    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+    return names
+
+
+def _defined_private_names(tree):
+    """The ``_name``s (not dunders) that ``tree`` binds at module level."""
+    return [name for name in _bound_names(tree) if name.startswith("_") and not name.startswith("__")]
 
 
 def _read_names(tree):
@@ -52,3 +57,12 @@ def test_every_private_module_name_is_read_somewhere_in_the_package():
     assert sum(map(len, defined.values())) > 50
     assert {name: [n for n in names if n not in read] for name, names in defined.items()
             if not set(names) <= read} == {}
+
+
+def test_no_module_level_name_is_bound_in_two_modules():
+    homes = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name in _bound_names(ast.parse(path.read_text(encoding="utf-8"))):
+            homes.setdefault(name, []).append(path.name)
+    assert len(homes) > 100
+    assert {name: modules for name, modules in homes.items() if len(modules) > 1} == {}
